@@ -15,7 +15,4 @@ that the ambiguity surface evaluated at the origin equals the signal energy.
 All information quantities are in nats (natural logarithm).
 """
 
-DD_DELAY_PHASE_SIGN = +1.0
-DD_DOPPLER_PHASE_SIGN = +1.0
-
 SPEED_OF_LIGHT = 299_792_458.0  # m/s

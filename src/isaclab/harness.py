@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import configparser
+import copy
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ _SCHEMA = {
     "experiment": {"schema-version", "trials", "master-seed", "workers",
                    "output-dir", "store-reports"},
     "scene": {"file"},
-    "noise": {"kind", "level", "ebn0-db", "seed-component"},
+    "noise": {"kind", "level", "ebn0-db"},
     "waveform": {"kind", "bits", "bits-per-symbol", "sample-rate",
                  "oversampling", "bandwidth", "duration", "subcarriers",
                  "symbols", "cp", "active"},
@@ -341,20 +342,31 @@ def _build_dictionary(cfg: ExperimentConfig, u) -> estimators.Dictionary:
 
 
 def _match_targets(truth, estimated):
-    """Greedy nearest-delay pairing of true and estimated targets."""
+    """Greedy nearest-delay pairing of true and estimated targets, each
+    given as ``[re, im, delay, doppler]``."""
     pairs = []
     pool = list(estimated)
-    for t in sorted(truth, key=lambda t: -abs(t.amplitude)):
+    for t in sorted(truth, key=lambda t: -abs(complex(t[0], t[1]))):
         if not pool:
             break
-        best = min(pool, key=lambda e: abs(e.delay - t.delay))
+        best = min(pool, key=lambda e: abs(e[2] - t[2]))
         pool.remove(best)
         pairs.append((t, best))
     return pairs
 
 
+def _targets_doc(targets):
+    """Targets as the ``[re, im, delay, doppler]`` lists a record stores."""
+    return [[complex(t.amplitude).real, complex(t.amplitude).imag,
+             float(t.delay), float(t.doppler)] for t in targets]
+
+
 def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[list[ResultRow], dict]:
-    """One simulate trial: scene -> rx -> estimate -> metrics rows."""
+    """One simulate trial: scene -> rx -> estimate -> record -> rows.
+
+    The record is JSON-ready and holds everything the metrics read, so
+    ``recompute_metrics`` turns a stored record into the same rows.
+    """
     seed = derive_seed(cfg.master_seed, trial, "trial")
     rng = np.random.default_rng(seed)
     scenario = "default"
@@ -368,23 +380,24 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[list[ResultRow], dict]
                 scn.clutter, derive_seed(cfg.master_seed, trial, "clutter"))
             scn = scene.merge_scenes(scn, cl, label=scenario)
     noise = _noise_model(cfg, u, derive_seed(cfg.master_seed, trial, "noise"))
-    rx = scene.apply_channel(u, scn, noise) if (scn.targets or noise) else \
-        scene.ReceivedSignal(u.samples.copy(), u.sample_rate)
-    if not scn.targets and noise is None:
-        rx = scene.ReceivedSignal(u.samples.copy(), u.sample_rate)
+    if scn.targets or (noise is not None and cfg.scene_file is not None):
+        rx = scene.apply_channel(u, scn, noise)
+    else:
+        # identity channel: the direct link when there is no [scene] (probe
+        # plus noise), and a noiseless scene without targets
+        y = u.samples.copy() if noise is None else \
+            u.samples + scene.apply_channel(u, scn, noise).samples
+        rx = scene.ReceivedSignal(y, u.sample_rate)
 
     report = None
-    est_name = cfg.est_kind
-    if cfg.est_kind in ("matched-filter", "omp"):
+    if cfg.est_kind != "none":
         dictionary = _build_dictionary(cfg, u)
-        if cfg.est_kind == "matched-filter":
-            report = estimators.matched_filter_estimate(
-                rx, u, dictionary, cfg.est["threshold_db"])
-        else:
-            report = estimators.omp_estimate(rx, dictionary,
-                                             cfg.est["sparsity"])
+    if cfg.est_kind == "matched-filter":
+        report = estimators.matched_filter_estimate(
+            rx, u, dictionary, cfg.est["threshold_db"])
+    elif cfg.est_kind == "omp":
+        report = estimators.omp_estimate(rx, dictionary, cfg.est["sparsity"])
     elif cfg.est_kind == "music":
-        dictionary = _build_dictionary(cfg, u)
         # deconvolve to the frequency-domain response; conjugate so the
         # delay exponential matches the positive-exponent steering model
         n = len(u)
@@ -399,93 +412,97 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[list[ResultRow], dict]
             scene.Target(np.conj(t.amplitude), t.delay, t.doppler)
             for t in report.estimated_targets]
 
-    tx_bits = u.layout.data_bits if u.layout is not None else np.zeros(0, np.uint8)
-    decoded = np.zeros(0, np.uint8)
-    if u.layout is not None and u.layout.kind in ("single-carrier-psk", "ofdm") \
-            and tx_bits.size:
-        chan_est = report if (report and report.estimated_targets) else None
-        if not scn.targets:
-            chan_est = None         # identity channel, no equalization
+    # every generated waveform has a layout; a chirp carries no bits
+    tx_bits, decoded = u.layout.data_bits, np.zeros(0, np.uint8)
+    if u.layout.kind != "chirp" and tx_bits.size:
+        # equalize with the estimate, except on the identity channel
+        chan_est = report if (report and report.estimated_targets
+                              and scn.targets) else None
         decoded = estimators.demodulate(rx, u, chan_est)
 
-    rows = []
-    for name in cfg.metric_list:
-        value = _compute_metric(name, cfg, u, scn, rx, report, tx_bits, decoded)
-        if value is None:
-            continue
-        rows.append(ResultRow(trial, scenario, est_name, name, value,
-                              _KNOWN_METRICS[name], seed))
-    stored = _trial_report_doc(trial, seed, scn, report, tx_bits, decoded, rx)
-    return rows, stored
+    # None marks an input that does not apply (no estimator ran); papr and
+    # r_squared read the signals, so they are reduced here, and only when
+    # listed, so an unlisted metric can never raise
+    ran = report is not None
+    record = {
+        "trial": trial, "seed": seed, "scenario": scenario,
+        "estimator": cfg.est_kind,
+        "tx_bits": tx_bits.tolist(), "decoded_bits": decoded.tolist(),
+        "bits_per_symbol": u.layout.bits_per_symbol,
+        "true_targets": _targets_doc(scn.targets),
+        "estimated_targets":
+            _targets_doc(report.estimated_targets) if ran else None,
+        "residual_energy": float(report.residual_energy) if ran else None,
+        "cost_vector": dict(report.cost.cost_vector) if ran else None,
+    }
+    if "papr" in cfg.metric_list:
+        record["papr"] = waveform.papr(u)
+    if "r_squared" in cfg.metric_list:
+        record["r_squared"] = None
+        if ran:
+            y = np.concatenate([rx.samples.real, rx.samples.imag])
+            pred = estimators._pad_to(
+                np.asarray(report.predicted_signal).reshape(-1), len(rx))
+            record["r_squared"] = metrics.r_squared(
+                y, np.concatenate([pred.real, pred.imag]))
+    return metric_rows(record, cfg), record
 
 
-def _compute_metric(name, cfg, u, scn, rx, report, tx_bits, decoded):
-    if name == "papr":
-        return waveform.papr(u)
-    if name in ("ber", "ser"):
-        if tx_bits.size == 0 or decoded.size == 0:
-            return None
-        n = min(tx_bits.size, decoded.size)
-        errs = int(np.sum(tx_bits[:n] != decoded[:n]))
-        if name == "ber":
-            return errs / n
-        bps = u.layout.bits_per_symbol
-        sym_t = tx_bits[:n].reshape(-1, bps)
-        sym_r = decoded[:n].reshape(-1, bps)
-        return float(np.mean(np.any(sym_t != sym_r, axis=1)))
-    if report is None:
+def _metric_value(name: str, rec: dict, cfg: ExperimentConfig):
+    """One formula per metric, reading only the trial record; None means
+    the metric does not apply to this trial and yields no row."""
+    if name in ("papr", "residual_energy", "r_squared"):
+        return rec[name]
+    tx = np.asarray(rec["tx_bits"], np.uint8)
+    de = np.asarray(rec["decoded_bits"], np.uint8)
+    n = min(tx.size, de.size)
+    tx, de = tx[:n], de[:n]
+    if name in ("ber", "ser") and not n:
         return None
-    if name == "residual_energy":
-        return report.residual_energy
-    if name == "r_squared":
-        y = np.concatenate([rx.samples.real, rx.samples.imag])
-        pred = estimators._pad_to(np.asarray(report.predicted_signal).reshape(-1),
-                                  len(rx))
-        y_hat = np.concatenate([pred.real, pred.imag])
-        return metrics.r_squared(y, y_hat)
-    if name in ("delay_rmse", "doppler_rmse"):
-        pairs = _match_targets(scn.targets, report.estimated_targets)
-        if not pairs:
-            return None
-        key = "delay" if name == "delay_rmse" else "doppler"
-        errs = [getattr(t, key) - getattr(e, key) for t, e in pairs]
-        return float(np.sqrt(np.mean(np.square(errs))))
+    if name == "ber":
+        return int(np.sum(tx != de)) / n
+    if name == "ser":
+        bps = rec["bits_per_symbol"]
+        wrong = np.any(tx.reshape(-1, bps) != de.reshape(-1, bps), axis=1)
+        return float(np.mean(wrong))
+    if rec["cost_vector"] is None:          # no estimator ran
+        return None
     if name == "w_cost":
-        return estimators.tally_cost(report.cost, cfg.cost_weights,
+        return estimators.tally_cost(rec["cost_vector"], cfg.cost_weights,
                                      cfg.c_max, cfg.form)
+    pairs = _match_targets(rec["true_targets"], rec["estimated_targets"])
+    if not pairs:
+        return None
+    if name in ("delay_rmse", "doppler_rmse"):
+        k = 2 if name == "delay_rmse" else 3
+        return float(np.sqrt(np.mean(np.square([t[k] - e[k]
+                                                for t, e in pairs]))))
     if name == "estimator_j":
-        pairs = _match_targets(scn.targets, report.estimated_targets)
-        if not pairs:
-            return None
-        phi = [t.delay for t, _ in pairs] + [t.doppler for t, _ in pairs]
-        phi_hat = [e.delay for _, e in pairs] + [e.doppler for _, e in pairs]
-        n = max(min(tx_bits.size, decoded.size), 1)
-        errs = int(np.sum(tx_bits[:n] != decoded[:n])) if decoded.size else 0
-        comm = metrics.CommReport(n, errs)
-        score = unified.estimator_metric(phi, phi_hat, comm, cfg.lam,
-                                         report.cost, cfg.cost_weights,
-                                         cfg.c_max, cfg.form)
-        return score.value
+        phi = [t[2] for t, _ in pairs] + [t[3] for t, _ in pairs]
+        phi_hat = [e[2] for _, e in pairs] + [e[3] for _, e in pairs]
+        comm = metrics.CommReport(max(n, 1), int(np.sum(tx != de)))
+        return unified.estimator_metric(phi, phi_hat, comm, cfg.lam,
+                                        rec["cost_vector"], cfg.cost_weights,
+                                        cfg.c_max, cfg.form).value
     raise errors.ValidationError([f"unknown metric {name!r}"])
 
 
-def _trial_report_doc(trial, seed, scn, report, tx_bits, decoded, rx):
-    doc = {
-        "trial": trial,
-        "seed": seed,
-        "true_targets": [[t.amplitude.real, t.amplitude.imag, t.delay,
-                          t.doppler] for t in scn.targets],
-        "tx_bits": tx_bits.tolist(),
-        "decoded_bits": decoded.tolist(),
-        "rx_energy": float(np.sum(np.abs(rx.samples) ** 2)),
-    }
-    if report is not None:
-        doc["estimated_targets"] = [[t.amplitude.real, t.amplitude.imag,
-                                     t.delay, t.doppler]
-                                    for t in report.estimated_targets]
-        doc["residual_energy"] = report.residual_energy
-        doc["cost_vector"] = report.cost.cost_vector
-    return doc
+def metric_rows(rec: dict, cfg: ExperimentConfig, source="trial record",
+                ) -> list[ResultRow]:
+    """The rows of every listed metric of one trial record."""
+    rows = []
+    for name in cfg.metric_list:
+        try:
+            value = _metric_value(name, rec, cfg)
+            if value is not None:
+                rows.append(ResultRow(rec["trial"], rec["scenario"],
+                                      rec["estimator"], name, value,
+                                      _KNOWN_METRICS[name], rec["seed"]))
+        except KeyError as exc:
+            raise errors.ValidationError(
+                [f"{source}: metric {name!r} needs {exc.args[0]!r}, "
+                 f"which the record lacks"]) from None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -516,38 +533,18 @@ def run_experiment(cfg: ExperimentConfig, store_dir: Path | None = None,
 
 
 def recompute_metrics(report_dir: Path, cfg: ExperimentConfig) -> list[ResultRow]:
-    """Recompute metric rows from stored per-trial reports."""
+    """Recompute metric rows from stored per-trial records, through the same
+    ``metric_rows`` as ``run_experiment``."""
     rows = []
     files = sorted(Path(report_dir).glob("report_*.json"))
     if not files:
         raise errors.ParseError(f"no stored reports under {report_dir}")
     for f in files:
-        doc = json.loads(f.read_text(encoding="utf-8"))
-        trial, seed = doc["trial"], doc["seed"]
-        tx = np.asarray(doc["tx_bits"], np.uint8)
-        de = np.asarray(doc["decoded_bits"], np.uint8)
-        truth = [scene.Target(complex(a, b), t, n)
-                 for a, b, t, n in doc["true_targets"]]
-        est = [scene.Target(complex(a, b), t, n)
-               for a, b, t, n in doc.get("estimated_targets", [])]
-        for name in cfg.metric_list:
-            value = None
-            if name == "ber" and tx.size and de.size:
-                n = min(tx.size, de.size)
-                value = float(np.sum(tx[:n] != de[:n]) / n)
-            elif name == "residual_energy" and "residual_energy" in doc:
-                value = doc["residual_energy"]
-            elif name == "delay_rmse" and truth and est:
-                pairs = _match_targets(truth, est)
-                value = float(np.sqrt(np.mean(
-                    [(t.delay - e.delay) ** 2 for t, e in pairs])))
-            elif name == "w_cost" and "cost_vector" in doc:
-                value = estimators.tally_cost(doc["cost_vector"],
-                                              cfg.cost_weights, cfg.c_max,
-                                              cfg.form)
-            if value is not None:
-                rows.append(ResultRow(trial, "stored", "stored", name,
-                                      value, _KNOWN_METRICS[name], seed))
+        try:
+            rec = json.loads(f.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise errors.ParseError(f"{f}: {exc}") from None
+        rows += metric_rows(rec, cfg, source=str(f))
     return _sort_rows(rows)
 
 
@@ -557,7 +554,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
         raise errors.ValidationError(["[sweep] needs parameter and values"])
     rows = []
     for val in cfg.sweep_values:
-        import copy
         sub = copy.deepcopy(cfg)
         if cfg.sweep_parameter == "lambda":
             sub.lam = val
@@ -565,9 +561,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
         else:
             sub.ebn0_db = val
             tag = f"ebn0={val:g}dB"
-        for row in run_experiment(sub):
-            rows.append(ResultRow(row.trial, tag, row.estimator, row.metric,
-                                  row.value, row.units, row.seed))
+        rows += [replace(row, scenario=tag) for row in run_experiment(sub)]
     return _sort_rows(rows)
 
 

@@ -8,7 +8,7 @@ produce MAP/MMSE estimates of agent states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,8 @@ import numpy as np
 from . import errors
 from .conventions import SPEED_OF_LIGHT
 
-_COMPONENT_DIMS = {"position": 2, "orientation": 1, "velocity": 2,
-                   "time_offset": 1, "cfo": 1, "cpo": 1}
+_COMPONENT_DIMS = {"position": 2, "orientation": 1, "time_offset": 1,
+                   "cpo": 1}
 _CIRCULAR = {"orientation", "cpo"}
 
 
@@ -36,22 +36,18 @@ def wrap_angle(x):
 
 @dataclass(frozen=True)
 class ApertureState:
-    """Spatial state (position, orientation, velocity) plus temporal state
-    (time offset, carrier frequency offset, carrier phase offset)."""
+    """Spatial state (position, orientation) plus temporal state (time
+    offset, carrier phase offset): the components the observables read."""
 
     id: int
     position: np.ndarray
     orientation: float = 0.0
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(2))
     time_offset: float = 0.0
-    cfo: float = 0.0
     cpo: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "position",
                            np.asarray(self.position, float))
-        object.__setattr__(self, "velocity",
-                           np.asarray(self.velocity, float))
         object.__setattr__(self, "orientation", wrap_angle(self.orientation))
         object.__setattr__(self, "cpo", wrap_angle(self.cpo))
 
@@ -374,35 +370,17 @@ def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
     lw = np.zeros(n)
     noise = meas.noise
     # an overflowing residual legitimately drives the log-weight to -inf
-    np_err = np.seterr(over="ignore")
-    if meas.delay is not None:
-        s = noise.delay_std * noise_scale
-        lw += -0.5 * ((meas.delay - delay) / s) ** 2
-    if meas.aoa is not None:
-        s = noise.aoa_std * noise_scale
-        lw += -0.5 * (wrap_angle(meas.aoa - aoa) / s) ** 2
-    if meas.phase is not None:
-        s = noise.phase_std * noise_scale
-        lw += -0.5 * (wrap_angle(meas.phase - phase) / s) ** 2
-    np.seterr(**np_err)
+    with np.errstate(over="ignore"):
+        if meas.delay is not None:
+            s = noise.delay_std * noise_scale
+            lw += -0.5 * ((meas.delay - delay) / s) ** 2
+        if meas.aoa is not None:
+            s = noise.aoa_std * noise_scale
+            lw += -0.5 * (wrap_angle(meas.aoa - aoa) / s) ** 2
+        if meas.phase is not None:
+            s = noise.phase_std * noise_scale
+            lw += -0.5 * (wrap_angle(meas.phase - phase) / s) ** 2
     return lw
-
-
-def joint_log_posterior(graph: FactorGraph, states: dict) -> float:
-    """Unnormalized log posterior at one full state configuration."""
-    space = graph.space
-    total = 0.0
-    for f in graph.prior_factors:
-        if f.node_id in graph.topology.anchors:
-            continue
-        vec = space.pack(states[f.node_id])[None, :]
-        total += float(f.prior.logpdf(vec)[0])
-    for f in graph.pair_factors:
-        j, jp = f.pair
-        total += float(pair_log_likelihood(
-            f.measurement, space.pack(states[j]), space.pack(states[jp]),
-            space, graph.carrier_freq, graph.c)[0])
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +651,6 @@ def sync_error_report(estimates: dict, truth: dict) -> dict:
             "orientation_error_rad": abs(wrap_angle(e.orientation
                                                     - t.orientation)),
             "to_error_s": e.time_offset - t.time_offset,
-            "cfo_error_hz": e.cfo - t.cfo,
             "cpo_error_rad": abs(wrap_angle(e.cpo - t.cpo)),
         }
         rows[j] = row
@@ -792,8 +769,10 @@ def load_sync_scenario(path) -> SyncScenario:
                 carrier = float(rest)
             elif key == "scene-box":
                 box = tuple(float(v) for v in rest.split())
-                if len(box) != 4:
-                    raise errors.ParseError(f"{path}:{lineno}: scene-box needs 4 values")
+                if len(box) != 4 or box[0] >= box[1] or box[2] >= box[3]:
+                    raise errors.ParseError(
+                        f"{path}:{lineno}: scene-box needs 'x_lo x_hi y_lo y_hi' "
+                        f"with lo < hi")
             elif key == "aperture":
                 parts = rest.split()
                 if len(parts) != 7 or parts[1] not in ("anchor", "agent"):
@@ -834,17 +813,18 @@ def load_sync_scenario(path) -> SyncScenario:
         raise errors.ParseError(f"{path}: no apertures declared")
     ids = tuple(a[0] for a in apertures)
     anchors = tuple(a[0] for a in apertures if a[1])
-    topo = NetworkTopology(ids, anchors)
-    if measure_all:
-        topo = replace(topo, measurement_mask=topo.pair_set)
-    else:
-        topo = replace(topo, measurement_mask=tuple(measures))
     states = {a[0]: ApertureState(a[0], np.array([a[2], a[3]]),
                                   orientation=a[4], time_offset=a[5],
                                   cpo=a[6]) for a in apertures}
-    return SyncScenario(StateSpace(components), topo, states, box,
-                        MeasurementNoise(**noise_kw), BPConfig(**bp_kw),
-                        carrier)
+    try:
+        topo = NetworkTopology(ids, anchors)
+        topo = replace(topo, measurement_mask=(
+            topo.pair_set if measure_all else tuple(measures)))
+        return SyncScenario(StateSpace(components), topo, states, box,
+                            MeasurementNoise(**noise_kw), BPConfig(**bp_kw),
+                            carrier)
+    except (ValueError, errors.TopologyError) as exc:
+        raise errors.ParseError(f"{path}: {exc}") from None
 
 
 def default_agent_prior(scenario: SyncScenario) -> dict:
@@ -865,10 +845,8 @@ def default_agent_prior(scenario: SyncScenario) -> dict:
                 hi[sl] = [scenario.scene_box[1], scenario.scene_box[3]]
             elif c in _CIRCULAR:
                 lo[sl], hi[sl] = -np.pi, np.pi
-            elif c == "time_offset":
+            else:                           # time_offset
                 lo[sl], hi[sl] = -1e-6, 1e-6
-            else:
-                lo[sl], hi[sl] = -1.0, 1.0
         priors[j] = UniformPrior(lo, hi)
     return priors
 

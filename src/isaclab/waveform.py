@@ -60,12 +60,6 @@ class ModulationLayout:
                     f"{n_data} data cells x {self.bits_per_symbol} bits != "
                     f"{self.data_bits.size} data bits")
 
-    @property
-    def n_data_cells(self) -> int:
-        active = np.zeros(self.n_subcarriers, bool)
-        active[list(self.active_subcarriers)] = True
-        return int(active.sum() * self.n_symbols - self.pilot_mask.sum())
-
 
 @dataclass(frozen=True)
 class Waveform:
@@ -361,27 +355,61 @@ def save_waveform(u: Waveform, basepath) -> tuple[Path, Path]:
     return iq_path, hdr_path
 
 
+def _band_from_text(text: str) -> tuple[float, float]:
+    lo, hi = (float(x) for x in text.split())
+    return lo, hi
+
+
+def _layout_from_json(text: str) -> ModulationLayout | None:
+    doc = json.loads(text)
+    if doc is None:
+        return None
+    mask = doc["pilot_mask"]
+    return ModulationLayout(
+        kind=doc["kind"],
+        bits_per_symbol=doc["bits_per_symbol"],
+        n_subcarriers=doc["n_subcarriers"],
+        n_symbols=doc["n_symbols"],
+        pilot_mask=None if mask is None else np.asarray(mask, bool),
+        active_subcarriers=tuple(doc["active_subcarriers"]),
+        data_bits=np.asarray(doc["data_bits"], np.uint8),
+        oversampling=doc["oversampling"],
+    )
+
+
 def load_waveform(basepath) -> Waveform:
+    """Read the pair written by `save_waveform`. A missing or malformed
+    header key raises `ParseError` naming the key, with `path:line`."""
     base = Path(basepath)
+    hdr_path = base.with_suffix(".hdr")
     hdr = {}
-    for line in base.with_suffix(".hdr").read_text(encoding="utf-8").splitlines():
-        key, _, val = line.partition(":")
-        hdr[key.strip()] = val.strip()
-    raw = np.fromfile(base.with_suffix(".iq"), dtype="<f8")
-    samples = raw[0::2] + 1j * raw[1::2]
-    lo, hi = (float(x) for x in hdr["band"].split())
-    lay_doc = json.loads(hdr["layout"])
-    layout = None
-    if lay_doc is not None:
-        mask = lay_doc["pilot_mask"]
-        layout = ModulationLayout(
-            kind=lay_doc["kind"],
-            bits_per_symbol=lay_doc["bits_per_symbol"],
-            n_subcarriers=lay_doc["n_subcarriers"],
-            n_symbols=lay_doc["n_symbols"],
-            pilot_mask=None if mask is None else np.asarray(mask, bool),
-            active_subcarriers=tuple(lay_doc["active_subcarriers"]),
-            data_bits=np.asarray(lay_doc["data_bits"], np.uint8),
-            oversampling=lay_doc["oversampling"],
-        )
-    return Waveform(samples, float(hdr["sample-rate"]), (lo, hi), layout)
+    text = hdr_path.read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        key, sep, val = line.partition(":")
+        if not line.strip():
+            continue
+        if not sep:
+            raise errors.ParseError(f"{hdr_path}:{lineno}: expected 'key: value'")
+        hdr[key.strip()] = (lineno, val.strip())
+
+    def parsed(key, parse):
+        if key not in hdr:
+            raise errors.ParseError(f"{hdr_path}: missing key {key!r}")
+        lineno, val = hdr[key]
+        try:
+            return parse(val)
+        except (ValueError, TypeError, KeyError, errors.LayoutError) as exc:
+            raise errors.ParseError(
+                f"{hdr_path}:{lineno}: bad {key!r}: {exc}") from None
+
+    fs = parsed("sample-rate", float)
+    band = parsed("band", _band_from_text)
+    layout = parsed("layout", _layout_from_json)
+    iq_path = base.with_suffix(".iq")
+    raw = np.fromfile(iq_path, dtype="<f8")
+    if raw.size % 2:
+        raise errors.ParseError(f"{iq_path}: odd number of float64 values")
+    try:
+        return Waveform(raw[0::2] + 1j * raw[1::2], fs, band, layout)
+    except ValueError as exc:
+        raise errors.ParseError(f"{hdr_path}: {exc}") from None

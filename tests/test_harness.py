@@ -26,21 +26,10 @@ def _write_scene(path):
         (scene.Target(1.0, 3e-6, 0.0),), label="one"), path)
 
 
-def _config_text(scene_name="scene.txt", trials=3, extra=""):
-    return f"""[experiment]
-schema-version = 1
-trials = {trials}
-master-seed = 99
-workers = 1
+_ALL_METRICS = ("papr, ber, ser, delay_rmse, doppler_rmse, residual_energy, "
+                "r_squared, w_cost, estimator_j")
 
-[scene]
-file = {scene_name}
-
-[noise]
-kind = white
-level = 1e-10
-
-[waveform]
+_PSK_OMP = """[waveform]
 kind = psk
 bits = 64
 bits-per-symbol = 1
@@ -51,9 +40,39 @@ oversampling = 2
 kind = omp
 sparsity = 1
 delay-bins = 8
+"""
 
+_CHIRP_MUSIC = """[waveform]
+kind = chirp
+bandwidth = 4e5
+duration = 6.4e-5
+
+[estimator]
+kind = music
+order = 1
+delay-bins = 16
+"""
+
+
+def _config_text(scene_name="scene.txt", trials=3, extra="",
+                 metrics="papr, ber, delay_rmse, residual_energy, w_cost",
+                 probe=_PSK_OMP, experiment=""):
+    return f"""[experiment]
+schema-version = 1
+trials = {trials}
+master-seed = 99
+workers = 1
+{experiment}
+[scene]
+file = {scene_name}
+
+[noise]
+kind = white
+level = 1e-10
+
+{probe}
 [metrics]
-list = papr, ber, delay_rmse, residual_energy, w_cost
+list = {metrics}
 
 [unified]
 lambda = 0.5
@@ -153,20 +172,96 @@ def test_emit_report_summary(tmp_path):
 
 def test_store_and_recompute_metrics(tmp_path):
     _write_scene(tmp_path / "scene.txt")
-    (tmp_path / "exp.ini").write_text(_config_text(trials=2))
+    (tmp_path / "exp.ini").write_text(_config_text(trials=2,
+                                                   metrics=_ALL_METRICS))
     cfg = harness.load_config(tmp_path / "exp.ini")
     rows = harness.run_experiment(cfg, store_dir=tmp_path / "reports")
     assert (tmp_path / "reports" / "report_00000.json").exists()
-    re_rows = harness.recompute_metrics(tmp_path / "reports", cfg)
-    direct = {(r.trial, r.metric): r.value for r in rows
-              if r.metric in ("ber", "residual_energy", "delay_rmse",
-                              "w_cost")}
-    recomputed = {(r.trial, r.metric): r.value for r in re_rows}
-    assert set(direct) == set(recomputed)
-    for k in direct:
-        assert direct[k] == pytest.approx(recomputed[k], rel=1e-12)
+    assert len(rows) == 2 * 9
+    # same rows, exactly: every metric, scenario and estimator column
+    assert harness.recompute_metrics(tmp_path / "reports", cfg) == rows
     with pytest.raises(errors.ParseError):
         harness.recompute_metrics(tmp_path / "empty", cfg)
+
+
+@pytest.mark.parametrize("probe", [_PSK_OMP, _CHIRP_MUSIC],
+                         ids=["psk-omp", "chirp-music"])
+def test_cli_metrics_reproduces_simulate_bytes(tmp_path, probe):
+    _write_scene(tmp_path / "scene.txt")
+    text = _config_text(trials=2, metrics=_ALL_METRICS, probe=probe,
+                        experiment="store-reports = true\n")
+    (tmp_path / "exp.ini").write_text(text)
+    ini = str(tmp_path / "exp.ini")
+    assert cli.main(["simulate", "--config", ini,
+                     "--out", str(tmp_path / "sim")]) == 0
+    assert cli.main(["metrics", "--config", ini,
+                     "--reports", str(tmp_path / "sim" / "reports"),
+                     "--out", str(tmp_path / "re")]) == 0
+    sim = (tmp_path / "sim" / "rows.csv").read_bytes()
+    assert sim == (tmp_path / "re" / "rows.csv").read_bytes()
+    lines = sim.decode().splitlines()[1:]
+    assert len(lines) >= 2 * 7           # chirps carry no bits: no ber, ser
+    assert all(",one,omp," in line or ",one,music," in line
+               for line in lines)
+
+
+def test_recompute_missing_input_is_validation_error(tmp_path, capsys):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "stored.ini").write_text(_config_text(trials=1,
+                                                      metrics="ber"))
+    cfg = harness.load_config(tmp_path / "stored.ini")
+    harness.run_experiment(cfg, store_dir=tmp_path / "reports")
+    # papr and r_squared are reduced only when listed at simulate time
+    (tmp_path / "exp.ini").write_text(_config_text(trials=1,
+                                                   metrics="ber, papr"))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    with pytest.raises(errors.ValidationError,
+                       match=r"report_00000\.json: metric 'papr'"):
+        harness.recompute_metrics(tmp_path / "reports", cfg)
+    assert cli.main(["metrics", "--config", str(tmp_path / "exp.ini"),
+                     "--reports", str(tmp_path / "reports"),
+                     "--out", str(tmp_path / "re")]) == 2
+    assert "papr" in capsys.readouterr().err
+
+
+def test_cli_sweep_without_scene_is_direct_link(tmp_path):
+    # no [scene]: the receiver sees the probe plus noise, so the BPSK BER
+    # follows Q(sqrt(2 Eb/N0)): 0.079 at 0 dB, 0.012 at 4 dB, ~0 at 20 dB
+    (tmp_path / "exp.ini").write_text("""[experiment]
+schema-version = 1
+trials = 2
+master-seed = 3
+
+[waveform]
+kind = psk
+bits = 2000
+
+[metrics]
+list = ber
+
+[sweep]
+parameter = ebn0-db
+values = 0, 4, 20
+""")
+    assert cli.main(["sweep", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 0
+    ber = {}
+    for line in (tmp_path / "out" / "rows.csv").read_text().splitlines()[1:]:
+        _, tag, _, metric, value, _, _ = line.split(",")
+        ber.setdefault(tag, []).append(float(value))
+    mean = {tag: float(np.mean(v)) for tag, v in ber.items()}
+    assert 0.06 < mean["ebn0=0dB"] < 0.10
+    assert mean["ebn0=0dB"] > mean["ebn0=4dB"] > mean["ebn0=20dB"]
+    assert mean["ebn0=20dB"] < 1e-3
+
+
+def test_load_config_rejects_seed_component(tmp_path):
+    _write_scene(tmp_path / "scene.txt")
+    text = _config_text().replace("level = 1e-10",
+                                  "level = 1e-10\nseed-component = noise")
+    (tmp_path / "exp.ini").write_text(text)
+    with pytest.raises(errors.ValidationError, match="seed-component"):
+        harness.load_config(tmp_path / "exp.ini")
 
 
 def test_run_sweep_lambda(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isaclab import errors, syncnet as sn
+from isaclab import cli, errors, syncnet as sn
 from isaclab.conventions import SPEED_OF_LIGHT as C
 
 
@@ -363,3 +363,36 @@ def test_bp_tree_matches_grid_marginal():
 
     tv = 0.5 * np.abs(hist_bp - hist_exact).sum()
     assert tv < 0.05
+
+
+def test_pair_log_likelihood_restores_numpy_error_state():
+    noise = sn.MeasurementNoise(aoa_std=0.1)
+    # a delay observation without its std cannot be scored
+    z = sn.PairMeasurement((0, 1), 1e-8, None, None, noise)
+    before = np.geterr()
+    with pytest.raises(TypeError):
+        sn.pair_log_likelihood(z, np.zeros(2), np.ones(2), sn.StateSpace(),
+                               1e9)
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("line, match", [
+    ("components: position velocity", "unknown state components"),
+    ("components: position cfo", "unknown state components"),
+    ("bp-particles: 50", "particle_count"),
+    ("noise: aoa -1", "aoa_std"),
+    ("scene-box: 50 0 0 50", "scene-box"),
+])
+def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
+                                                        match):
+    p = tmp_path / "net.txt"
+    p.write_text("sync-version: 1\naperture: 0 anchor 0 0 0 0 0\n"
+                 "aperture: 1 agent 5 5 0 0 0\nmeasure: all\n"
+                 f"noise: delay 1e-9\n{line}\n")
+    with pytest.raises(errors.ParseError, match=match) as exc:
+        sn.load_sync_scenario(p)
+    assert str(p) in str(exc.value)
+    (tmp_path / "exp.ini").write_text("[experiment]\nschema-version = 1\n\n"
+                                      "[sync]\nfile = net.txt\n")
+    assert cli.main(["sync", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 2

@@ -192,6 +192,30 @@ def test_waveform_binary_is_interleaved_little_endian(tmp_path):
     assert "little-endian" in hdr.read_text()
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda h: h.replace("band:", "# band:"), r"missing key 'band'"),
+    (lambda h: h.replace("sample-rate: ", "sample-rate: fast"),
+     r"\.hdr:3: bad 'sample-rate'"),
+    (lambda h: h.replace("band: ", "band: 1 "), r"\.hdr:5: bad 'band'"),
+    (lambda h: h.replace('"kind": ', '"sort": '), r"\.hdr:6: bad 'layout'"),
+    (lambda h: h + "stray line\n", r"\.hdr:7: expected 'key: value'"),
+], ids=["missing-band", "bad-rate", "bad-band", "bad-layout", "no-colon"])
+def test_load_waveform_header_errors_carry_context(tmp_path, edit, match):
+    u = waveform.generate_psk_frame(np.array([0, 1, 1, 0]), 1, 1e6)
+    _, hdr = waveform.save_waveform(u, tmp_path / "w")
+    hdr.write_text(edit(hdr.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(errors.ParseError, match=match):
+        waveform.load_waveform(tmp_path / "w")
+
+
+def test_load_waveform_odd_iq_length(tmp_path):
+    u = waveform.generate_psk_frame(np.array([0, 1, 1, 0]), 1, 1e6)
+    iq, _ = waveform.save_waveform(u, tmp_path / "w")
+    iq.write_bytes(iq.read_bytes()[:-8])
+    with pytest.raises(errors.ParseError, match=r"\.iq: odd number"):
+        waveform.load_waveform(tmp_path / "w")
+
+
 @given(st.integers(1, 64), st.integers(1, 2))
 @settings(max_examples=25, deadline=None)
 def test_psk_roundtrip_property(n_sym, bps):
