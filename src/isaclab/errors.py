@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the line grammar of
+its versioned text files."""
+
+from pathlib import Path
 
 
 class ToolkitError(Exception):
@@ -103,6 +106,35 @@ class IdMismatch(ToolkitError):
 
 class ParseError(ToolkitError):
     """Malformed config or scenario file; carries line/field context."""
+
+
+def key_value_lines(path, header: str) -> list[tuple[int, str, str]]:
+    """The ``(lineno, key, value)`` lines of a versioned text file.
+
+    The file is UTF-8 text of `key: value` lines; `#` starts a comment and
+    blank lines are skipped.  The first line left must equal `header` (such
+    as 'scene-version: 1') and is not returned.  Every defect raises
+    ParseError naming `path`, with the line number when there is one.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise ParseError(f"{path}:{lineno}: expected 'key: value'")
+        lines.append((lineno, key.strip(), value.strip()))
+    if not lines:
+        raise ParseError(f"{path}: missing '{header}' header")
+    lineno, key, value = lines[0]
+    if f"{key}: {value}" != header:
+        raise ParseError(f"{path}:{lineno}: first line must be '{header}'")
+    return lines[1:]
 
 
 class ValidationError(ToolkitError):

@@ -361,10 +361,12 @@ def _targets_doc(targets):
              float(t.delay), float(t.doppler)] for t in targets]
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[list[ResultRow], dict]:
+def run_trial(cfg: ExperimentConfig, trial: int,
+              base: scene.TargetScene | None) -> tuple[list[ResultRow], dict]:
     """One simulate trial: scene -> rx -> estimate -> record -> rows.
 
-    The record is JSON-ready and holds everything the metrics read, so
+    `base` is the parsed `[scene]` file, or None for the direct link.  The
+    record is JSON-ready and holds everything the metrics read, so
     ``recompute_metrics`` turns a stored record into the same rows.
     """
     seed = derive_seed(cfg.master_seed, trial, "trial")
@@ -372,15 +374,15 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[list[ResultRow], dict]
     scenario = "default"
     u = _build_waveform(cfg, rng)
     scn = scene.TargetScene(())
-    if cfg.scene_file is not None:
-        scn = scene.load_scene(cfg.base_dir / cfg.scene_file)
+    if base is not None:
+        scn = base
         scenario = scn.label or Path(cfg.scene_file).stem
         if scn.clutter is not None:
             cl = scene.generate_clutter(
                 scn.clutter, derive_seed(cfg.master_seed, trial, "clutter"))
             scn = scene.merge_scenes(scn, cl, label=scenario)
     noise = _noise_model(cfg, u, derive_seed(cfg.master_seed, trial, "noise"))
-    if scn.targets or (noise is not None and cfg.scene_file is not None):
+    if scn.targets or (noise is not None and base is not None):
         rx = scene.apply_channel(u, scn, noise)
     else:
         # identity channel: the direct link when there is no [scene] (probe
@@ -512,11 +514,11 @@ def metric_rows(rec: dict, cfg: ExperimentConfig, source="trial record",
 def run_experiment(cfg: ExperimentConfig, store_dir: Path | None = None,
                    ) -> list[ResultRow]:
     """Monte Carlo simulate sweep; rows deterministic given (config, seed)."""
+    base = None if cfg.scene_file is None else \
+        scene.load_scene(cfg.base_dir / cfg.scene_file)
+
     def one(trial):
-        try:
-            return run_trial(cfg, trial)
-        except errors.ToolkitError as exc:
-            raise errors.ToolkitError(f"trial {trial}: {exc}") from exc
+        return run_trial(cfg, trial, base)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

@@ -255,9 +255,9 @@ def save_scene(scene: TargetScene, path) -> None:
 
 
 def load_scene(path) -> TargetScene:
-    """Parse a scene file.
+    """Parse a scene file (the line grammar of `errors.key_value_lines`).
 
-    Line-oriented text; `#` starts a comment.  Keys:
+    Keys:
 
         scene-version: 1                (required, first non-comment line)
         label: <text>                   (optional)
@@ -267,50 +267,26 @@ def load_scene(path) -> TargetScene:
     targets: list[Target] = []
     clutter = None
     label = ""
-    version_seen = False
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise errors.ParseError(f"{path}:{lineno}: expected 'key: value'")
-        key, rest = key.strip(), rest.strip()
-        if not version_seen:
-            if key != "scene-version" or rest != "1":
-                raise errors.ParseError(
-                    f"{path}:{lineno}: first line must be 'scene-version: 1'")
-            version_seen = True
-            continue
-        if key == "label":
-            label = rest
-        elif key == "target":
-            parts = rest.split()
-            if len(parts) != 4:
-                raise errors.ParseError(
-                    f"{path}:{lineno}: target needs 4 fields (re im tau nu)")
-            try:
+    for lineno, key, rest in errors.key_value_lines(path, "scene-version: 1"):
+        try:
+            if key == "label":
+                label = rest
+            elif key == "target":
+                parts = rest.split()
+                if len(parts) != 4:
+                    raise ValueError("target needs 4 fields (re im tau nu)")
                 re_, im, tau, nu = (float(p) for p in parts)
-            except ValueError as exc:
-                raise errors.ParseError(f"{path}:{lineno}: {exc}") from None
-            try:
                 targets.append(Target(complex(re_, im), tau, nu))
-            except ValueError as exc:
-                raise errors.ParseError(f"{path}:{lineno}: {exc}") from None
-        elif key == "clutter":
-            parts = rest.split()
-            if len(parts) != 6:
-                raise errors.ParseError(
-                    f"{path}:{lineno}: clutter needs 6 fields")
-            try:
+            elif key == "clutter":
+                parts = rest.split()
+                if len(parts) != 6:
+                    raise ValueError("clutter needs 6 fields")
                 d, s, t0, t1, n0, n1 = (float(p) for p in parts)
                 clutter = ClutterModel(d, s, (t0, t1), (n0, n1))
-            except ValueError as exc:
-                raise errors.ParseError(f"{path}:{lineno}: {exc}") from None
-        else:
-            raise errors.ParseError(f"{path}:{lineno}: unknown key {key!r}")
-    if not version_seen:
-        raise errors.ParseError(f"{path}: missing 'scene-version: 1' header")
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except (ValueError, TypeError) as exc:
+            raise errors.ParseError(f"{path}:{lineno}: {exc}") from None
     try:
         return TargetScene(tuple(targets), clutter, label)
     except ValueError as exc:

@@ -420,7 +420,9 @@ class Belief:
 
     def __post_init__(self):
         s = self.weights.sum()
-        if not np.isfinite(s) or abs(s - 1.0) > 1e-9:
+        if not (np.isfinite(s) and s > 0):
+            raise errors.DegeneracyError(f"belief weights sum to {s}")
+        if abs(s - 1.0) > 1e-9:
             self.weights = self.weights / s
 
     @property
@@ -618,22 +620,9 @@ def estimate_map(belief: Belief, space: StateSpace,
     if belief.particles.size == 0:
         raise errors.EmptyBelief("empty belief")
     x = belief.particles
-    w = belief.weights
-    n, d = x.shape
-    h = _silverman_bandwidth(x, w, space.circular_mask)
-    log_dens = np.zeros(n)
-    dens = np.zeros(n)
-    chunk = max(1, int(2e6) // max(n, 1))
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        diff = x[sl, None, :] - x[None, :, :]
-        cm = space.circular_mask
-        if cm.any():
-            diff[:, :, cm] = wrap_angle(diff[:, :, cm])
-        q = np.sum((diff / h) ** 2, axis=2)
-        dens[sl] = np.sum(w[None, :] * np.exp(-0.5 * q), axis=1)
-    best = int(np.argmax(dens))
-    return space.unpack(x[best].copy(), node_id)
+    h = _silverman_bandwidth(x, belief.weights, space.circular_mask)
+    dens = _kde_log_density(x, x, belief.weights, h, space.circular_mask)
+    return space.unpack(x[int(np.argmax(dens))].copy(), node_id)
 
 
 def sync_error_report(estimates: dict, truth: dict) -> dict:
@@ -725,61 +714,57 @@ class SyncScenario:
     carrier_freq: float = 1e9
 
 
-def load_sync_scenario(path) -> SyncScenario:
-    """Parse a network scenario file.
+def _positive(text: str) -> float:
+    v = float(text)
+    if not (np.isfinite(v) and v > 0):
+        raise ValueError(f"expected a finite value > 0, got {text!r}")
+    return v
 
-    Line-oriented text, `#` comments.  Keys:
+
+def load_sync_scenario(path) -> SyncScenario:
+    """Parse a network scenario file (the line grammar of
+    `errors.key_value_lines`).  Keys:
 
         sync-version: 1                       (required first)
         components: position [orientation time_offset cpo]
         carrier-freq: <Hz>
         scene-box: x_lo x_hi y_lo y_hi        (agent position prior support)
-        aperture: <id> <anchor|agent> x y orient to cpo
+        aperture: <id> <anchor|agent> x y orient to cpo   (unique ids)
         measure: all        | measure: <j> <jp>  (one per line)
-        noise: <delay|aoa|phase> <std>
+        noise: <delay|aoa|phase> <std>        (at least one)
         bp-particles/bp-iterations/bp-tol/bp-seed: <value>
         anneal-start/anneal-decay: <value>
     """
     components = ("position",)
     carrier = 1e9
     box = (0.0, 100.0, 0.0, 100.0)
-    apertures: list[tuple] = []
+    apertures: dict[int, tuple] = {}
     measures: list[tuple[int, int]] = []
     measure_all = False
     noise_kw: dict[str, float] = {}
     bp_kw: dict = {}
-    version_seen = False
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise errors.ParseError(f"{path}:{lineno}: expected 'key: value'")
-        key, rest = key.strip(), rest.strip()
+    for lineno, key, rest in errors.key_value_lines(path, "sync-version: 1"):
         try:
-            if not version_seen:
-                if key != "sync-version" or rest != "1":
-                    raise errors.ParseError(
-                        f"{path}:{lineno}: first line must be 'sync-version: 1'")
-                version_seen = True
-            elif key == "components":
+            if key == "components":
                 components = tuple(rest.split())
             elif key == "carrier-freq":
-                carrier = float(rest)
+                carrier = _positive(rest)
             elif key == "scene-box":
                 box = tuple(float(v) for v in rest.split())
-                if len(box) != 4 or box[0] >= box[1] or box[2] >= box[3]:
-                    raise errors.ParseError(
-                        f"{path}:{lineno}: scene-box needs 'x_lo x_hi y_lo y_hi' "
-                        f"with lo < hi")
+                if (len(box) != 4 or not np.isfinite(box).all()
+                        or box[0] >= box[1] or box[2] >= box[3]):
+                    raise ValueError("scene-box needs 'x_lo x_hi y_lo y_hi' "
+                                     "with finite lo < hi")
             elif key == "aperture":
                 parts = rest.split()
                 if len(parts) != 7 or parts[1] not in ("anchor", "agent"):
-                    raise errors.ParseError(
-                        f"{path}:{lineno}: aperture needs 'id anchor|agent x y orient to cpo'")
-                apertures.append((int(parts[0]), parts[1] == "anchor",
-                                  *(float(v) for v in parts[2:])))
+                    raise ValueError(
+                        "aperture needs 'id anchor|agent x y orient to cpo'")
+                j = int(parts[0])
+                if j in apertures:
+                    raise ValueError(f"duplicate aperture id {j}")
+                apertures[j] = (parts[1] == "anchor",
+                                *(float(v) for v in parts[2:]))
             elif key == "measure":
                 if rest == "all":
                     measure_all = True
@@ -789,14 +774,14 @@ def load_sync_scenario(path) -> SyncScenario:
             elif key == "noise":
                 kind, std = rest.split()
                 if kind not in ("delay", "aoa", "phase"):
-                    raise errors.ParseError(f"{path}:{lineno}: unknown observable {kind}")
+                    raise ValueError(f"unknown observable {kind}")
                 noise_kw[f"{kind}_std"] = float(std)
             elif key == "bp-particles":
                 bp_kw["particle_count"] = int(rest)
             elif key == "bp-iterations":
                 bp_kw["max_iterations"] = int(rest)
             elif key == "bp-tol":
-                bp_kw["message_tol"] = float(rest)
+                bp_kw["message_tol"] = _positive(rest)
             elif key == "bp-seed":
                 bp_kw["seed"] = int(rest)
             elif key == "anneal-start":
@@ -804,20 +789,20 @@ def load_sync_scenario(path) -> SyncScenario:
             elif key == "anneal-decay":
                 bp_kw["anneal_decay"] = float(rest)
             else:
-                raise errors.ParseError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"unknown key {key!r}")
         except (ValueError, TypeError) as exc:
             raise errors.ParseError(f"{path}:{lineno}: {exc}") from None
-    if not version_seen:
-        raise errors.ParseError(f"{path}: missing 'sync-version: 1' header")
     if not apertures:
         raise errors.ParseError(f"{path}: no apertures declared")
-    ids = tuple(a[0] for a in apertures)
-    anchors = tuple(a[0] for a in apertures if a[1])
-    states = {a[0]: ApertureState(a[0], np.array([a[2], a[3]]),
-                                  orientation=a[4], time_offset=a[5],
-                                  cpo=a[6]) for a in apertures}
+    if not noise_kw:
+        raise errors.ParseError(
+            f"{path}: no 'noise:' line, so nothing is observed")
+    anchors = tuple(j for j, a in apertures.items() if a[0])
+    states = {j: ApertureState(j, np.array(a[1:3]), orientation=a[3],
+                               time_offset=a[4], cpo=a[5])
+              for j, a in apertures.items()}
     try:
-        topo = NetworkTopology(ids, anchors)
+        topo = NetworkTopology(tuple(apertures), anchors)
         topo = replace(topo, measurement_mask=(
             topo.pair_set if measure_all else tuple(measures)))
         return SyncScenario(StateSpace(components), topo, states, box,

@@ -378,19 +378,14 @@ def _layout_from_json(text: str) -> ModulationLayout | None:
 
 
 def load_waveform(basepath) -> Waveform:
-    """Read the pair written by `save_waveform`. A missing or malformed
-    header key raises `ParseError` naming the key, with `path:line`."""
+    """Read the pair written by `save_waveform`.  The header follows the
+    line grammar of `errors.key_value_lines` after
+    'format: isaclab-waveform v1'; a missing or malformed key raises
+    `ParseError` naming the key, with `path:line`."""
     base = Path(basepath)
     hdr_path = base.with_suffix(".hdr")
-    hdr = {}
-    text = hdr_path.read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        key, sep, val = line.partition(":")
-        if not line.strip():
-            continue
-        if not sep:
-            raise errors.ParseError(f"{hdr_path}:{lineno}: expected 'key: value'")
-        hdr[key.strip()] = (lineno, val.strip())
+    hdr = {key: (lineno, val) for lineno, key, val in
+           errors.key_value_lines(hdr_path, "format: isaclab-waveform v1")}
 
     def parsed(key, parse):
         if key not in hdr:
@@ -398,7 +393,8 @@ def load_waveform(basepath) -> Waveform:
         lineno, val = hdr[key]
         try:
             return parse(val)
-        except (ValueError, TypeError, KeyError, errors.LayoutError) as exc:
+        except (ValueError, TypeError, KeyError, IndexError, OverflowError,
+                errors.LayoutError) as exc:
             raise errors.ParseError(
                 f"{hdr_path}:{lineno}: bad {key!r}: {exc}") from None
 

@@ -312,6 +312,35 @@ def test_cli_runtime_error_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("scene_text, probe, message", [
+    ("scene-version: 1\ntarget: 1 0 nope 0\n", _PSK_OMP, "scene.txt:2"),
+    (None, "", "[waveform]"),
+], ids=["bad-scene-value", "no-waveform-section"])
+def test_cli_input_errors_found_in_trials_exit_2(tmp_path, capsys,
+                                                 scene_text, probe, message):
+    if scene_text is None:
+        _write_scene(tmp_path / "scene.txt")
+    else:
+        (tmp_path / "scene.txt").write_text(scene_text)
+    (tmp_path / "exp.ini").write_text(_config_text(trials=1, probe=probe))
+    code = cli.main(["simulate", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_run_experiment_parses_scene_once(tmp_path, monkeypatch):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=3))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    calls = []
+    load = scene.load_scene
+    monkeypatch.setattr(scene, "load_scene",
+                        lambda path: calls.append(path) or load(path))
+    assert len(harness.run_experiment(cfg)) == 3 * 5
+    assert len(calls) == 1
+
+
 def test_cli_seed_override_changes_rows(tmp_path):
     _write_scene(tmp_path / "scene.txt")
     (tmp_path / "exp.ini").write_text(_config_text(trials=1))

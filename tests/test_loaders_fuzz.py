@@ -1,0 +1,73 @@
+"""Property test of the three line-format loaders: a mutated scene,
+sync-scenario or waveform-header file either loads or raises a ParseError
+that names the file."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from isaclab import errors, scene, syncnet, waveform
+
+_SCENE = b"""scene-version: 1
+label: two targets  # a comment
+target: 0.5 -0.25 1.5e-06 20.0
+target: 1.0 0.0 3e-06 -40.0
+clutter: 1000000.0 0.1 0.0 5e-06 -100.0 100.0
+"""
+
+_SYNC = b"""sync-version: 1
+components: position orientation
+carrier-freq: 2.4e9
+scene-box: 0 50 0 50
+aperture: 0 anchor 0 0 0 0 0
+aperture: 1 anchor 50 0 0 0 0
+aperture: 2 agent 20 30 0 0 0
+measure: all
+noise: delay 1e-9
+bp-particles: 500
+bp-tol: 1e-4
+"""
+
+# fragments at the edges of the grammar: separators, comments, line breaks,
+# signs, non-finite numbers, and bytes that are not UTF-8
+_FRAGMENTS = st.sampled_from([b":", b"#", b"\n", b" ", b"-", b"9", b"nan",
+                              b"inf", b"\xff", b"\xc3", b"\x00"])
+_EDITS = st.lists(st.tuples(st.floats(0, 1), st.integers(0, 3),
+                            _FRAGMENTS | st.binary(min_size=1, max_size=3)),
+                  min_size=1, max_size=4)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    """Replace `span` bytes at each relative position with the fragment."""
+    for where, span, fragment in edits:
+        i = int(where * len(data))
+        data = data[:i] + fragment + data[i + span:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    u = waveform.generate_psk_frame(np.array([0, 1, 1, 0]), 1, 1e6)
+    _, hdr = waveform.save_waveform(u, d / "w")
+    cases = {
+        "scene": (d / "scene.txt", _SCENE, scene.load_scene),
+        "sync": (d / "net.txt", _SYNC, syncnet.load_sync_scenario),
+        "hdr": (hdr, hdr.read_bytes(),
+                lambda p: waveform.load_waveform(d / "w")),
+    }
+    for path, valid, load in cases.values():
+        path.write_bytes(valid)
+        load(path)
+    return cases
+
+
+@given(kind=st.sampled_from(["scene", "sync", "hdr"]), edits=_EDITS)
+@settings(max_examples=300, deadline=None)
+def test_mutated_files_load_or_raise_parse_error(files, kind, edits):
+    path, valid, load = files[kind]
+    path.write_bytes(_mutate(valid, edits))
+    try:
+        load(path)
+    except errors.ParseError as exc:
+        assert str(path) in str(exc)

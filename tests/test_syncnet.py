@@ -382,6 +382,11 @@ def test_pair_log_likelihood_restores_numpy_error_state():
     ("bp-particles: 50", "particle_count"),
     ("noise: aoa -1", "aoa_std"),
     ("scene-box: 50 0 0 50", "scene-box"),
+    ("scene-box: 0 inf 0 50", r"net\.txt:6: scene-box"),
+    ("carrier-freq: nan", r"net\.txt:6: expected a finite value > 0"),
+    ("carrier-freq: -1", r"net\.txt:6: expected a finite value > 0"),
+    ("bp-tol: nan", r"net\.txt:6: expected a finite value > 0"),
+    ("aperture: 1 anchor 9 9 0 0 0", r"net\.txt:6: duplicate aperture id 1"),
 ])
 def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
                                                         match):
@@ -396,3 +401,19 @@ def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
                                       "[sync]\nfile = net.txt\n")
     assert cli.main(["sync", "--config", str(tmp_path / "exp.ini"),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+def test_sync_scenario_without_noise_is_parse_error(tmp_path):
+    p = tmp_path / "net.txt"
+    p.write_text("sync-version: 1\naperture: 0 anchor 0 0 0 0 0\n"
+                 "aperture: 1 anchor 50 0 0 0 0\n"
+                 "aperture: 2 agent 5 5 0 0 0\nmeasure: all\n")
+    with pytest.raises(errors.ParseError, match=r"net\.txt: no 'noise:'"):
+        sn.load_sync_scenario(p)
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.0], [np.nan, 1.0],
+                                     [np.inf, 1.0], [-1.0, 0.5]])
+def test_belief_rejects_degenerate_weights(weights):
+    with pytest.raises(errors.DegeneracyError):
+        sn.Belief(np.zeros((2, 2)), np.array(weights))

@@ -199,13 +199,33 @@ def test_waveform_binary_is_interleaved_little_endian(tmp_path):
     (lambda h: h.replace("band: ", "band: 1 "), r"\.hdr:5: bad 'band'"),
     (lambda h: h.replace('"kind": ', '"sort": '), r"\.hdr:6: bad 'layout'"),
     (lambda h: h + "stray line\n", r"\.hdr:7: expected 'key: value'"),
-], ids=["missing-band", "bad-rate", "bad-band", "bad-layout", "no-colon"])
+    (lambda h: h.replace("isaclab-waveform v1", "other-format v1"),
+     r"\.hdr:1: first line must be 'format: isaclab-waveform v1'"),
+    (lambda h: h.replace('"data_bits": [0', '"data_bits": [-1'),
+     r"\.hdr:6: bad 'layout'"),
+    (lambda h: h.replace('"kind": "single-carrier-psk"', '"kind": "ofdm"')
+     .replace('"active_subcarriers": []', '"active_subcarriers": [5]'),
+     r"\.hdr:6: bad 'layout'"),
+], ids=["missing-band", "bad-rate", "bad-band", "bad-layout", "no-colon",
+        "wrong-format", "bit-out-of-range", "subcarrier-out-of-range"])
 def test_load_waveform_header_errors_carry_context(tmp_path, edit, match):
     u = waveform.generate_psk_frame(np.array([0, 1, 1, 0]), 1, 1e6)
     _, hdr = waveform.save_waveform(u, tmp_path / "w")
     hdr.write_text(edit(hdr.read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(errors.ParseError, match=match):
         waveform.load_waveform(tmp_path / "w")
+
+
+def test_load_waveform_header_comments(tmp_path):
+    u = waveform.generate_psk_frame(np.array([0, 1, 1, 0]), 1, 1e6)
+    _, hdr = waveform.save_waveform(u, tmp_path / "w")
+    text = hdr.read_text(encoding="utf-8")
+    hdr.write_text("# written by hand\n" + text.replace(
+        "sample-rate: 1000000.0", "sample-rate: 1000000.0  # Hz"),
+        encoding="utf-8")
+    v = waveform.load_waveform(tmp_path / "w")
+    assert v.sample_rate == u.sample_rate
+    assert np.array_equal(v.samples, u.samples)
 
 
 def test_load_waveform_odd_iq_length(tmp_path):
