@@ -55,7 +55,12 @@ class Dictionary:
     Each atom is the noiseless unit-amplitude channel response at one
     (tau, nu) grid cell, normalized to unit norm; atom_norms keeps the
     pre-normalization norms so correlator outputs convert back to
-    physical amplitudes.
+    physical amplitudes.  Atoms are flattened delay-major: flat index
+    i_tau * len(doppler_grid) + i_nu.
+
+    Doppler modulates the delayed copy at the channel output, so the
+    atoms of one delay are that copy (one `apply_channel` at 0 Hz) times
+    each Doppler phasor e^{j2pi nu t}; the phasors are computed once.
     """
 
     def __init__(self, probe: Waveform, delay_grid, doppler_grid):
@@ -73,20 +78,29 @@ class Dictionary:
         length = len(probe) + int(np.ceil(delay_grid.max() * fs)) \
             if delay_grid.size else len(probe)
         self.length = length
-        n_atoms = delay_grid.size * doppler_grid.size
-        A = np.empty((length, n_atoms), np.complex128)
+        n_nu = doppler_grid.size
+        n_atoms = delay_grid.size * n_nu
+        if n_atoms:
+            # the Doppler checks of Target and apply_channel, which see 0 Hz
+            if not np.isfinite(doppler_grid).all():
+                raise ValueError("target doppler must be finite")
+            worst = float(doppler_grid[np.argmax(np.abs(doppler_grid))])
+            if abs(worst) > fs / 2:
+                raise errors.AliasError(
+                    f"doppler {worst} Hz exceeds fs/2 = {fs / 2} Hz")
+        A = np.zeros((length, n_atoms), np.complex128)
         norms = np.empty(n_atoms)
         window = float(delay_grid.max()) if delay_grid.size else 0.0
-        k = 0
-        for tau in delay_grid:
-            for nu in doppler_grid:
-                scn = TargetScene((Target(1.0 + 0j, float(tau), float(nu)),))
-                resp = apply_channel(probe, scn, None, max_delay=window).samples
-                col = np.zeros(length, np.complex128)
-                col[:resp.size] = resp
-                norms[k] = np.linalg.norm(col)
-                A[:, k] = col / norms[k]
-                k += 1
+        phasors = np.exp(2j * np.pi * doppler_grid
+                         * (np.arange(length) / fs)[:, None])
+        for i, tau in enumerate(delay_grid):
+            scn = TargetScene((Target(1.0 + 0j, float(tau), 0.0),))
+            resp = apply_channel(probe, scn, None, max_delay=window).samples
+            block = A[:resp.size, i * n_nu:(i + 1) * n_nu]
+            np.multiply(resp[:, None], phasors[:resp.size], out=block)
+        for k in range(n_atoms):
+            norms[k] = np.linalg.norm(A[:, k])
+        A /= norms
         self.atoms = A
         self.atom_norms = norms
         self._coherence = None
@@ -303,14 +317,15 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     delay_grid = np.asarray(delay_grid, float)
     doppler_grid = np.asarray(doppler_grid, float)
     n_tau, n_nu = delay_grid.size, doppler_grid.size
-    pseudo = np.empty((n_tau, n_nu))
-    for i, tau in enumerate(delay_grid):
-        a_f = _steering(tau, freq_step, mw)
-        for j, nu in enumerate(doppler_grid):
-            a = np.outer(a_f, _steering(nu, time_step, lw)).reshape(-1)
-            a /= np.linalg.norm(a)
-            denom = np.linalg.norm(noise_sub.conj().T @ a) ** 2
-            pseudo[i, j] = 1.0 / max(denom, 1e-300)
+    # unit-norm steering vectors of every cell, columns in (tau, nu) order;
+    # the pseudospectrum is 1 / ||E_n^H a||^2 per column, in one GEMM
+    a_f = np.exp(2j * np.pi * freq_step * delay_grid * np.arange(mw)[:, None])
+    a_t = np.exp(2j * np.pi * time_step * doppler_grid
+                 * np.arange(lw)[:, None])
+    S = (a_f[:, None, :, None] * a_t[None, :, None, :]).reshape(dim, -1)
+    S /= np.linalg.norm(S, axis=0)
+    denom = np.sum(np.abs(noise_sub.conj().T @ S) ** 2, axis=0)
+    pseudo = 1.0 / np.maximum(denom, 1e-300).reshape(n_tau, n_nu)
 
     # P largest well-separated peaks (greedy, excluding adjacent cells)
     peaks_mask = _local_maxima(pseudo)

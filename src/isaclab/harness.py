@@ -97,13 +97,14 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment config, reporting every violation."""
     path = Path(path)
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' in a value is literal text
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as f:
             parser.read_file(f)
     except FileNotFoundError:
         raise errors.ParseError(f"config file not found: {path}") from None
-    except configparser.Error as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise errors.ParseError(f"{path}: {exc}") from None
 
     problems: list[str] = []
@@ -125,6 +126,9 @@ def load_config(path) -> ExperimentConfig:
             val = cast(raw)
         except ValueError:
             problems.append(f"[{section}] {key} = {raw!r}: not a valid value")
+            return default
+        if cast is float and not np.isfinite(val):
+            problems.append(f"[{section}] {key} = {raw!r}: not a finite value")
             return default
         if check is not None and not check(val):
             problems.append(f"[{section}] {key} = {raw!r}: {describe}")
@@ -200,6 +204,10 @@ def load_config(path) -> ExperimentConfig:
         "doppler_max": get("estimator", "doppler-max", float, 0.0,
                            lambda v: v >= 0, "doppler-max must be >= 0"),
     }
+    nyquist = cfg.wf["sample_rate"] / 2
+    if cfg.est["doppler_bins"] > 1 and cfg.est["doppler_max"] > nyquist:
+        problems.append(f"[estimator] doppler-max = {cfg.est['doppler_max']!r}"
+                        f" exceeds sample-rate / 2 = {nyquist!r}")
 
     raw_list = get("metrics", "list", str, "")
     names = tuple(n.strip() for n in raw_list.split(",") if n.strip())
@@ -223,6 +231,9 @@ def load_config(path) -> ExperimentConfig:
             cw[name.strip()] = float(val)
         except ValueError:
             problems.append(f"[unified] bad cost-weight entry {part!r}")
+            continue
+        if not np.isfinite(cw[name.strip()]):
+            problems.append(f"[unified] cost-weight {part!r} is not finite")
     if cw and abs(sum(cw.values()) - 1.0) > 1e-9:
         problems.append(f"[unified] cost-weights sum to {sum(cw.values())}, not 1")
     cfg.cost_weights = cw or {"flops": 1.0}
@@ -250,7 +261,16 @@ def load_config(path) -> ExperimentConfig:
             vals.append(float(part))
         except ValueError:
             problems.append(f"[sweep] bad value {part!r}")
+            continue
+        if not np.isfinite(vals[-1]):
+            problems.append(f"[sweep] value {part!r} is not finite")
     cfg.sweep_values = tuple(vals)
+
+    # an explicit 'kind = none' and an Eb/N0 ask for opposite things
+    if "noise" in parser and parser["noise"].get("kind") == "none" and (
+            "ebn0-db" in parser["noise"] or cfg.sweep_parameter == "ebn0-db"):
+        problems.append("[noise] kind = none conflicts with an ebn0-db "
+                        "value or sweep, which adds noise")
 
     if problems:
         raise errors.ValidationError(problems)
@@ -329,16 +349,16 @@ def _noise_model(cfg: ExperimentConfig, u, seed: int):
     return None
 
 
-def _build_dictionary(cfg: ExperimentConfig, u) -> estimators.Dictionary:
+def _grids(cfg: ExperimentConfig, u) -> tuple[np.ndarray, np.ndarray]:
+    """The estimator's delay grid (whole samples) and Doppler grid."""
     est = cfg.est
-    fs = u.sample_rate
-    delays = np.arange(est["delay_bins"]) / fs
+    delays = np.arange(est["delay_bins"]) / u.sample_rate
     if est["doppler_bins"] > 1 and est["doppler_max"] > 0:
         dopplers = np.linspace(-est["doppler_max"], est["doppler_max"],
                                est["doppler_bins"])
     else:
         dopplers = np.array([0.0])
-    return estimators.Dictionary(u, delays, dopplers)
+    return delays, dopplers
 
 
 def _match_targets(truth, estimated):
@@ -392,8 +412,8 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         rx = scene.ReceivedSignal(y, u.sample_rate)
 
     report = None
-    if cfg.est_kind != "none":
-        dictionary = _build_dictionary(cfg, u)
+    if cfg.est_kind in ("matched-filter", "omp"):
+        dictionary = estimators.Dictionary(u, *_grids(cfg, u))
     if cfg.est_kind == "matched-filter":
         report = estimators.matched_filter_estimate(
             rx, u, dictionary, cfg.est["threshold_db"])
@@ -408,8 +428,8 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         guard = 1e-3 * np.max(np.abs(uf))
         obs = np.conj(yf / np.where(np.abs(uf) > guard, uf, np.inf))
         report = estimators.music_estimate(
-            obs, cfg.est["order"], dictionary.delay_grid,
-            dictionary.doppler_grid, freq_step=u.sample_rate / n)
+            obs, cfg.est["order"], *_grids(cfg, u),
+            freq_step=u.sample_rate / n)
         report.estimated_targets[:] = [
             scene.Target(np.conj(t.amplitude), t.delay, t.doppler)
             for t in report.estimated_targets]

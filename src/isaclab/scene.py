@@ -46,6 +46,9 @@ class ClutterModel:
     doppler_span: tuple[float, float]
 
     def __post_init__(self):
+        if not np.isfinite([self.density, self.amplitude_scale,
+                            *self.delay_span, *self.doppler_span]).all():
+            raise ValueError("clutter values must be finite")
         if self.density < 0:
             raise ValueError("clutter density must be >= 0")
         if self.amplitude_scale < 0:

@@ -148,7 +148,7 @@ class MeasurementNoise:
     def __post_init__(self):
         for name in ("delay_std", "aoa_std", "phase_std"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
+            if v is not None and not v > 0:
                 raise ValueError(f"{name} must be > 0 when enabled")
 
 
@@ -408,6 +408,10 @@ class BPConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0 < self.resample_threshold <= 1:
             raise ValueError("resample_threshold must lie in (0, 1]")
+        for name in ("anneal_start", "anneal_decay"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass
@@ -721,6 +725,15 @@ def _positive(text: str) -> float:
     return v
 
 
+# scenario key -> (BPConfig field, parser of its value)
+_BP_KEYS = {"bp-particles": ("particle_count", int),
+            "bp-iterations": ("max_iterations", int),
+            "bp-tol": ("message_tol", _positive),
+            "bp-seed": ("seed", int),
+            "anneal-start": ("anneal_start", float),
+            "anneal-decay": ("anneal_decay", float)}
+
+
 def load_sync_scenario(path) -> SyncScenario:
     """Parse a network scenario file (the line grammar of
     `errors.key_value_lines`).  Keys:
@@ -776,18 +789,11 @@ def load_sync_scenario(path) -> SyncScenario:
                 if kind not in ("delay", "aoa", "phase"):
                     raise ValueError(f"unknown observable {kind}")
                 noise_kw[f"{kind}_std"] = float(std)
-            elif key == "bp-particles":
-                bp_kw["particle_count"] = int(rest)
-            elif key == "bp-iterations":
-                bp_kw["max_iterations"] = int(rest)
-            elif key == "bp-tol":
-                bp_kw["message_tol"] = _positive(rest)
-            elif key == "bp-seed":
-                bp_kw["seed"] = int(rest)
-            elif key == "anneal-start":
-                bp_kw["anneal_start"] = float(rest)
-            elif key == "anneal-decay":
-                bp_kw["anneal_decay"] = float(rest)
+                MeasurementNoise(**noise_kw)            # check it at its line
+            elif key in _BP_KEYS:
+                name, cast = _BP_KEYS[key]
+                bp_kw[name] = cast(rest)
+                BPConfig(**bp_kw)                       # check it at its line
             else:
                 raise ValueError(f"unknown key {key!r}")
         except (ValueError, TypeError) as exc:

@@ -38,6 +38,66 @@ def test_dictionary_grid_validation():
         estimators.Dictionary(u, np.array([0.0]), np.array([1e3, -1e3]))
 
 
+def _per_atom_reference(u, delays, dopplers):
+    """The atoms built one at a time: one apply_channel per (tau, nu)."""
+    length = len(u) + int(np.ceil(delays.max() * u.sample_rate))
+    atoms, norms = [], []
+    for tau in delays:
+        for nu in dopplers:
+            scn = scene.TargetScene((scene.Target(1.0 + 0j, tau, nu),))
+            col = np.zeros(length, np.complex128)
+            resp = scene.apply_channel(u, scn, max_delay=delays.max()).samples
+            col[:resp.size] = resp
+            norms.append(np.linalg.norm(col))
+            atoms.append(col / norms[-1])
+    return np.stack(atoms, axis=1), np.array(norms)
+
+
+def _ofdm():
+    bits = np.random.default_rng(2).integers(0, 2, 128).astype(np.uint8)
+    layout = waveform.ModulationLayout(
+        kind="ofdm", bits_per_symbol=2, n_subcarriers=16, n_symbols=4,
+        active_subcarriers=tuple(range(16)), data_bits=bits)
+    return waveform.generate_ofdm(layout, FS, 4)
+
+
+def _psk():
+    bits = np.random.default_rng(1).integers(0, 2, 64).astype(np.uint8)
+    return waveform.generate_psk_frame(bits, 1, FS, 2)
+
+
+@pytest.mark.parametrize("probe, delays, dopplers", [
+    (_psk, np.arange(10) / FS, np.linspace(-1100.0, 1100.0, 12)),
+    (_ofdm, np.arange(8) / FS, np.linspace(-2e3, 2e3, 7)),
+    (_chirp, np.arange(16) / FS, np.array([0.0])),
+    (_psk, np.arange(9) * 0.37 / FS, np.linspace(-3e3, 3e3, 5)),
+    (_chirp, np.array([2.5 / FS]), np.array([700.0])),
+], ids=["psk-12-doppler", "ofdm", "chirp", "fractional-delay", "one-cell"])
+def test_dictionary_equals_per_atom_channel(probe, delays, dopplers):
+    u = probe()
+    d = estimators.Dictionary(u, delays, dopplers)
+    atoms, norms = _per_atom_reference(u, delays, dopplers)
+    assert np.array_equal(d.atoms, atoms)
+    assert np.array_equal(d.atom_norms, norms)
+    assert d.atoms.flags.c_contiguous
+
+
+def test_dictionary_checks_doppler_and_delay_values():
+    u = _chirp()
+    with pytest.raises(errors.AliasError, match="fs/2"):
+        estimators.Dictionary(u, np.arange(3) / FS,
+                              np.array([-6e5, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        estimators.Dictionary(u, np.arange(3) / FS, np.array([np.inf]))
+    with pytest.raises(ValueError, match="delay"):
+        estimators.Dictionary(u, np.array([-1 / FS, 0.0]), np.array([0.0]))
+    # an empty grid has no atoms, and then nothing to alias
+    d = estimators.Dictionary(u, np.zeros(0), np.array([6e5]))
+    assert d.atoms.shape == (len(u), 0)
+    d = estimators.Dictionary(u, np.arange(3) / FS, np.zeros(0))
+    assert d.atoms.shape == (len(u) + 2, 0)
+
+
 def test_dictionary_coherence():
     u = _chirp()
     d = _dictionary(u, 4)
@@ -156,6 +216,34 @@ def test_music_two_targets():
     assert got[0].amplitude == pytest.approx(0.8 + 0.3j, abs=0.05)
     assert rep.capabilities["apriori"] == "model order P"
     assert "pseudospectrum" in rep.diagnostics
+
+
+def test_music_pseudospectrum_matches_per_cell_projection():
+    targets = [scene.Target(0.8 + 0.3j, 3.2e-6, 150.0),
+               scene.Target(0.5 - 0.2j, 7.2e-6, -75.0)]
+    G = _dd_observation(targets, snr_db=20, seed=6)
+    delays = np.arange(0, 10e-6, 0.4e-6)
+    dopplers = np.arange(-200.0, 201.0, 25.0)
+    rep = estimators.music_estimate(G, 2, delays, dopplers, freq_step=25e3,
+                                    time_step=1e-3, window=(10, 8))
+    # reference: one steering vector and one noise-subspace projection per
+    # cell, from the eigenvectors of the same smoothed covariance
+    M, L = G.shape
+    snaps = np.stack([G[i:i + 10, j:j + 8].reshape(-1)
+                      for i in range(M - 9) for j in range(L - 7)], axis=1)
+    _, evecs = np.linalg.eigh(snaps @ snaps.conj().T / snaps.shape[1])
+    noise_sub = evecs[:, :80 - 2]
+    ref = np.empty((delays.size, dopplers.size))
+    for i, tau in enumerate(delays):
+        for j, nu in enumerate(dopplers):
+            a = np.outer(np.exp(2j * np.pi * 25e3 * tau * np.arange(10)),
+                         np.exp(2j * np.pi * 1e-3 * nu * np.arange(8)))
+            a = a.reshape(-1) / np.linalg.norm(a)
+            ref[i, j] = 1.0 / np.linalg.norm(noise_sub.conj().T @ a) ** 2
+    np.testing.assert_allclose(rep.diagnostics["pseudospectrum"], ref,
+                               rtol=1e-10)
+    assert rep.cost.flop_count == (80 ** 2 * snaps.shape[1] + 80 ** 3
+                                   + ref.size * 80 * (80 - 2))
 
 
 def test_music_1d_vector_observation():

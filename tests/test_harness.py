@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isaclab import cli, errors, harness, scene
+from isaclab import cli, errors, estimators, harness, scene
 
 
 def test_splitmix64_known_vector():
@@ -339,6 +339,76 @@ def test_run_experiment_parses_scene_once(tmp_path, monkeypatch):
                         lambda path: calls.append(path) or load(path))
     assert len(harness.run_experiment(cfg)) == 3 * 5
     assert len(calls) == 1
+
+
+_CHIRP_MF = _CHIRP_MUSIC.replace("kind = music", "kind = matched-filter")
+
+
+@pytest.mark.parametrize("probe, builds", [
+    (_CHIRP_MUSIC, 0), (_CHIRP_MF, 1), (_PSK_OMP, 1),
+], ids=["music", "matched-filter", "omp"])
+def test_dictionary_built_only_for_atom_estimators(tmp_path, monkeypatch,
+                                                   probe, builds):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=2, probe=probe))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    calls = []
+    build = estimators.Dictionary
+    monkeypatch.setattr(estimators, "Dictionary",
+                        lambda *args: calls.append(args) or build(*args))
+    assert harness.run_experiment(cfg)
+    assert len(calls) == 2 * builds
+
+
+def _noise_config(tmp_path, noise, sweep=""):
+    _write_scene(tmp_path / "scene.txt")
+    text = _config_text(trials=1, extra=sweep).replace(
+        "kind = white\nlevel = 1e-10", noise)
+    (tmp_path / "exp.ini").write_text(text)
+    return tmp_path / "exp.ini"
+
+
+@pytest.mark.parametrize("noise, sweep, message", [
+    ("ebn0-db = nan", "", "ebn0-db = 'nan': not a finite value"),
+    ("ebn0-db = inf", "", "ebn0-db = 'inf': not a finite value"),
+    ("kind = none\nebn0-db = 10", "", "kind = none conflicts"),
+    ("kind = none", "\n[sweep]\nparameter = ebn0-db\nvalues = 0, 10\n",
+     "kind = none conflicts"),
+    ("", "\n[sweep]\nparameter = ebn0-db\nvalues = 0, nan\n",
+     "[sweep] value 'nan' is not finite"),
+], ids=["nan", "inf", "none-with-ebn0", "none-with-sweep", "nan-in-sweep"])
+def test_noise_config_conflicts_are_validation_errors(tmp_path, capsys,
+                                                      noise, sweep, message):
+    path = _noise_config(tmp_path, noise, sweep)
+    with pytest.raises(errors.ValidationError) as exc:
+        harness.load_config(path)
+    assert any(message in p for p in exc.value.problems)
+    command = "sweep" if sweep else "simulate"
+    assert cli.main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_load_config_accepts_kind_none_without_ebn0(tmp_path):
+    cfg = harness.load_config(_noise_config(tmp_path, "kind = none"))
+    assert cfg.noise_kind == "none" and cfg.ebn0_db is None
+
+
+def test_load_config_rejects_doppler_beyond_nyquist(tmp_path):
+    _write_scene(tmp_path / "scene.txt")
+    probe = _PSK_OMP + "doppler-bins = 3\ndoppler-max = 6e5\n"
+    (tmp_path / "exp.ini").write_text(_config_text(probe=probe))
+    with pytest.raises(errors.ValidationError, match="sample-rate / 2"):
+        harness.load_config(tmp_path / "exp.ini")
+
+
+def test_load_config_non_utf8_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(b"[experiment]\nschema-version = 1\n# caf\xe9\n")
+    with pytest.raises(errors.ParseError, match="exp.ini"):
+        harness.load_config(path)
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_cli_seed_override_changes_rows(tmp_path):

@@ -1,12 +1,13 @@
-"""Property test of the three line-format loaders: a mutated scene,
-sync-scenario or waveform-header file either loads or raises a ParseError
-that names the file."""
+"""Property tests of the file loaders: a mutated scene, sync-scenario or
+waveform-header file either loads or raises a ParseError that names the
+file, and a mutated INI config loads or raises a ParseError naming the
+file or a ValidationError."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isaclab import errors, scene, syncnet, waveform
+from isaclab import errors, harness, scene, syncnet, waveform
 
 _SCENE = b"""scene-version: 1
 label: two targets  # a comment
@@ -71,3 +72,68 @@ def test_mutated_files_load_or_raise_parse_error(files, kind, edits):
         load(path)
     except errors.ParseError as exc:
         assert str(path) in str(exc)
+
+
+_INI = b"""[experiment]
+schema-version = 1
+trials = 2
+master-seed = 7
+workers = 1
+
+[scene]
+file = scene.txt
+
+[noise]
+ebn0-db = 20
+
+[waveform]
+kind = psk
+bits = 64
+sample-rate = 1e6
+
+[estimator]
+kind = omp
+sparsity = 2
+delay-bins = 8
+doppler-bins = 3
+doppler-max = 1e3
+
+[metrics]
+list = ber, delay_rmse, w_cost
+
+[unified]
+lambda = 0.5
+cost-weights = flops:1.0
+c-max = 1e12
+
+[sweep]
+parameter = ebn0-db
+values = 0, 10, 20
+"""
+
+# the INI grammar's own separators and markers on top of the line fragments
+_INI_EDITS = st.lists(
+    st.tuples(st.floats(0, 1), st.integers(0, 3),
+              _FRAGMENTS | st.sampled_from([b"[", b"]", b"=", b"%", b";",
+                                            b"\t", b"%(x)s"])
+              | st.binary(min_size=1, max_size=3)),
+    min_size=1, max_size=4)
+
+
+@given(edits=_INI_EDITS)
+@settings(max_examples=300, deadline=None)
+def test_mutated_config_loads_or_raises_toolkit_error(tmp_path_factory,
+                                                      edits):
+    d = tmp_path_factory.getbasetemp() / "ini-fuzz"
+    d.mkdir(exist_ok=True)
+    (d / "scene.txt").write_bytes(_SCENE)
+    path = d / "exp.ini"
+    path.write_bytes(_INI)
+    harness.load_config(path)
+    path.write_bytes(_mutate(_INI, edits))
+    try:
+        harness.load_config(path)
+    except errors.ParseError as exc:
+        assert str(path) in str(exc)
+    except errors.ValidationError:
+        pass

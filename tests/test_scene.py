@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isaclab import errors, scene, waveform
+from isaclab import cli, errors, scene, waveform
 
 
 def _tone(fs=1e6, n=256):
@@ -202,3 +202,26 @@ def test_scene_file_errors(tmp_path):
     p.write_text("scene-version: 1\n# comment only\n")
     scn = scene.load_scene(p)
     assert len(scn) == 0
+
+
+@pytest.mark.parametrize("clutter", [
+    "inf 0.1 0 5e-06 -100 100",
+    "nan 0.1 0 5e-06 -100 100",
+    "1e6 nan 0 5e-06 -100 100",
+    "1e6 0.1 0 inf -100 100",
+    "1e6 0.1 nan 5e-06 -100 100",
+    "1e6 0.1 0 5e-06 -inf 100",
+    "1e6 0.1 0 5e-06 -100 nan",
+], ids=["density-inf", "density-nan", "scale-nan", "delay-inf", "delay-nan",
+        "doppler-inf", "doppler-nan"])
+def test_scene_file_rejects_non_finite_clutter(tmp_path, clutter):
+    p = tmp_path / "scene.txt"
+    p.write_text(f"scene-version: 1\nclutter: {clutter}\n")
+    with pytest.raises(errors.ParseError,
+                       match=r"scene\.txt:2: clutter values must be finite"):
+        scene.load_scene(p)
+    (tmp_path / "exp.ini").write_text(
+        "[experiment]\nschema-version = 1\n\n[scene]\nfile = scene.txt\n\n"
+        "[waveform]\nkind = chirp\n")
+    assert cli.main(["simulate", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 2

@@ -387,6 +387,12 @@ def test_pair_log_likelihood_restores_numpy_error_state():
     ("carrier-freq: -1", r"net\.txt:6: expected a finite value > 0"),
     ("bp-tol: nan", r"net\.txt:6: expected a finite value > 0"),
     ("aperture: 1 anchor 9 9 0 0 0", r"net\.txt:6: duplicate aperture id 1"),
+    ("noise: delay nan", r"net\.txt:6: delay_std must be > 0"),
+    ("anneal-start: nan", r"net\.txt:6: anneal_start must be finite"),
+    ("anneal-start: inf", r"net\.txt:6: anneal_start must be finite"),
+    ("anneal-start: 0", r"net\.txt:6: anneal_start must be finite and > 0"),
+    ("anneal-decay: nan", r"net\.txt:6: anneal_decay must be finite"),
+    ("anneal-decay: -0.5", r"net\.txt:6: anneal_decay must be finite and > 0"),
 ])
 def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
                                                         match):
