@@ -208,6 +208,12 @@ def load_config(path) -> ExperimentConfig:
     if cfg.est["doppler_bins"] > 1 and cfg.est["doppler_max"] > nyquist:
         problems.append(f"[estimator] doppler-max = {cfg.est['doppler_max']!r}"
                         f" exceeds sample-rate / 2 = {nyquist!r}")
+    # MUSIC sees one observation column, so every Doppler cell of a delay
+    # has the same pseudospectrum and any reported Doppler would be a tie
+    if cfg.est_kind == "music" and cfg.est["doppler_bins"] > 1:
+        problems.append(f"[estimator] doppler-bins = "
+                        f"{cfg.est['doppler_bins']!r}: kind = music "
+                        f"cannot resolve Doppler, use doppler-bins = 1")
 
     raw_list = get("metrics", "list", str, "")
     names = tuple(n.strip() for n in raw_list.split(",") if n.strip())

@@ -393,7 +393,6 @@ class BPConfig:
     max_iterations: int = 50
     message_tol: float = 1e-4
     resample_threshold: float = 0.5    # resample when ESS < threshold * n
-    kernel_bandwidth_rule: str = "silverman"
     seed: int = 0
     damping: float = 0.5
     # likelihood tempering: stds scaled by anneal_start * anneal_decay^iter
@@ -458,25 +457,50 @@ def _silverman_bandwidth(particles, weights, circular_mask) -> np.ndarray:
 def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
     n = weights.size
     positions = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(weights), positions)
+    cum = np.cumsum(weights)
+    # the sum of normalised weights can land a few ulps below 1, and a
+    # position past it would index n
+    cum[-1] = 1.0
+    return np.searchsorted(cum, positions)
 
 
 def _kde_log_density(x_eval, centers, weights, h, circular_mask):
     """log of the weighted Gaussian-mixture density (the jittered-resample
-    proposal) at each evaluation point; wrapped differences on circular dims."""
+    proposal) at each evaluation point.
+
+    Linear dims use the expanded quadratic form, so each chunk is one GEMM
+    ``x·cᵀ − ½|x|² − ½|c|²`` with no difference tensor. Both point sets are
+    first centred on the weighted mean of the centres and scaled by h: h
+    shrinks to millimetres while coordinates are tens of metres, and the
+    uncentred |x/h|² ≈ 1e9 would cancel catastrophically. Circular dims
+    keep wrapped differences. log w is folded in before the row maximum,
+    so the largest term of every row is exp(0) and no row underflows.
+    """
+    lin = ~circular_mask
+    mu = weights @ centers[:, lin]
+    xe = (x_eval[:, lin] - mu) / h[lin]
+    ce = (centers[:, lin] - mu) / h[lin]
+    with np.errstate(divide="ignore"):
+        col = np.log(weights) - 0.5 * np.sum(ce * ce, axis=1)
+    row = 0.5 * np.sum(xe * xe, axis=1)
+    xc, cc, hc = (x_eval[:, circular_mask], centers[:, circular_mask],
+                  h[circular_mask])
     n_eval = x_eval.shape[0]
     out = np.empty(n_eval)
     log_norm = float(np.sum(np.log(h)) + 0.5 * h.size * np.log(2 * np.pi))
     chunk = max(1, int(2e6) // max(centers.shape[0], 1))
     for start in range(0, n_eval, chunk):
         sl = slice(start, min(start + chunk, n_eval))
-        diff = x_eval[sl, None, :] - centers[None, :, :]
-        if circular_mask.any():
-            diff[:, :, circular_mask] = wrap_angle(diff[:, :, circular_mask])
-        q = -0.5 * np.sum((diff / h) ** 2, axis=2)
-        peak = q.max(axis=1, keepdims=True)
-        out[sl] = (np.log(np.sum(weights[None, :] * np.exp(q - peak), axis=1))
-                   + peak[:, 0] - log_norm)
+        q = xe[sl] @ ce.T
+        q += col
+        q -= row[sl, None]
+        if hc.size:
+            diff = wrap_angle(xc[sl, None, :] - cc[None, :, :]) / hc
+            q -= 0.5 * np.sum(diff * diff, axis=2)
+        peak = q.max(axis=1)
+        q -= peak[:, None]
+        np.exp(q, out=q)
+        out[sl] = np.log(q.sum(axis=1)) + peak - log_norm
     return out
 
 

@@ -402,6 +402,20 @@ def test_load_config_rejects_doppler_beyond_nyquist(tmp_path):
         harness.load_config(tmp_path / "exp.ini")
 
 
+def test_music_with_doppler_bins_is_validation_error(tmp_path, capsys):
+    _write_scene(tmp_path / "scene.txt")
+    probe = _CHIRP_MUSIC + "doppler-bins = 5\ndoppler-max = 1e3\n"
+    path = tmp_path / "exp.ini"
+    path.write_text(_config_text(probe=probe))
+    with pytest.raises(errors.ValidationError, match="doppler-bins = 5"):
+        harness.load_config(path)
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "kind = music" in capsys.readouterr().err
+    path.write_text(_config_text(probe=_CHIRP_MUSIC + "doppler-bins = 1\n"))
+    assert harness.load_config(path).est["doppler_bins"] == 1
+
+
 def test_load_config_non_utf8_is_parse_error(tmp_path, capsys):
     path = tmp_path / "exp.ini"
     path.write_bytes(b"[experiment]\nschema-version = 1\n# caf\xe9\n")

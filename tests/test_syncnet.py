@@ -209,6 +209,111 @@ def test_estimate_map_close_to_mmse_unimodal():
     assert np.linalg.norm(m1.position - m2.position) < 1.0
 
 
+def _kde_reference(x_eval, centers, weights, h, circular_mask):
+    """The kernel density from the n×n×d difference tensor, chunked."""
+    out = np.empty(x_eval.shape[0])
+    log_norm = np.sum(np.log(h)) + 0.5 * h.size * np.log(2 * np.pi)
+    chunk = max(1, int(2e6) // centers.shape[0])
+    for start in range(0, x_eval.shape[0], chunk):
+        sl = slice(start, start + chunk)
+        diff = x_eval[sl, None, :] - centers[None, :, :]
+        diff[:, :, circular_mask] = sn.wrap_angle(diff[:, :, circular_mask])
+        q = -0.5 * np.sum((diff / h) ** 2, axis=2)
+        peak = q.max(axis=1, keepdims=True)
+        out[sl] = (np.log(np.sum(weights * np.exp(q - peak), axis=1))
+                   + peak[:, 0] - log_norm)
+    return out
+
+
+def _mixed_particles(rng, n):
+    # position, orientation, time offset, cpo; both angles straddle ±pi
+    return np.column_stack([
+        50.0 + rng.standard_normal((n, 2)),
+        sn.wrap_angle(np.pi + 0.3 * rng.standard_normal(n)),
+        1e-9 * rng.standard_normal(n),
+        sn.wrap_angle(np.pi + 0.2 * rng.standard_normal(n))])
+
+
+@pytest.mark.parametrize("case", ["mm-bandwidth", "mixed-circular",
+                                  "zero-weights", "chunked"])
+def test_kde_log_density_matches_difference_tensor(case):
+    rng = np.random.default_rng(17)
+    n = 400
+    space = sn.StateSpace(("position",))
+    if case == "mm-bandwidth":
+        centers = np.array([50.0, 60.0]) + 1e-3 * rng.standard_normal((n, 2))
+    elif case == "mixed-circular":
+        space = sn.StateSpace(("position", "orientation", "time_offset",
+                               "cpo"))
+        centers = _mixed_particles(rng, n)
+    elif case == "zero-weights":
+        centers = np.array([50.0, 60.0]) + 30.0 * rng.standard_normal((n, 2))
+    else:
+        centers = np.array([50.0, 60.0]) + rng.standard_normal((2500, 2))
+    x_eval = centers
+    if case == "chunked":
+        # 2500 centres give chunks of 800 rows, so 1700 rows take three
+        x_eval = np.array([50.0, 60.0]) + 2.0 * rng.standard_normal((1700, 2))
+    cm = space.circular_mask
+    w = rng.random(centers.shape[0])
+    if case == "zero-weights":
+        w[rng.random(w.size) < 0.3] = 0.0
+    w /= w.sum()
+    h = sn._silverman_bandwidth(centers, w, cm)
+    got = sn._kde_log_density(x_eval, centers, w, h, cm)
+    np.testing.assert_allclose(got, _kde_reference(x_eval, centers, w, h, cm),
+                               rtol=0, atol=1e-9)
+
+
+def test_estimate_map_matches_difference_tensor():
+    rng = np.random.default_rng(5)
+    for trial in range(50):
+        n = int(rng.integers(100, 300))
+        if trial % 2:
+            space = sn.StateSpace(("position", "orientation", "time_offset",
+                                   "cpo"))
+            x = _mixed_particles(rng, n)
+        else:
+            space = sn.StateSpace(("position",))
+            x = rng.uniform(0.0, 100.0, 2) \
+                + 10.0 ** rng.uniform(-3, 1) * rng.standard_normal((n, 2))
+        w = rng.random(n) ** 4
+        belief = sn.Belief(x, w)
+        cm = space.circular_mask
+        h = sn._silverman_bandwidth(x, belief.weights, cm)
+        best = np.argmax(_kde_reference(x, x, belief.weights, h, cm))
+        got = sn.estimate_map(belief, space)
+        np.testing.assert_array_equal(space.pack(got),
+                                      space.pack(space.unpack(x[best], -1)))
+
+
+class _StubRng:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_systematic_resample_stays_in_range():
+    rng = np.random.default_rng(3)
+    n = 1500
+    # normalised weights whose cumulative sum ends a few ulps below 1
+    while True:
+        w = rng.random(n)
+        w /= w.sum()
+        if np.cumsum(w)[-1] < 1.0:
+            break
+    idx = sn._systematic_resample(w, _StubRng(np.nextafter(1.0, 0.0)))
+    assert idx.max() == n - 1
+    # any other draw keeps the indices of the unpinned cumulative sum
+    for u in (0.0, 0.37, 0.999):
+        positions = (u + np.arange(n)) / n
+        np.testing.assert_array_equal(
+            sn._systematic_resample(w, _StubRng(u)),
+            np.searchsorted(np.cumsum(w), positions))
+
+
 def test_bp_degeneracy_error():
     # a measurement no particle can explain overflows every log-weight to
     # -inf; the solver must report the underflow instead of dividing by zero
