@@ -31,13 +31,14 @@ class CostLedger:
     apriori_inputs: list[str] = field(default_factory=list)
     cost_vector: dict[str, float] = field(default_factory=dict)
 
+    # cost_vector component name -> the field it reads
+    COMPONENTS = {"flops": "flop_count", "time_samples": "time_samples_used",
+                  "spectral_bins": "spectral_bins_used",
+                  "bandwidth_hz": "occupied_bandwidth"}
+
     def finalize(self) -> "CostLedger":
-        self.cost_vector = {
-            "flops": float(self.flop_count),
-            "time_samples": float(self.time_samples_used),
-            "spectral_bins": float(self.spectral_bins_used),
-            "bandwidth_hz": float(self.occupied_bandwidth),
-        }
+        self.cost_vector = {name: float(getattr(self, attr))
+                            for name, attr in self.COMPONENTS.items()}
         return self
 
 
@@ -128,11 +129,10 @@ class Dictionary:
 
 @dataclass
 class EstimateReport:
-    """Estimated targets, predicted signal, decoded bits, and consumed cost."""
+    """Estimated targets, predicted signal, and consumed cost."""
 
     estimated_targets: list[Target]
     predicted_signal: np.ndarray
-    decoded_bits: np.ndarray
     residual_energy: float
     cost: CostLedger
     capabilities: dict[str, str] = field(default_factory=dict)
@@ -210,8 +210,7 @@ def matched_filter_estimate(rx: ReceivedSignal, u: Waveform,
 
     dt = 1.0 / u.sample_rate
     raw_surface = np.abs((corr * dictionary.atom_norms).reshape(n_tau, n_nu)) * dt
-    return EstimateReport(targets, y_hat, np.zeros(0, np.uint8), residual,
-                          ledger,
+    return EstimateReport(targets, y_hat, residual, ledger,
                           capabilities={"model": "model-free",
                                         "apriori": "none",
                                         "setup": "mono-or-multi-static"},
@@ -256,8 +255,7 @@ def omp_estimate(rx: ReceivedSignal, dictionary: Dictionary,
         tau, nu = dictionary.cell(flat)
         targets.append(Target(complex(c / dictionary.atom_norms[flat]), tau, nu))
     y_hat = dictionary.atoms[:, selected] @ coeffs if selected else np.zeros_like(y)
-    return EstimateReport(targets, y_hat, np.zeros(0, np.uint8),
-                          res_history[-1], ledger,
+    return EstimateReport(targets, y_hat, res_history[-1], ledger,
                           capabilities={"model": "model-based",
                                         "apriori": "target count P",
                                         "setup": "mono-or-multi-static"},
@@ -285,8 +283,6 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     shape `window` (default: about half of each axis extent).
     """
     G = np.asarray(obs, np.complex128)
-    if isinstance(obs, ReceivedSignal):
-        G = np.asarray(obs.samples, np.complex128)
     if G.ndim == 1:
         G = G[:, None]
     M, L = G.shape
@@ -363,8 +359,7 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     ledger.flop_count = (dim ** 2 * n_snap + dim ** 3
                          + n_tau * n_nu * dim * (dim - order))
     ledger.finalize()
-    return EstimateReport(targets, g_hat.reshape(M, L), np.zeros(0, np.uint8),
-                          residual, ledger,
+    return EstimateReport(targets, g_hat.reshape(M, L), residual, ledger,
                           capabilities={"model": "model-based",
                                         "apriori": "model order P",
                                         "resolution": "super-resolution"},
@@ -441,6 +436,8 @@ def tally_cost(cost: CostLedger | dict, weights: dict, c_max: float,
     lam_sum = sum(weights.values())
     if abs(lam_sum - 1.0) > 1e-9:
         raise errors.WeightError(f"cost weights sum to {lam_sum}, not 1")
+    if not all(w >= 0 for w in weights.values()):
+        raise errors.WeightError(f"cost weights must be >= 0, got {weights}")
     missing = set(weights) - set(vec)
     if missing:
         raise errors.WeightError(f"weights name unknown cost components {missing}")

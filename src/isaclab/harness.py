@@ -145,8 +145,9 @@ def load_config(path) -> ExperimentConfig:
         cfg.workers = get("experiment", "workers", int, 1,
                           lambda v: v >= 1, "workers must be >= 1")
         cfg.output_dir = get("experiment", "output-dir", str, "out")
-        cfg.store_reports = get("experiment", "store-reports",
-                                lambda s: s.lower() == "true", False)
+        cfg.store_reports = get("experiment", "store-reports", str.lower,
+                                "false", lambda v: v in ("true", "false"),
+                                "store-reports must be true or false") == "true"
     else:
         problems.append("missing [experiment] section")
 
@@ -223,8 +224,10 @@ def load_config(path) -> ExperimentConfig:
                             f"(known: {sorted(_KNOWN_METRICS)})")
     cfg.metric_list = names
 
-    cfg.lam = get("unified", "lambda", float, 0.5,
-                  lambda v: 0.0 <= v <= 1.0,
+    def lambda_ok(v):
+        return 0.0 <= v <= 1.0
+
+    cfg.lam = get("unified", "lambda", float, 0.5, lambda_ok,
                   "lambda must lie in [0, 1]")
     raw_cw = get("unified", "cost-weights", str, "flops:1.0")
     cw = {}
@@ -233,13 +236,20 @@ def load_config(path) -> ExperimentConfig:
         if not part:
             continue
         name, _, val = part.partition(":")
+        name = name.strip()
         try:
-            cw[name.strip()] = float(val)
+            cw[name] = float(val)
         except ValueError:
             problems.append(f"[unified] bad cost-weight entry {part!r}")
             continue
-        if not np.isfinite(cw[name.strip()]):
+        if not np.isfinite(cw[name]):
             problems.append(f"[unified] cost-weight {part!r} is not finite")
+        elif cw[name] < 0:
+            problems.append(f"[unified] cost-weight {part!r} must be >= 0")
+        if name not in estimators.CostLedger.COMPONENTS:
+            problems.append(f"[unified] cost-weight {part!r} names an unknown "
+                            f"cost component (known: "
+                            f"{sorted(estimators.CostLedger.COMPONENTS)})")
     if cw and abs(sum(cw.values()) - 1.0) > 1e-9:
         problems.append(f"[unified] cost-weights sum to {sum(cw.values())}, not 1")
     cfg.cost_weights = cw or {"flops": 1.0}
@@ -270,6 +280,8 @@ def load_config(path) -> ExperimentConfig:
             continue
         if not np.isfinite(vals[-1]):
             problems.append(f"[sweep] value {part!r} is not finite")
+        elif cfg.sweep_parameter == "lambda" and not lambda_ok(vals[-1]):
+            problems.append(f"[sweep] value {part!r}: lambda must lie in [0, 1]")
     cfg.sweep_values = tuple(vals)
 
     # an explicit 'kind = none' and an Eb/N0 ask for opposite things

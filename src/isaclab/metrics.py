@@ -6,9 +6,9 @@ All information quantities are in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import erfc
 
 import numpy as np
-from scipy.special import erfc
 
 from . import errors
 from .scene import NoiseModel, SensingPrior
@@ -168,12 +168,12 @@ def crlb_numeric(log_likelihood, draw_data, theta0: ParameterVector,
 # ---------------------------------------------------------------------------
 
 def qfunc(x: float) -> float:
-    """Gaussian tail probability Q(x) via the complementary error function."""
+    """Gaussian tail probability Q(x) of a scalar x, via math.erfc."""
     return float(0.5 * erfc(x / np.sqrt(2.0)))
 
 
 def ber_theoretical_bpsk(eb_over_n0: float) -> float:
-    """BPSK over AWGN: Q(sqrt(2 Eb/N0)); identical to the SER."""
+    """BPSK over AWGN at a scalar Eb/N0: Q(sqrt(2 Eb/N0)); identical to the SER."""
     if eb_over_n0 < 0:
         raise ValueError("Eb/N0 must be >= 0")
     return float(0.5 * erfc(np.sqrt(eb_over_n0)))

@@ -327,6 +327,9 @@ def test_tally_cost_errors():
         estimators.tally_cost(vec, {"flops": 0.7}, 100.0)
     with pytest.raises(errors.WeightError):
         estimators.tally_cost(vec, {"nonexistent": 1.0}, 100.0)
+    with pytest.raises(errors.WeightError, match=">= 0"):
+        estimators.tally_cost({"flops": 10.0, "time_samples": 4.0},
+                              {"flops": -0.5, "time_samples": 1.5}, 100.0)
     with pytest.raises(errors.SaturationError):
         estimators.tally_cost(vec, {"flops": 1.0}, 5.0)
     with pytest.raises(ValueError):

@@ -389,6 +389,42 @@ def test_noise_config_conflicts_are_validation_errors(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("cost-weights = flops:1.0", "cost-weights = flop:1.0",
+     "names an unknown cost component"),
+    ("cost-weights = flops:1.0", "cost-weights = flops:-0.5, time_samples:1.5",
+     "cost-weight 'flops:-0.5' must be >= 0"),
+    ("c-max = 1e9\n", "c-max = 1e9\n[sweep]\nparameter = lambda\n"
+     "values = 0.5, 1.5\n", "[sweep] value '1.5': lambda must lie in [0, 1]"),
+    ("workers = 1\n", "workers = 1\nstore-reports = yes\n",
+     "store-reports must be true or false"),
+    ("workers = 1\n", "workers = 1\nstore-reports = ture\n",
+     "store-reports must be true or false"),
+], ids=["unknown-cost-component", "negative-cost-weight",
+        "lambda-sweep-out-of-range", "store-reports-yes", "store-reports-typo"])
+def test_config_value_defects_are_validation_errors(tmp_path, capsys,
+                                                    old, new, message):
+    _write_scene(tmp_path / "scene.txt")
+    text = _config_text(trials=1)
+    assert old in text
+    (tmp_path / "exp.ini").write_text(text.replace(old, new))
+    with pytest.raises(errors.ValidationError) as exc:
+        harness.load_config(tmp_path / "exp.ini")
+    assert any(message in p for p in exc.value.problems)
+    command = "sweep" if "[sweep]" in new else "simulate"
+    assert cli.main([command, "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, stored", [("TRUE", True), ("False", False)])
+def test_store_reports_reads_true_or_false_in_any_case(tmp_path, raw, stored):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(
+        _config_text(experiment=f"store-reports = {raw}\n"))
+    assert harness.load_config(tmp_path / "exp.ini").store_reports is stored
+
+
 def test_load_config_accepts_kind_none_without_ebn0(tmp_path):
     cfg = harness.load_config(_noise_config(tmp_path, "kind = none"))
     assert cfg.noise_kind == "none" and cfg.ebn0_db is None

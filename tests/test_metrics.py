@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +86,18 @@ def test_ber_theoretical_bpsk_identity():
     assert metrics.ber_theoretical_bpsk(0.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         metrics.ber_theoretical_bpsk(-0.1)
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this one may already hold scipy from elsewhere
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, isaclab.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "isaclab.cli" in out
+    assert [m for m in out if m == "scipy" or m.startswith("scipy.")] == []
 
 
 # ---------------------------------------------------------------------------
