@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration/validation failure, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -80,8 +81,16 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             rows = harness.run_sweep(cfg)
         elif args.command == "ambiguity":
-            lines = harness.ambiguity_rows(cfg, args.doppler_span,
-                                           args.doppler_bins)
+            if args.doppler_bins < 1:
+                print("configuration error: --doppler-bins must be >= 1",
+                      file=sys.stderr)
+                return EXIT_CONFIG
+            span = args.doppler_span
+            if span is not None and not (math.isfinite(span) and span > 0):
+                print("configuration error: --doppler-span must be finite "
+                      "and > 0", file=sys.stderr)
+                return EXIT_CONFIG
+            lines = harness.ambiguity_rows(cfg, span, args.doppler_bins)
             out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / "ambiguity.csv"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")

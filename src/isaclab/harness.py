@@ -237,6 +237,8 @@ def load_config(path) -> ExperimentConfig:
             continue
         name, _, val = part.partition(":")
         name = name.strip()
+        if name in cw:
+            problems.append(f"[unified] cost-weight name {name!r} is repeated")
         try:
             cw[name] = float(val)
         except ValueError:
@@ -640,7 +642,8 @@ def ambiguity_rows(cfg: ExperimentConfig, doppler_span: float | None = None,
     lines = ["doppler_hz,delay_s,magnitude"]
     for i, nu in enumerate(amb.doppler_grid):
         for j, tau in enumerate(amb.delay_grid):
-            lines.append(f"{nu!r},{tau!r},{amb.values[i, j]!r}")
+            lines.append(f"{float(nu)!r},{float(tau)!r},"
+                         f"{float(amb.values[i, j])!r}")
     return lines
 
 

@@ -272,6 +272,7 @@ def ambiguity(u: Waveform, delay_grid=None, doppler_grid=None) -> AmbiguityMap:
 
     Delays are taken on the sample grid (values snapped to the nearest
     sample; GridError if off-grid by more than 1e-6 of a sample period).
+    A non-finite delay or Doppler value is a GridError too.
     FFT-accelerated over the delay axis.
     """
     fs = u.sample_rate
@@ -280,6 +281,8 @@ def ambiguity(u: Waveform, delay_grid=None, doppler_grid=None) -> AmbiguityMap:
     if delay_grid is None:
         delay_grid = np.arange(-(n - 1), n) * dt
     delay_grid = np.asarray(delay_grid, float)
+    if not np.isfinite(delay_grid).all():
+        raise errors.GridError("delay grid has a non-finite value")
     lags_f = delay_grid * fs
     lags = np.round(lags_f).astype(int)
     if np.max(np.abs(lags_f - lags)) > 1e-6:
@@ -289,6 +292,8 @@ def ambiguity(u: Waveform, delay_grid=None, doppler_grid=None) -> AmbiguityMap:
     if doppler_grid is None:
         doppler_grid = np.array([0.0])
     doppler_grid = np.asarray(doppler_grid, float)
+    if not np.isfinite(doppler_grid).all():
+        raise errors.GridError("doppler grid has a non-finite value")
     if np.max(np.abs(doppler_grid)) > fs / 2:
         raise errors.GridError("doppler grid beyond +-fs/2")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isaclab import errors, estimators, scene, waveform
+from isaclab import errors, estimators, harness, scene, waveform
 
 
 FS = 1e6
@@ -263,6 +263,173 @@ def test_music_order_validation():
         estimators.music_estimate(np.ones(3, complex), 9,
                                   np.array([0.0]), np.array([0.0]),
                                   freq_step=25e3, window=(3, 1))
+
+
+def _music_full_eigh(G, order, delays, dopplers, freq_step, time_step=1.0,
+                     window=None):
+    """MUSIC's pseudospectrum as computed before the subspace iteration:
+    looped snapshots, a full `eigh` and the noise-subspace GEMM."""
+    G = G.reshape(G.shape[0], -1)
+    M, L = G.shape
+    mw, lw = window or ((M + 1) // 2, (L + 1) // 2)
+    dim = mw * lw
+    snaps = np.empty((dim, (M - mw + 1) * (L - lw + 1)), np.complex128)
+    k = 0
+    for i in range(M - mw + 1):
+        for j in range(L - lw + 1):
+            snaps[:, k] = G[i:i + mw, j:j + lw].reshape(-1)
+            k += 1
+    R = snaps @ snaps.conj().T / snaps.shape[1]
+    evals, evecs = np.linalg.eigh(R)
+    a_f = np.exp(2j * np.pi * freq_step * delays * np.arange(mw)[:, None])
+    a_t = np.exp(2j * np.pi * time_step * dopplers * np.arange(lw)[:, None])
+    S = (a_f[:, None, :, None] * a_t[None, :, None, :]).reshape(dim, -1)
+    S /= np.linalg.norm(S, axis=0)
+    denom = np.sum(np.abs(evecs[:, :dim - order].conj().T @ S) ** 2, axis=0)
+    pseudo = 1.0 / np.maximum(denom, 1e-300).reshape(delays.size, -1)
+    return pseudo, evals, R
+
+
+_CHIRP_SWEEP = """[experiment]
+schema-version = 1
+trials = 1
+master-seed = 2024
+
+[scene]
+file = scene.txt
+
+[noise]
+kind = white
+ebn0-db = {ebn0}
+
+[waveform]
+kind = chirp
+bandwidth = 8e5
+duration = 5.12e-4
+sample-rate = 1e6
+
+[estimator]
+kind = music
+order = 2
+delay-bins = 256
+"""
+
+
+def _chirp_music_trial(tmp_path, monkeypatch, ebn0):
+    """The arguments and report of the MUSIC call in one harness trial: a
+    512-sample chirp, two targets, the harness's deconvolution and grids."""
+    scene.save_scene(scene.TargetScene(
+        (scene.Target(1.0, 84e-6, 0.0), scene.Target(0.7j, 89e-6, 0.0))),
+        tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_CHIRP_SWEEP.format(ebn0=ebn0))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    calls = []
+    real = estimators.music_estimate
+
+    def spy(obs, order, delays, dopplers, **kw):
+        calls.append((obs, order, delays, dopplers, kw,
+                      real(obs, order, delays, dopplers, **kw)))
+        return calls[-1][-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "music_estimate", spy)
+        harness.run_trial(cfg, 0, scene.load_scene(tmp_path / "scene.txt"))
+    (call,) = calls
+    u = harness._build_waveform(cfg, None)
+    for got, want in zip(call[2:4], harness._grids(cfg, u)):
+        np.testing.assert_array_equal(got, want)
+    return call
+
+
+@pytest.mark.parametrize("ebn0", [0, 10, 20, 30])
+def test_music_signal_subspace_matches_full_eigh_on_chirp_trials(
+        tmp_path, monkeypatch, ebn0):
+    obs, order, delays, dopplers, kw, rep = _chirp_music_trial(
+        tmp_path, monkeypatch, ebn0)
+    ref, evals, R = _music_full_eigh(obs, order, delays, dopplers,
+                                     kw["freq_step"])
+    np.testing.assert_allclose(rep.diagnostics["pseudospectrum"], ref,
+                               rtol=1e-10)
+    np.testing.assert_allclose(rep.diagnostics["eigenvalues"],
+                               evals[-order:], rtol=1e-10)
+    assert rep.diagnostics["noise_floor"] == pytest.approx(
+        evals[:-order].mean(), rel=1e-10)
+    assert rep.cost.flop_count == (256 ** 2 * 257 + 256 ** 3
+                                   + 256 * 256 * (256 - order))
+
+
+@pytest.mark.parametrize("snr_db, seed", [(0, 1), (10, 2), (30, 3)])
+def test_music_signal_subspace_matches_full_eigh_on_2d_windows(snr_db, seed):
+    targets = [scene.Target(0.8 + 0.3j, 3.2e-6, 150.0),
+               scene.Target(0.5 - 0.2j, 7.2e-6, -75.0)]
+    G = _dd_observation(targets, snr_db=snr_db, seed=seed)
+    delays = np.arange(0, 10e-6, 0.4e-6)
+    dopplers = np.arange(-200.0, 201.0, 25.0)
+    rep = estimators.music_estimate(G, 2, delays, dopplers, freq_step=25e3,
+                                    time_step=1e-3, window=(12, 9))
+    ref, evals, _ = _music_full_eigh(G, 2, delays, dopplers, 25e3, 1e-3,
+                                     window=(12, 9))
+    assert not rep.diagnostics["eigh_fallback"]
+    np.testing.assert_allclose(rep.diagnostics["pseudospectrum"], ref,
+                               rtol=1e-10)
+    np.testing.assert_allclose(rep.diagnostics["eigenvalues"], evals[-2:],
+                               rtol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["chirp", "2d-window"])
+def test_music_fallback_is_the_full_eigh_bit_for_bit(tmp_path, monkeypatch,
+                                                     case):
+    if case == "chirp":
+        obs, order, delays, dopplers, kw, _ = _chirp_music_trial(
+            tmp_path, monkeypatch, 20)
+    else:
+        obs = _dd_observation([scene.Target(0.8 + 0.3j, 3.2e-6, 150.0)],
+                              snr_db=20, seed=4)
+        order, delays, dopplers = 1, np.arange(0, 10e-6, 0.4e-6), \
+            np.arange(-200.0, 201.0, 25.0)
+        kw = {"freq_step": 25e3, "time_step": 1e-3, "window": (10, 8)}
+    monkeypatch.setattr(estimators, "SUBSPACE_MAX_ITER", 1)
+    rep = estimators.music_estimate(obs, order, delays, dopplers, **kw)
+    ref, evals, R = _music_full_eigh(obs, order, delays, dopplers, **kw)
+    assert rep.diagnostics["eigh_fallback"]
+    np.testing.assert_array_equal(rep.diagnostics["pseudospectrum"], ref)
+    np.testing.assert_array_equal(rep.diagnostics["eigenvalues"],
+                                  evals[-order:])
+    assert rep.diagnostics["noise_floor"] == pytest.approx(
+        (np.trace(R).real - evals[-order:].sum()) / (R.shape[0] - order))
+
+
+def test_music_never_decomposes_the_full_covariance(tmp_path, monkeypatch):
+    sizes = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kw):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    *_, rep = _chirp_music_trial(tmp_path, monkeypatch, 20)
+    assert not rep.diagnostics["eigh_fallback"]
+    assert sizes and max(sizes) <= 2 + estimators.SUBSPACE_EXTRA
+
+
+def test_music_rejects_grids_that_alias():
+    G = _dd_observation([scene.Target(1.0, 4e-6, 100.0)])   # 32 x 16
+    dopplers = np.arange(-200.0, 201.0, 25.0)
+    ok_delays = np.arange(63) / (64 * 25e3)      # span 62/64 of a period
+    estimators.music_estimate(G, 1, ok_delays, dopplers, freq_step=25e3,
+                              time_step=1e-3)
+    with pytest.raises(errors.GridError, match="delay grid"):
+        estimators.music_estimate(G, 1, np.arange(65) / (64 * 25e3),
+                                  dopplers, freq_step=25e3, time_step=1e-3)
+    with pytest.raises(errors.GridError, match="doppler grid"):
+        estimators.music_estimate(G, 1, ok_delays,
+                                  np.linspace(-500.0, 500.0, 9),
+                                  freq_step=25e3, time_step=1e-3)
+    # one slow-time column carries no Doppler, so its grid cannot alias
+    estimators.music_estimate(G[:, 0], 1, ok_delays,
+                              np.linspace(-500.0, 500.0, 9), freq_step=25e3,
+                              time_step=1e-3)
 
 
 def test_demodulate_psk_through_channel():

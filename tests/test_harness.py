@@ -400,8 +400,11 @@ def test_noise_config_conflicts_are_validation_errors(tmp_path, capsys,
      "store-reports must be true or false"),
     ("workers = 1\n", "workers = 1\nstore-reports = ture\n",
      "store-reports must be true or false"),
+    ("cost-weights = flops:1.0", "cost-weights = flops:0.3, flops:1.0",
+     "cost-weight name 'flops' is repeated"),
 ], ids=["unknown-cost-component", "negative-cost-weight",
-        "lambda-sweep-out-of-range", "store-reports-yes", "store-reports-typo"])
+        "lambda-sweep-out-of-range", "store-reports-yes", "store-reports-typo",
+        "repeated-cost-weight"])
 def test_config_value_defects_are_validation_errors(tmp_path, capsys,
                                                     old, new, message):
     _write_scene(tmp_path / "scene.txt")
@@ -481,8 +484,43 @@ def test_cli_ambiguity(tmp_path):
                      "--out", str(tmp_path / "out"),
                      "--doppler-bins", "3"])
     assert code == 0
-    text = (tmp_path / "out" / "ambiguity.csv").read_text()
-    assert text.startswith("doppler_hz,delay_s,magnitude")
+    header, *lines = (tmp_path / "out" / "ambiguity.csv").read_text().split()
+    assert header == "doppler_hz,delay_s,magnitude"
+    values = [[float(v) for v in line.split(",")] for line in lines]
+    # 3 Doppler bins x 255 lags of the 128-sample PSK probe
+    assert len(values) == 3 * 255 and all(len(v) == 3 for v in values)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--doppler-bins", "0"], "--doppler-bins must be >= 1"),
+    (["--doppler-bins", "-3"], "--doppler-bins must be >= 1"),
+    (["--doppler-span", "nan"], "--doppler-span must be finite and > 0"),
+    (["--doppler-span", "inf"], "--doppler-span must be finite and > 0"),
+    (["--doppler-span", "0"], "--doppler-span must be finite and > 0"),
+    (["--doppler-span=-1e4"], "--doppler-span must be finite and > 0"),
+], ids=["bins-0", "bins-negative", "span-nan", "span-inf", "span-0",
+        "span-negative"])
+def test_cli_ambiguity_rejects_bad_doppler_arguments(tmp_path, capsys, args,
+                                                     message):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text())
+    code = cli.main(["ambiguity", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")] + args)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ambiguity.csv").exists()
+
+
+def test_cli_music_grid_that_aliases_is_a_runtime_error(tmp_path, capsys):
+    # 20 delay bins on a 16-sample chirp: cells k and k + 16 coincide
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(
+        trials=1, probe=_CHIRP_MUSIC.replace("delay-bins = 16",
+                                             "delay-bins = 20")
+        .replace("duration = 6.4e-5", "duration = 1.6e-5")))
+    assert cli.main(["simulate", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "delay grid" in capsys.readouterr().err
 
 
 def test_cli_sync(tmp_path):

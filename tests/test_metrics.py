@@ -229,6 +229,11 @@ def test_ambiguity_grid_errors():
         metrics.ambiguity(u, delay_grid=np.array([1.0]))
     with pytest.raises(errors.GridError):
         metrics.ambiguity(u, doppler_grid=np.array([1e6]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(errors.GridError, match="non-finite"):
+            metrics.ambiguity(u, doppler_grid=np.array([0.0, bad]))
+        with pytest.raises(errors.GridError, match="non-finite"):
+            metrics.ambiguity(u, delay_grid=np.array([0.0, bad]))
 
 
 # ---------------------------------------------------------------------------
