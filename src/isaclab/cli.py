@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration/validation failure, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -50,27 +49,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = harness.load_config(args.config)
-    except errors.ValidationError as exc:
-        print("configuration errors:", file=sys.stderr)
-        for problem in exc.problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-    except errors.ParseError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.workers is not None:
-        if args.workers < 1:
-            print("configuration error: --workers must be >= 1",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        cfg.workers = args.workers
-    out_dir = Path(args.out) if args.out else cfg.base_dir / cfg.output_dir
-
-    try:
+        cfg = harness.load_config(args.config, {"master_seed": args.seed,
+                                                "workers": args.workers})
+        out_dir = Path(args.out) if args.out else cfg.base_dir / cfg.output_dir
+        if args.command == "ambiguity":
+            lines = harness.ambiguity_rows(cfg, args.doppler_span,
+                                           args.doppler_bins)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            path = out_dir / "ambiguity.csv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            print(path)
+            return EXIT_OK
         if args.command == "simulate":
             store = out_dir / "reports" if cfg.store_reports else None
             rows = harness.run_experiment(cfg, store_dir=store)
@@ -78,26 +67,8 @@ def main(argv=None) -> int:
             rows = harness.recompute_metrics(Path(args.reports), cfg)
         elif args.command == "sync":
             rows = harness.run_sync(cfg)
-        elif args.command == "sweep":
+        else:
             rows = harness.run_sweep(cfg)
-        elif args.command == "ambiguity":
-            if args.doppler_bins < 1:
-                print("configuration error: --doppler-bins must be >= 1",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-            span = args.doppler_span
-            if span is not None and not (math.isfinite(span) and span > 0):
-                print("configuration error: --doppler-span must be finite "
-                      "and > 0", file=sys.stderr)
-                return EXIT_CONFIG
-            lines = harness.ambiguity_rows(cfg, span, args.doppler_bins)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / "ambiguity.csv"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            print(path)
-            return EXIT_OK
-        else:                                    # pragma: no cover
-            return EXIT_CONFIG
         for path in harness.emit_report(rows, args.format, out_dir):
             print(path)
     except errors.ValidationError as exc:

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import configparser
-import copy
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,190 +50,36 @@ def derive_seed(master_seed: int, trial_index: int, component: str = "") -> int:
 # config
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "experiment": {"schema-version", "trials", "master-seed", "workers",
-                   "output-dir", "store-reports"},
-    "scene": {"file"},
-    "noise": {"kind", "level", "ebn0-db"},
-    "waveform": {"kind", "bits", "bits-per-symbol", "sample-rate",
-                 "oversampling", "bandwidth", "duration", "subcarriers",
-                 "symbols", "cp", "active"},
-    "estimator": {"kind", "threshold-db", "sparsity", "order",
-                  "delay-bins", "doppler-bins", "doppler-max"},
-    "metrics": {"list"},
-    "unified": {"lambda", "cost-weights", "c-max", "form"},
-    "sync": {"file"},
-    "sweep": {"parameter", "values"},
-}
+def _setting(default, section, key, cast=str, rule=None):
+    """A config field: its default, the INI `[section]` and `key` it is read
+    from, the `cast` of the text, and the `rule` (check, wording) that the
+    value must meet."""
+    made = ({"default_factory": default.copy} if isinstance(default, dict)
+            else {"default": default})
+    return field(metadata={"ini": (section, key, cast, rule)}, **made)
 
 
-@dataclass
-class ExperimentConfig:
-    trials: int = 1
-    master_seed: int = 0
-    workers: int = 1
-    output_dir: str = "out"
-    store_reports: bool = False
-    scene_file: str | None = None
-    noise_kind: str = "none"
-    noise_level: float = 0.0
-    ebn0_db: float | None = None
-    wf_kind: str | None = None
-    wf: dict = field(default_factory=dict)
-    est_kind: str = "none"
-    est: dict = field(default_factory=dict)
-    metric_list: tuple[str, ...] = ()
-    lam: float = 0.5
-    cost_weights: dict = field(default_factory=lambda: {"flops": 1.0})
-    c_max: float = 1e12
-    form: str = "fpe"
-    sync_file: str | None = None
-    sweep_parameter: str | None = None
-    sweep_values: tuple[float, ...] = ()
-    base_dir: Path = Path(".")
+def _ge(lo):
+    return (lambda v: v >= lo), f">= {lo}"
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load and validate an experiment config, reporting every violation."""
-    path = Path(path)
-    # no interpolation: a '%' in a value is literal text
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path, encoding="utf-8") as f:
-            parser.read_file(f)
-    except FileNotFoundError:
-        raise errors.ParseError(f"config file not found: {path}") from None
-    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
-        raise errors.ParseError(f"{path}: {exc}") from None
+def _one_of(*choices):
+    return (lambda v: v in choices), "|".join(map(str, choices))
 
-    problems: list[str] = []
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            problems.append(f"unknown section [{section}]")
-            continue
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                problems.append(f"unknown key {key!r} in [{section}]")
 
-    cfg = ExperimentConfig(base_dir=path.parent)
+_POSITIVE = (lambda v: v > 0), "> 0"
+_UNIT = (lambda v: 0.0 <= v <= 1.0), "in [0, 1]"
 
-    def get(section, key, cast, default=None, check=None, describe=""):
-        if section not in parser or key not in parser[section]:
-            return default
-        raw = parser[section][key]
-        try:
-            val = cast(raw)
-        except ValueError:
-            problems.append(f"[{section}] {key} = {raw!r}: not a valid value")
-            return default
-        if cast is float and not np.isfinite(val):
-            problems.append(f"[{section}] {key} = {raw!r}: not a finite value")
-            return default
-        if check is not None and not check(val):
-            problems.append(f"[{section}] {key} = {raw!r}: {describe}")
-            return default
-        return val
 
-    if "experiment" in parser:
-        sv = get("experiment", "schema-version", int, None)
-        if sv != 1:
-            problems.append(f"[experiment] schema-version must be 1, got {sv}")
-        cfg.trials = get("experiment", "trials", int, 1,
-                         lambda v: v >= 1, "trials must be >= 1")
-        cfg.master_seed = get("experiment", "master-seed", int, 0)
-        cfg.workers = get("experiment", "workers", int, 1,
-                          lambda v: v >= 1, "workers must be >= 1")
-        cfg.output_dir = get("experiment", "output-dir", str, "out")
-        cfg.store_reports = get("experiment", "store-reports", str.lower,
-                                "false", lambda v: v in ("true", "false"),
-                                "store-reports must be true or false") == "true"
-    else:
-        problems.append("missing [experiment] section")
+def _items(text):
+    """The non-empty entries of a comma-separated list."""
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
-    cfg.scene_file = get("scene", "file", str, None)
-    if cfg.scene_file is not None:
-        p = (cfg.base_dir / cfg.scene_file)
-        if not p.exists():
-            problems.append(f"[scene] file {cfg.scene_file!r} does not exist")
 
-    cfg.noise_kind = get("noise", "kind", str, "none",
-                         lambda v: v in ("none", "white"),
-                         "kind must be none|white")
-    cfg.noise_level = get("noise", "level", float, 0.0,
-                          lambda v: v >= 0, "level must be >= 0")
-    cfg.ebn0_db = get("noise", "ebn0-db", float, None)
-
-    cfg.wf_kind = get("waveform", "kind", str, None,
-                      lambda v: v in ("psk", "ofdm", "chirp"),
-                      "kind must be psk|ofdm|chirp")
-    cfg.wf = {
-        "bits": get("waveform", "bits", int, 1000,
-                    lambda v: v >= 1, "bits must be >= 1"),
-        "bits_per_symbol": get("waveform", "bits-per-symbol", int, 1,
-                               lambda v: v in (1, 2), "must be 1 or 2"),
-        "sample_rate": get("waveform", "sample-rate", float, 1e6,
-                           lambda v: v > 0, "sample-rate must be > 0"),
-        "oversampling": get("waveform", "oversampling", int, 1,
-                            lambda v: v >= 1, "oversampling must be >= 1"),
-        "bandwidth": get("waveform", "bandwidth", float, 1e5,
-                         lambda v: v > 0, "bandwidth must be > 0"),
-        "duration": get("waveform", "duration", float, 1e-3,
-                        lambda v: v > 0, "duration must be > 0"),
-        "subcarriers": get("waveform", "subcarriers", int, 64,
-                           lambda v: v >= 2, "subcarriers must be >= 2"),
-        "symbols": get("waveform", "symbols", int, 4,
-                       lambda v: v >= 1, "symbols must be >= 1"),
-        "cp": get("waveform", "cp", int, 16, lambda v: v >= 0,
-                  "cp must be >= 0"),
-        "active": get("waveform", "active", str, "all"),
-    }
-
-    cfg.est_kind = get("estimator", "kind", str, "none",
-                       lambda v: v in ("none", "matched-filter", "omp", "music"),
-                       "kind must be none|matched-filter|omp|music")
-    cfg.est = {
-        "threshold_db": get("estimator", "threshold-db", float, -13.0),
-        "sparsity": get("estimator", "sparsity", int, 1,
-                        lambda v: v >= 0, "sparsity must be >= 0"),
-        "order": get("estimator", "order", int, 1,
-                     lambda v: v >= 1, "order must be >= 1"),
-        "delay_bins": get("estimator", "delay-bins", int, 16,
-                          lambda v: v >= 1, "delay-bins must be >= 1"),
-        "doppler_bins": get("estimator", "doppler-bins", int, 1,
-                            lambda v: v >= 1, "doppler-bins must be >= 1"),
-        "doppler_max": get("estimator", "doppler-max", float, 0.0,
-                           lambda v: v >= 0, "doppler-max must be >= 0"),
-    }
-    nyquist = cfg.wf["sample_rate"] / 2
-    if cfg.est["doppler_bins"] > 1 and cfg.est["doppler_max"] > nyquist:
-        problems.append(f"[estimator] doppler-max = {cfg.est['doppler_max']!r}"
-                        f" exceeds sample-rate / 2 = {nyquist!r}")
-    # MUSIC sees one observation column, so every Doppler cell of a delay
-    # has the same pseudospectrum and any reported Doppler would be a tie
-    if cfg.est_kind == "music" and cfg.est["doppler_bins"] > 1:
-        problems.append(f"[estimator] doppler-bins = "
-                        f"{cfg.est['doppler_bins']!r}: kind = music "
-                        f"cannot resolve Doppler, use doppler-bins = 1")
-
-    raw_list = get("metrics", "list", str, "")
-    names = tuple(n.strip() for n in raw_list.split(",") if n.strip())
-    for n in names:
-        if n not in _KNOWN_METRICS:
-            problems.append(f"[metrics] unknown metric {n!r} "
-                            f"(known: {sorted(_KNOWN_METRICS)})")
-    cfg.metric_list = names
-
-    def lambda_ok(v):
-        return 0.0 <= v <= 1.0
-
-    cfg.lam = get("unified", "lambda", float, 0.5, lambda_ok,
-                  "lambda must lie in [0, 1]")
-    raw_cw = get("unified", "cost-weights", str, "flops:1.0")
-    cw = {}
-    for part in raw_cw.split(","):
-        part = part.strip()
-        if not part:
-            continue
+def _cost_weights(text):
+    """`name:weight` pairs as a dict; ValidationError lists every defect."""
+    cw, problems = {}, []
+    for part in _items(text):
         name, _, val = part.partition(":")
         name = name.strip()
         if name in cw:
@@ -252,29 +97,17 @@ def load_config(path) -> ExperimentConfig:
             problems.append(f"[unified] cost-weight {part!r} names an unknown "
                             f"cost component (known: "
                             f"{sorted(estimators.CostLedger.COMPONENTS)})")
-    if cw and abs(sum(cw.values()) - 1.0) > 1e-9:
+    if abs(sum(cw.values()) - 1.0) > 1e-9:
         problems.append(f"[unified] cost-weights sum to {sum(cw.values())}, not 1")
-    cfg.cost_weights = cw or {"flops": 1.0}
-    cfg.c_max = get("unified", "c-max", float, 1e12,
-                    lambda v: v > 0, "c-max must be > 0")
-    cfg.form = get("unified", "form", str, "fpe",
-                   lambda v: v in ("fpe", "additive"),
-                   "form must be fpe|additive")
+    if problems:
+        raise errors.ValidationError(problems)
+    return cw
 
-    cfg.sync_file = get("sync", "file", str, None)
-    if cfg.sync_file is not None:
-        if not (cfg.base_dir / cfg.sync_file).exists():
-            problems.append(f"[sync] file {cfg.sync_file!r} does not exist")
 
-    cfg.sweep_parameter = get("sweep", "parameter", str, None,
-                              lambda v: v in ("lambda", "ebn0-db"),
-                              "parameter must be lambda|ebn0-db")
-    raw_vals = get("sweep", "values", str, "")
-    vals = []
-    for part in raw_vals.split(","):
-        part = part.strip()
-        if not part:
-            continue
+def _sweep_values(text):
+    """The swept values as floats; ValidationError lists every defect."""
+    vals, problems = [], []
+    for part in _items(text):
         try:
             vals.append(float(part))
         except ValueError:
@@ -282,16 +115,186 @@ def load_config(path) -> ExperimentConfig:
             continue
         if not np.isfinite(vals[-1]):
             problems.append(f"[sweep] value {part!r} is not finite")
-        elif cfg.sweep_parameter == "lambda" and not lambda_ok(vals[-1]):
-            problems.append(f"[sweep] value {part!r}: lambda must lie in [0, 1]")
-    cfg.sweep_values = tuple(vals)
+    if problems:
+        raise errors.ValidationError(problems)
+    return tuple(vals)
 
+
+@dataclass
+class ExperimentConfig:
+    """Every experiment setting, each declared once by `_setting`, which
+    `load_config` reads: a field's default applies when its key is
+    absent, and a value that fails its rule is a ValidationError."""
+
+    schema_version: int | None = _setting(None, "experiment", "schema-version",
+                                          int)
+    trials: int = _setting(1, "experiment", "trials", int, _ge(1))
+    master_seed: int = _setting(0, "experiment", "master-seed", int)
+    workers: int = _setting(1, "experiment", "workers", int, _ge(1))
+    output_dir: str = _setting("out", "experiment", "output-dir")
+    store_reports: bool = _setting(
+        False, "experiment", "store-reports",
+        lambda text: {"true": True, "false": False}.get(text.lower()),
+        ((lambda v: v is not None), "true or false"))
+    scene_file: str | None = _setting(None, "scene", "file")
+    # None when not given: no noise, as for 'none', but only an explicit
+    # 'none' conflicts with an Eb/N0
+    noise_kind: str | None = _setting(None, "noise", "kind", str,
+                                      _one_of("none", "white"))
+    noise_level: float = _setting(0.0, "noise", "level", float, _ge(0))
+    ebn0_db: float | None = _setting(None, "noise", "ebn0-db", float)
+    wf_kind: str | None = _setting(None, "waveform", "kind", str,
+                                   _one_of("psk", "ofdm", "chirp"))
+    bits: int = _setting(1000, "waveform", "bits", int, _ge(1))
+    bits_per_symbol: int = _setting(1, "waveform", "bits-per-symbol", int,
+                                    _one_of(1, 2))
+    sample_rate: float = _setting(1e6, "waveform", "sample-rate", float,
+                                  _POSITIVE)
+    oversampling: int = _setting(1, "waveform", "oversampling", int, _ge(1))
+    bandwidth: float = _setting(1e5, "waveform", "bandwidth", float,
+                                _POSITIVE)
+    duration: float = _setting(1e-3, "waveform", "duration", float, _POSITIVE)
+    subcarriers: int = _setting(64, "waveform", "subcarriers", int, _ge(2))
+    symbols: int = _setting(4, "waveform", "symbols", int, _ge(1))
+    cp: int = _setting(16, "waveform", "cp", int, _ge(0))
+    # None for 'all'; the range [0, subcarriers) is checked across keys
+    active: tuple[int, ...] | None = _setting(
+        None, "waveform", "active",
+        lambda text: None if text == "all" else tuple(map(int, text.split())),
+        ((lambda v: v is None or 0 < len(v) == len(set(v))),
+         "'all' or distinct subcarrier indices"))
+    est_kind: str = _setting("none", "estimator", "kind", str,
+                             _one_of("none", "matched-filter", "omp", "music"))
+    threshold_db: float = _setting(-13.0, "estimator", "threshold-db", float)
+    sparsity: int = _setting(1, "estimator", "sparsity", int, _ge(0))
+    order: int = _setting(1, "estimator", "order", int, _ge(1))
+    delay_bins: int = _setting(16, "estimator", "delay-bins", int, _ge(1))
+    doppler_bins: int = _setting(1, "estimator", "doppler-bins", int, _ge(1))
+    doppler_max: float = _setting(0.0, "estimator", "doppler-max", float,
+                                  _ge(0))
+    metric_list: tuple[str, ...] = _setting(
+        (), "metrics", "list", _items,
+        ((lambda v: all(n in _KNOWN_METRICS for n in v)),
+         f"names from {sorted(_KNOWN_METRICS)}"))
+    lam: float = _setting(0.5, "unified", "lambda", float, _UNIT)
+    cost_weights: dict = _setting({"flops": 1.0}, "unified", "cost-weights",
+                                  _cost_weights)
+    c_max: float = _setting(1e12, "unified", "c-max", float, _POSITIVE)
+    form: str = _setting("fpe", "unified", "form", str,
+                         _one_of("fpe", "additive"))
+    sync_file: str | None = _setting(None, "sync", "file")
+    sweep_parameter: str | None = _setting(None, "sweep", "parameter", str,
+                                           _one_of("lambda", "ebn0-db"))
+    sweep_values: tuple[float, ...] = _setting((), "sweep", "values",
+                                               _sweep_values)
+    base_dir: Path = Path(".")
+
+
+def load_config(path, overrides=None) -> ExperimentConfig:
+    """Load and validate an experiment config, reporting every violation.
+
+    `overrides` maps field names to values that replace the file's, such
+    as ``{"workers": 2}``, and pass the same cast and rule; None keeps the
+    file's value.
+    """
+    path = Path(path)
+    # no interpolation: a '%' in a value is literal text
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as f:
+            parser.read_file(f)
+    except FileNotFoundError:
+        raise errors.ParseError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise errors.ParseError(f"{path}: {exc}") from None
+
+    settings = {f.metadata["ini"][:2]: f for f in fields(ExperimentConfig)
+                if "ini" in f.metadata}
+    problems: list[str] = []
+    for section in parser.sections():
+        if section not in {s for s, _ in settings}:
+            problems.append(f"unknown section [{section}]")
+            continue
+        problems += [f"unknown key {key!r} in [{section}]"
+                     for key in parser[section]
+                     if (section, key) not in settings]
+
+    cfg = ExperimentConfig(base_dir=path.parent)
+    overrides = overrides or {}
+    for (section, key), f in settings.items():
+        cast, rule = f.metadata["ini"][2:]
+        if overrides.get(f.name) is not None:
+            raw = overrides[f.name]
+        elif parser.has_option(section, key):
+            raw = parser[section][key]
+        else:
+            continue
+        try:
+            value = cast(raw)
+        except ValueError:
+            problems.append(f"[{section}] {key} = {raw!r}: not a valid value")
+            continue
+        except errors.ValidationError as exc:
+            problems += exc.problems
+            continue
+        if cast is float and not np.isfinite(value):
+            problems.append(f"[{section}] {key} = {raw!r}: not a finite value")
+        elif rule is not None and not rule[0](value):
+            problems.append(f"[{section}] {key} = {raw!r}: "
+                            f"{key} must be {rule[1]}")
+        else:
+            setattr(cfg, f.name, value)
+
+    # checks across keys
+    if "experiment" not in parser:
+        problems.append("missing [experiment] section")
+    elif cfg.schema_version != 1:
+        problems.append(f"[experiment] schema-version must be 1, "
+                        f"got {cfg.schema_version}")
+    for section, name in (("scene", cfg.scene_file), ("sync", cfg.sync_file)):
+        if name is not None and not (cfg.base_dir / name).exists():
+            problems.append(f"[{section}] file {name!r} does not exist")
+    # waveform values that would fail every trial, checked without building
+    # the waveform, whose `bits` may be huge
+    if cfg.wf_kind == "psk" and cfg.bits < cfg.bits_per_symbol:
+        problems.append(f"[waveform] bits = {cfg.bits} is fewer than "
+                        f"bits-per-symbol = {cfg.bits_per_symbol}")
+    if cfg.wf_kind == "chirp":
+        if cfg.bandwidth > cfg.sample_rate:
+            problems.append(f"[waveform] bandwidth = {cfg.bandwidth!r} "
+                            f"exceeds sample-rate = {cfg.sample_rate!r}")
+        # round(duration * sample-rate) samples: none up to 0.5
+        if cfg.duration * cfg.sample_rate <= 0.5:
+            problems.append(f"[waveform] duration = {cfg.duration!r} is "
+                            f"shorter than one sample at sample-rate = "
+                            f"{cfg.sample_rate!r}")
+    if cfg.wf_kind == "ofdm":
+        if cfg.cp >= cfg.subcarriers:
+            problems.append(f"[waveform] cp = {cfg.cp} must be below "
+                            f"subcarriers = {cfg.subcarriers}")
+        outside = [k for k in cfg.active or ()
+                   if not 0 <= k < cfg.subcarriers]
+        if outside:
+            problems.append(f"[waveform] active subcarriers {outside} lie "
+                            f"outside [0, subcarriers = {cfg.subcarriers})")
+    nyquist = cfg.sample_rate / 2
+    if cfg.doppler_bins > 1 and cfg.doppler_max > nyquist:
+        problems.append(f"[estimator] doppler-max = {cfg.doppler_max!r}"
+                        f" exceeds sample-rate / 2 = {nyquist!r}")
+    # MUSIC sees one observation column, so every Doppler cell of a delay
+    # has the same pseudospectrum and any reported Doppler would be a tie
+    if cfg.est_kind == "music" and cfg.doppler_bins > 1:
+        problems.append(f"[estimator] doppler-bins = {cfg.doppler_bins!r}: "
+                        f"kind = music cannot resolve Doppler, use "
+                        f"doppler-bins = 1")
     # an explicit 'kind = none' and an Eb/N0 ask for opposite things
-    if "noise" in parser and parser["noise"].get("kind") == "none" and (
-            "ebn0-db" in parser["noise"] or cfg.sweep_parameter == "ebn0-db"):
+    if cfg.noise_kind == "none" and (cfg.ebn0_db is not None
+                                     or cfg.sweep_parameter == "ebn0-db"):
         problems.append("[noise] kind = none conflicts with an ebn0-db "
                         "value or sweep, which adds noise")
-
+    if cfg.sweep_parameter == "lambda":
+        problems += [f"[sweep] value '{v!r}': lambda must lie in [0, 1]"
+                     for v in cfg.sweep_values if not _UNIT[0](v)]
     if problems:
         raise errors.ValidationError(problems)
     return cfg
@@ -329,29 +332,23 @@ def _sort_rows(rows):
 # ---------------------------------------------------------------------------
 
 def _build_waveform(cfg: ExperimentConfig, rng) -> waveform.Waveform:
-    wf = cfg.wf
     if cfg.wf_kind == "psk":
-        bits = rng.integers(0, 2, wf["bits"]).astype(np.uint8)
-        n = bits.size - bits.size % wf["bits_per_symbol"]
-        return waveform.generate_psk_frame(bits[:n], wf["bits_per_symbol"],
-                                           wf["sample_rate"],
-                                           wf["oversampling"])
+        bits = rng.integers(0, 2, cfg.bits).astype(np.uint8)
+        n = bits.size - bits.size % cfg.bits_per_symbol
+        return waveform.generate_psk_frame(bits[:n], cfg.bits_per_symbol,
+                                           cfg.sample_rate, cfg.oversampling)
     if cfg.wf_kind == "chirp":
-        return waveform.generate_chirp(wf["bandwidth"], wf["duration"],
-                                       wf["sample_rate"])
+        return waveform.generate_chirp(cfg.bandwidth, cfg.duration,
+                                       cfg.sample_rate)
     if cfg.wf_kind == "ofdm":
-        n_sc, n_sym = wf["subcarriers"], wf["symbols"]
-        if wf["active"] == "all":
-            active = tuple(range(n_sc))
-        else:
-            active = tuple(int(v) for v in wf["active"].split())
-        n_bits = len(active) * n_sym * wf["bits_per_symbol"]
+        active = cfg.active or tuple(range(cfg.subcarriers))
+        n_bits = len(active) * cfg.symbols * cfg.bits_per_symbol
         bits = rng.integers(0, 2, n_bits).astype(np.uint8)
         layout = waveform.ModulationLayout(
-            kind="ofdm", bits_per_symbol=wf["bits_per_symbol"],
-            n_subcarriers=n_sc, n_symbols=n_sym,
+            kind="ofdm", bits_per_symbol=cfg.bits_per_symbol,
+            n_subcarriers=cfg.subcarriers, n_symbols=cfg.symbols,
             active_subcarriers=active, data_bits=bits)
-        return waveform.generate_ofdm(layout, wf["sample_rate"], wf["cp"])
+        return waveform.generate_ofdm(layout, cfg.sample_rate, cfg.cp)
     raise errors.ValidationError(["simulate needs a [waveform] section"])
 
 
@@ -371,11 +368,10 @@ def _noise_model(cfg: ExperimentConfig, u, seed: int):
 
 def _grids(cfg: ExperimentConfig, u) -> tuple[np.ndarray, np.ndarray]:
     """The estimator's delay grid (whole samples) and Doppler grid."""
-    est = cfg.est
-    delays = np.arange(est["delay_bins"]) / u.sample_rate
-    if est["doppler_bins"] > 1 and est["doppler_max"] > 0:
-        dopplers = np.linspace(-est["doppler_max"], est["doppler_max"],
-                               est["doppler_bins"])
+    delays = np.arange(cfg.delay_bins) / u.sample_rate
+    if cfg.doppler_bins > 1 and cfg.doppler_max > 0:
+        dopplers = np.linspace(-cfg.doppler_max, cfg.doppler_max,
+                               cfg.doppler_bins)
     else:
         dopplers = np.array([0.0])
     return delays, dopplers
@@ -436,9 +432,9 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         dictionary = estimators.Dictionary(u, *_grids(cfg, u))
     if cfg.est_kind == "matched-filter":
         report = estimators.matched_filter_estimate(
-            rx, u, dictionary, cfg.est["threshold_db"])
+            rx, u, dictionary, cfg.threshold_db)
     elif cfg.est_kind == "omp":
-        report = estimators.omp_estimate(rx, dictionary, cfg.est["sparsity"])
+        report = estimators.omp_estimate(rx, dictionary, cfg.sparsity)
     elif cfg.est_kind == "music":
         # deconvolve to the frequency-domain response; conjugate so the
         # delay exponential matches the positive-exponent steering model
@@ -448,7 +444,7 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         guard = 1e-3 * np.max(np.abs(uf))
         obs = np.conj(yf / np.where(np.abs(uf) > guard, uf, np.inf))
         report = estimators.music_estimate(
-            obs, cfg.est["order"], *_grids(cfg, u),
+            obs, cfg.order, *_grids(cfg, u),
             freq_step=u.sample_rate / n)
         report.estimated_targets[:] = [
             scene.Target(np.conj(t.amplitude), t.delay, t.doppler)
@@ -596,13 +592,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
         raise errors.ValidationError(["[sweep] needs parameter and values"])
     rows = []
     for val in cfg.sweep_values:
-        sub = copy.deepcopy(cfg)
         if cfg.sweep_parameter == "lambda":
-            sub.lam = val
-            tag = f"lambda={val:g}"
+            sub, tag = replace(cfg, lam=val), f"lambda={val:g}"
         else:
-            sub.ebn0_db = val
-            tag = f"ebn0={val:g}dB"
+            sub, tag = replace(cfg, ebn0_db=val), f"ebn0={val:g}dB"
         rows += [replace(row, scenario=tag) for row in run_experiment(sub)]
     return _sort_rows(rows)
 
@@ -619,9 +612,10 @@ def run_sync(cfg: ExperimentConfig) -> list[ResultRow]:
         _, _, report = syncnet.run_sync_scenario(scenario, seed=seed)
         for j, metrics_row in report.items():
             if j == "rms":
+                # each RMS name ends in its unit: position_rms_m, to_rms_s
                 for k, v in metrics_row.items():
                     rows.append(ResultRow(trial, tag, "bp", k, float(v),
-                                          "mixed", seed))
+                                          k.rsplit("_", 1)[1], seed))
             else:
                 rows.append(ResultRow(trial, tag, "bp",
                                       f"agent{j}_position_error",
@@ -632,7 +626,22 @@ def run_sync(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def ambiguity_rows(cfg: ExperimentConfig, doppler_span: float | None = None,
                    n_doppler: int = 65):
-    """Ambiguity surface of the configured waveform as CSV-ready lines."""
+    """Ambiguity surface of the configured waveform as CSV-ready lines.
+
+    `doppler_span` and `n_doppler` are the CLI's --doppler-span and
+    --doppler-bins; an unusable value is a ValidationError.
+    """
+    problems = []
+    if n_doppler < 1:
+        problems.append("--doppler-bins must be >= 1")
+    if doppler_span is not None and not (np.isfinite(doppler_span)
+                                         and doppler_span > 0):
+        problems.append("--doppler-span must be finite and > 0")
+    elif doppler_span is not None and doppler_span > cfg.sample_rate / 2:
+        problems.append(f"--doppler-span = {doppler_span!r} exceeds "
+                        f"sample-rate / 2 = {cfg.sample_rate / 2!r}")
+    if problems:
+        raise errors.ValidationError(problems)
     rng = np.random.default_rng(derive_seed(cfg.master_seed, 0, "ambiguity"))
     u = _build_waveform(cfg, rng)
     if doppler_span is None:

@@ -40,8 +40,14 @@ class ModulationLayout:
         object.__setattr__(self, "data_bits",
                            np.asarray(self.data_bits, dtype=np.uint8))
         if self.kind == "ofdm":
-            if len(self.active_subcarriers) == 0:
+            active_idx = self.active_subcarriers
+            if len(active_idx) == 0:
                 raise errors.LayoutError("OFDM layout needs active subcarriers")
+            if len(set(active_idx)) != len(active_idx) or not all(
+                    0 <= k < self.n_subcarriers for k in active_idx):
+                raise errors.LayoutError(
+                    f"active subcarriers {active_idx} are not distinct "
+                    f"indices in [0, {self.n_subcarriers})")
             mask = self.pilot_mask
             if mask is None:
                 mask = np.zeros((self.n_subcarriers, self.n_symbols), bool)

@@ -402,9 +402,10 @@ def test_noise_config_conflicts_are_validation_errors(tmp_path, capsys,
      "store-reports must be true or false"),
     ("cost-weights = flops:1.0", "cost-weights = flops:0.3, flops:1.0",
      "cost-weight name 'flops' is repeated"),
+    ("cost-weights = flops:1.0", "cost-weights =", "sum to 0, not 1"),
 ], ids=["unknown-cost-component", "negative-cost-weight",
         "lambda-sweep-out-of-range", "store-reports-yes", "store-reports-typo",
-        "repeated-cost-weight"])
+        "repeated-cost-weight", "empty-cost-weights"])
 def test_config_value_defects_are_validation_errors(tmp_path, capsys,
                                                     old, new, message):
     _write_scene(tmp_path / "scene.txt")
@@ -433,6 +434,84 @@ def test_load_config_accepts_kind_none_without_ebn0(tmp_path):
     assert cfg.noise_kind == "none" and cfg.ebn0_db is None
 
 
+def test_load_config_defaults_are_the_field_defaults(tmp_path):
+    (tmp_path / "exp.ini").write_text("[experiment]\nschema-version = 1\n")
+    assert harness.load_config(tmp_path / "exp.ini") == \
+        harness.ExperimentConfig(schema_version=1, base_dir=tmp_path)
+
+
+_OFDM = """[waveform]
+kind = ofdm
+subcarriers = 16
+symbols = 2
+cp = 4
+"""
+
+
+@pytest.mark.parametrize("probe, message", [
+    (_OFDM + "active = 1 2 99\n",
+     "active subcarriers [99] lie outside [0, subcarriers = 16)"),
+    (_OFDM + "active = 0 1 -1\n",
+     "active subcarriers [-1] lie outside [0, subcarriers = 16)"),
+    (_OFDM + "active = 0 1 x\n", "active = '0 1 x': not a valid value"),
+    (_OFDM + "active = 1 1 2\n",
+     "active must be 'all' or distinct subcarrier indices"),
+    (_OFDM + "active =\n",
+     "active must be 'all' or distinct subcarrier indices"),
+    (_OFDM.replace("cp = 4", "cp = 16"),
+     "cp = 16 must be below subcarriers = 16"),
+    (_CHIRP_MUSIC.replace("duration = 6.4e-5",
+                          "duration = 6.4e-5\nsample-rate = 2e5"),
+     "bandwidth = 400000.0 exceeds sample-rate = 200000.0"),
+    (_CHIRP_MUSIC.replace("duration = 6.4e-5", "duration = 4e-7"),
+     "duration = 4e-07 is shorter than one sample"),
+    (_PSK_OMP.replace("bits = 64\nbits-per-symbol = 1",
+                      "bits = 1\nbits-per-symbol = 2"),
+     "bits = 1 is fewer than bits-per-symbol = 2"),
+], ids=["active-too-large", "active-negative", "active-not-integer",
+        "active-repeated", "active-empty", "cp-not-below-subcarriers",
+        "chirp-bandwidth-above-rate", "chirp-without-samples",
+        "psk-without-symbols"])
+def test_waveform_defects_are_validation_errors(tmp_path, capsys, probe,
+                                                message):
+    _write_scene(tmp_path / "scene.txt")
+    path = tmp_path / "exp.ini"
+    path.write_text(_config_text(trials=1, probe=probe))
+    with pytest.raises(errors.ValidationError) as exc:
+        harness.load_config(path)
+    assert any(message in p for p in exc.value.problems)
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_waveform_active_subcarriers(tmp_path):
+    _write_scene(tmp_path / "scene.txt")
+    path = tmp_path / "exp.ini"
+    path.write_text(_config_text(probe=_OFDM + "active = 0 2 5\n"))
+    cfg = harness.load_config(path)
+    u = harness._build_waveform(cfg, np.random.default_rng(0))
+    assert u.layout.active_subcarriers == (0, 2, 5)
+    path.write_text(_config_text(probe=_OFDM + "active = all\n"))
+    u = harness._build_waveform(harness.load_config(path),
+                                np.random.default_rng(0))
+    assert u.layout.active_subcarriers == tuple(range(16))
+
+
+def test_overrides_pass_the_config_checks(tmp_path, capsys):
+    _write_scene(tmp_path / "scene.txt")
+    path = tmp_path / "exp.ini"
+    path.write_text(_config_text())
+    cfg = harness.load_config(path, {"workers": 3, "master_seed": 7})
+    assert (cfg.workers, cfg.master_seed) == (3, 7)
+    with pytest.raises(errors.ValidationError, match="workers must be >= 1"):
+        harness.load_config(path, {"workers": 0})
+    assert cli.main(["simulate", "--config", str(path), "--workers", "0",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_rejects_doppler_beyond_nyquist(tmp_path):
     _write_scene(tmp_path / "scene.txt")
     probe = _PSK_OMP + "doppler-bins = 3\ndoppler-max = 6e5\n"
@@ -452,7 +531,7 @@ def test_music_with_doppler_bins_is_validation_error(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 2
     assert "kind = music" in capsys.readouterr().err
     path.write_text(_config_text(probe=_CHIRP_MUSIC + "doppler-bins = 1\n"))
-    assert harness.load_config(path).est["doppler_bins"] == 1
+    assert harness.load_config(path).doppler_bins == 1
 
 
 def test_load_config_non_utf8_is_parse_error(tmp_path, capsys):
@@ -498,8 +577,9 @@ def test_cli_ambiguity(tmp_path):
     (["--doppler-span", "inf"], "--doppler-span must be finite and > 0"),
     (["--doppler-span", "0"], "--doppler-span must be finite and > 0"),
     (["--doppler-span=-1e4"], "--doppler-span must be finite and > 0"),
+    (["--doppler-span", "1e9"], "exceeds sample-rate / 2 = 500000.0"),
 ], ids=["bins-0", "bins-negative", "span-nan", "span-inf", "span-0",
-        "span-negative"])
+        "span-negative", "span-above-nyquist"])
 def test_cli_ambiguity_rejects_bad_doppler_arguments(tmp_path, capsys, args,
                                                      message):
     _write_scene(tmp_path / "scene.txt")
@@ -550,4 +630,6 @@ file = net.txt
     assert code == 0
     text = (tmp_path / "out" / "rows.csv").read_text()
     assert "agent3_position_error" in text
-    assert "position_rms_m" in text
+    units = {line.split(",")[3]: line.split(",")[5]
+             for line in text.splitlines()[1:]}
+    assert units["position_rms_m"] == "m" and units["to_rms_s"] == "s"

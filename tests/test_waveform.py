@@ -118,6 +118,15 @@ def test_ofdm_layout_validation():
                                   data_bits=np.zeros(2, np.uint8))
 
 
+@pytest.mark.parametrize("active", [(1, 2, 99), (0, 1, -1), (1, 1, 2)],
+                         ids=["out-of-range", "negative", "repeated"])
+def test_ofdm_layout_rejects_bad_active_subcarriers(active):
+    with pytest.raises(errors.LayoutError, match="active subcarriers"):
+        waveform.ModulationLayout(kind="ofdm", n_subcarriers=16, n_symbols=1,
+                                  active_subcarriers=active,
+                                  data_bits=np.zeros(3, np.uint8))
+
+
 def test_chirp_sweep_and_unit_amplitude():
     u = waveform.generate_chirp(2e5, 1e-3, 1e6)
     assert len(u) == 1000
