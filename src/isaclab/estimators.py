@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,10 @@ class CostLedger:
     flop_count counts each estimator's nominal algorithm, not the
     arithmetic that runs: MUSIC's ledger counts a full eigendecomposition
     and the noise-subspace projection even when its signal subspace comes
-    from the cheaper subspace iteration.
+    from the cheaper subspace iteration.  OMP counts a dense atoms^H r
+    GEMM per selection and the matched filter an FFT correlator per
+    Doppler column, whichever way `Dictionary.correlate` computes the
+    correlations.
     """
 
     flop_count: int = 0
@@ -67,6 +71,14 @@ class Dictionary:
     Doppler modulates the delayed copy at the channel output, so the
     atoms of one delay are that copy (one `apply_channel` at 0 Hz) times
     each Doppler phasor e^{j2pi nu t}; the phasors are computed once.
+
+    The (length x n_atoms) atom matrix is built on first use only:
+    reading `atoms` or `atom_norms`, or calling `coherence()`, builds it on
+    any grid, and so does `correlate` when a delay is more than 1e-9 of a
+    sample away from a whole number of samples.  On a whole-sample grid
+    the atoms are shifted copies of the probe times their phasors, so
+    `correlate` runs one FFT cross-correlation per Doppler column
+    instead, and `columns` builds only the atoms an estimator keeps.
     """
 
     def __init__(self, probe: Waveform, delay_grid, doppler_grid):
@@ -84,9 +96,8 @@ class Dictionary:
         length = len(probe) + int(np.ceil(delay_grid.max() * fs)) \
             if delay_grid.size else len(probe)
         self.length = length
-        n_nu = doppler_grid.size
-        n_atoms = delay_grid.size * n_nu
-        if n_atoms:
+        self.n_atoms = delay_grid.size * doppler_grid.size
+        if self.n_atoms:
             # the Doppler checks of Target and apply_channel, which see 0 Hz
             if not np.isfinite(doppler_grid).all():
                 raise ValueError("target doppler must be finite")
@@ -94,26 +105,91 @@ class Dictionary:
             if abs(worst) > fs / 2:
                 raise errors.AliasError(
                     f"doppler {worst} Hz exceeds fs/2 = {fs / 2} Hz")
-        A = np.zeros((length, n_atoms), np.complex128)
-        norms = np.empty(n_atoms)
-        window = float(delay_grid.max()) if delay_grid.size else 0.0
-        phasors = np.exp(2j * np.pi * doppler_grid
-                         * (np.arange(length) / fs)[:, None])
-        for i, tau in enumerate(delay_grid):
-            scn = TargetScene((Target(1.0 + 0j, float(tau), 0.0),))
-            resp = apply_channel(probe, scn, None, max_delay=window).samples
-            block = A[:resp.size, i * n_nu:(i + 1) * n_nu]
-            np.multiply(resp[:, None], phasors[:resp.size], out=block)
-        for k in range(n_atoms):
-            norms[k] = np.linalg.norm(A[:, k])
-        A /= norms
-        self.atoms = A
-        self.atom_norms = norms
+        # the delay check of Target, which every atom's channel would make
+        bad = delay_grid[~(np.isfinite(delay_grid) & (delay_grid >= 0))]
+        if bad.size:
+            raise ValueError(f"target delay must be finite and >= 0, "
+                             f"got {float(bad[0])}")
+        shifts = delay_grid * fs
+        lags = np.round(shifts)
+        # whole-sample lags, or None when a delay falls between samples
+        self._lags = lags.astype(int) \
+            if (np.abs(shifts - lags) < 1e-9).all() else None
         self._coherence = None
 
+    @cached_property
+    def _phasors(self) -> np.ndarray:
+        """e^{j2pi nu t} for every Doppler cell, shape (length, n_nu)."""
+        t = np.arange(self.length) / self.probe.sample_rate
+        return np.exp(2j * np.pi * self.doppler_grid * t[:, None])
+
+    def _response(self, tau: float) -> np.ndarray:
+        """The probe through a unit target at delay tau and 0 Hz."""
+        scn = TargetScene((Target(1.0 + 0j, float(tau), 0.0),))
+        window = float(self.delay_grid.max())
+        return apply_channel(self.probe, scn, None, max_delay=window).samples
+
+    @cached_property
+    def _bank(self) -> tuple[np.ndarray, np.ndarray]:
+        """(atoms, atom_norms) for every cell: one `apply_channel` per delay."""
+        n_nu = self.doppler_grid.size
+        A = np.zeros((self.length, self.n_atoms), np.complex128)
+        norms = np.empty(self.n_atoms)
+        for i, tau in enumerate(self.delay_grid):
+            resp = self._response(tau)
+            block = A[:resp.size, i * n_nu:(i + 1) * n_nu]
+            np.multiply(resp[:, None], self._phasors[:resp.size], out=block)
+        for k in range(self.n_atoms):
+            norms[k] = np.linalg.norm(A[:, k])
+        A /= norms
+        return A, norms
+
     @property
-    def n_atoms(self) -> int:
-        return self.atoms.shape[1]
+    def atoms(self) -> np.ndarray:
+        return self._bank[0]
+
+    @property
+    def atom_norms(self) -> np.ndarray:
+        return self._bank[1]
+
+    def _shift_path(self) -> bool:
+        """True when `correlate` runs the FFT cross-correlation: every delay
+        is a whole number of samples and the atoms are not built."""
+        return self._lags is not None and "_bank" not in self.__dict__
+
+    def correlate(self, y: np.ndarray) -> np.ndarray:
+        """atoms^H y for an observation y of `length` samples."""
+        if not self._shift_path():
+            return self.atoms.conj().T @ y
+        # atom (tau, nu) is the probe delayed by lag = tau * fs samples times
+        # e^{j2pi nu t}, so its correlation with y is the cross-correlation
+        # of y e^{-j2pi nu t} with the probe at that lag; `length` covers the
+        # largest lag plus the probe, so the circular correlation cannot wrap
+        z = np.fft.fft(y[:, None] * self._phasors.conj(), axis=0)
+        p = np.fft.fft(self.probe.samples, self.length)
+        c = np.fft.ifft(z * p.conj()[:, None], axis=0)
+        return c[self._lags].reshape(-1) / np.linalg.norm(self.probe.samples)
+
+    def columns(self, flat_indices) -> tuple[np.ndarray, np.ndarray]:
+        """(unit-norm atoms, norms) of the given cells, bit for bit the
+        columns of `atoms` and `atom_norms`, without building the others.
+
+        The block is Fortran-ordered, the layout of ``atoms[:, cells]``,
+        so least squares and products on it round as they would on that
+        copy.
+        """
+        i_tau, i_nu = np.divmod(np.asarray(flat_indices, int),
+                                self.doppler_grid.size)
+        block = np.zeros((self.length, i_tau.size), np.complex128, order="F")
+        for t in np.unique(i_tau):
+            resp = self._response(self.delay_grid[t])
+            for j in np.flatnonzero(i_tau == t):
+                np.multiply(resp, self._phasors[:resp.size, i_nu[j]],
+                            out=block[:resp.size, j])
+        norms = np.array([np.linalg.norm(block[:, j])
+                          for j in range(i_tau.size)])
+        block /= norms
+        return block, norms
 
     def cell(self, flat_index: int) -> tuple[float, float]:
         i_tau, i_nu = divmod(flat_index, self.doppler_grid.size)
@@ -182,39 +258,41 @@ def matched_filter_estimate(rx: ReceivedSignal, u: Waveform,
     if dictionary.length > len(rx) + len(u):
         raise errors.GridError("dictionary grid beyond the observation window")
     y = _pad_to(rx.samples, dictionary.length)
-    corr = dictionary.atoms.conj().T @ y              # unit-norm correlations
+    # norms of the atoms the correlations are normalised by: on the shift
+    # path every whole-sample atom has the probe's norm, and the cells kept
+    # as targets get their exact norms below
+    if dictionary._shift_path():
+        norms = np.full(dictionary.n_atoms,
+                        np.linalg.norm(dictionary.probe.samples))
+    else:
+        norms = dictionary.atom_norms.copy()
+    corr = dictionary.correlate(y)                    # unit-norm correlations
     n_tau, n_nu = dictionary.delay_grid.size, dictionary.doppler_grid.size
-    amp = (corr / dictionary.atom_norms)              # physical amplitudes
     surface = np.abs(corr.reshape(n_tau, n_nu)) ** 2
 
-    targets: list[Target] = []
     sel: list[int] = []
     if surface.size and surface.max() > 0:
         thresh = surface.max() * 10.0 ** (detect_threshold_db / 10.0)
         peaks = _local_maxima(surface) & (surface >= thresh)
         order = np.argsort(surface[peaks])[::-1]
-        idx = np.argwhere(peaks)[order]
-        for i_tau, i_nu in idx:
-            flat = i_tau * n_nu + i_nu
-            sel.append(flat)
-            targets.append(Target(complex(amp[flat]),
-                                  float(dictionary.delay_grid[i_tau]),
-                                  float(dictionary.doppler_grid[i_nu])))
-    if sel:
-        y_hat = dictionary.atoms[:, sel] @ corr[sel]
-    else:
-        y_hat = np.zeros_like(y)
+        sel = [int(i_tau) * n_nu + int(i_nu)
+               for i_tau, i_nu in np.argwhere(peaks)[order]]
+    atoms, norms[sel] = dictionary.columns(sel)
+    amp = corr / norms                                # physical amplitudes
+    targets = [Target(complex(amp[flat]), *dictionary.cell(flat))
+               for flat in sel]
+    y_hat = atoms @ corr[sel] if sel else np.zeros_like(y)
     residual = float(np.linalg.norm(y - y_hat) ** 2)
 
     ledger = CostLedger(time_samples_used=len(rx),
                         spectral_bins_used=len(u),
                         occupied_bandwidth=u.band[1] - u.band[0])
-    # correlator bank implemented per Doppler column via FFT correlation
+    # correlator bank: one FFT correlation per Doppler column
     ledger.flop_count = n_nu * 3 * fft_flops(dictionary.length) + surface.size
     ledger.finalize()
 
     dt = 1.0 / u.sample_rate
-    raw_surface = np.abs((corr * dictionary.atom_norms).reshape(n_tau, n_nu)) * dt
+    raw_surface = np.abs((corr * norms).reshape(n_tau, n_nu)) * dt
     return EstimateReport(targets, y_hat, residual, ledger,
                           capabilities={"model": "model-free",
                                         "apriori": "none",
@@ -240,13 +318,18 @@ def omp_estimate(rx: ReceivedSignal, dictionary: Dictionary,
                         spectral_bins_used=dictionary.length,
                         occupied_bandwidth=dictionary.band[1] - dictionary.band[0],
                         apriori_inputs=["target count P"])
+    # the selected atoms, built one per iteration into a Fortran-ordered
+    # block: the layout of the copy atoms[:, selected]
+    A = np.zeros((dictionary.length, sparsity), np.complex128, order="F")
+    norms = np.empty(sparsity)
     coeffs = np.zeros(0, np.complex128)
-    for _ in range(sparsity):
-        scores = np.abs(dictionary.atoms.conj().T @ residual)
+    for k in range(sparsity):
+        scores = np.abs(dictionary.correlate(residual))
         ledger.flop_count += dictionary.n_atoms * dictionary.length
         scores[selected] = -1.0
         selected.append(int(np.argmax(scores)))
-        A_sel = dictionary.atoms[:, selected]
+        A[:, k:k + 1], norms[k:k + 1] = dictionary.columns(selected[-1:])
+        A_sel = A[:, :k + 1]
         if np.linalg.cond(A_sel.conj().T @ A_sel) > 1e12:
             raise errors.RankError("selected atoms numerically dependent")
         coeffs, *_ = np.linalg.lstsq(A_sel, y, rcond=None)
@@ -255,11 +338,9 @@ def omp_estimate(rx: ReceivedSignal, dictionary: Dictionary,
         res_history.append(float(np.linalg.norm(residual) ** 2))
     ledger.finalize()
 
-    targets = []
-    for flat, c in zip(selected, coeffs):
-        tau, nu = dictionary.cell(flat)
-        targets.append(Target(complex(c / dictionary.atom_norms[flat]), tau, nu))
-    y_hat = dictionary.atoms[:, selected] @ coeffs if selected else np.zeros_like(y)
+    targets = [Target(complex(c / n), *dictionary.cell(flat))
+               for flat, c, n in zip(selected, coeffs, norms)]
+    y_hat = A @ coeffs if selected else np.zeros_like(y)
     return EstimateReport(targets, y_hat, res_history[-1], ledger,
                           capabilities={"model": "model-based",
                                         "apriori": "target count P",

@@ -287,6 +287,12 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         problems.append(f"[estimator] doppler-bins = {cfg.doppler_bins!r}: "
                         f"kind = music cannot resolve Doppler, use "
                         f"doppler-bins = 1")
+    # MUSIC's covariance dimension is the probe length when `order` reaches
+    # it (see music_estimate's default window), and must exceed `order`
+    samples = _probe_samples(cfg)
+    if cfg.est_kind == "music" and 0 < samples <= cfg.order:
+        problems.append(f"[estimator] order = {cfg.order} must be below the "
+                        f"probe length of {samples} samples")
     # an explicit 'kind = none' and an Eb/N0 ask for opposite things
     if cfg.noise_kind == "none" and (cfg.ebn0_db is not None
                                      or cfg.sweep_parameter == "ebn0-db"):
@@ -330,6 +336,17 @@ def _sort_rows(rows):
 # ---------------------------------------------------------------------------
 # trial pipeline
 # ---------------------------------------------------------------------------
+
+def _probe_samples(cfg: ExperimentConfig) -> int:
+    """The length of the probe `_build_waveform` makes, without making it."""
+    if cfg.wf_kind == "psk":
+        return cfg.bits // cfg.bits_per_symbol * cfg.oversampling
+    if cfg.wf_kind == "chirp":
+        return int(round(cfg.duration * cfg.sample_rate))
+    if cfg.wf_kind == "ofdm":
+        return cfg.symbols * (cfg.subcarriers + cfg.cp)
+    return 0
+
 
 def _build_waveform(cfg: ExperimentConfig, rng) -> waveform.Waveform:
     if cfg.wf_kind == "psk":
@@ -646,6 +663,12 @@ def ambiguity_rows(cfg: ExperimentConfig, doppler_span: float | None = None,
     u = _build_waveform(cfg, rng)
     if doppler_span is None:
         doppler_span = 4.0 / u.duration
+        if doppler_span > u.sample_rate / 2:
+            raise errors.ValidationError([
+                f"the default --doppler-span, 4 / duration = "
+                f"{doppler_span!r} Hz, exceeds sample-rate / 2 = "
+                f"{u.sample_rate / 2!r} for a {len(u)}-sample waveform; "
+                f"pass --doppler-span"])
     dopplers = np.linspace(-doppler_span, doppler_span, n_doppler)
     amb = metrics.ambiguity(u, doppler_grid=dopplers)
     lines = ["doppler_hz,delay_s,magnitude"]

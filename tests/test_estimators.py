@@ -106,6 +106,166 @@ def test_dictionary_coherence():
     assert d.coherence() == pytest.approx(g.max())
 
 
+def _observation(u, d, targets, seed=0):
+    """The targets' echo of u plus white noise, padded to d.length."""
+    noise = scene.NoiseModel.white(1e-4 / FS, (-FS / 2, FS / 2), seed)
+    rx = scene.apply_channel(u, scene.TargetScene(tuple(targets)), noise)
+    return estimators._pad_to(rx.samples, d.length)
+
+
+_ECHOES = (scene.Target(0.9 - 0.3j, 2 / FS, 300.0),
+           scene.Target(0.4j, 5 / FS, -800.0))
+
+
+@pytest.mark.parametrize("probe, delays, dopplers", [
+    (_psk, np.arange(10) / FS, np.linspace(-1100.0, 1100.0, 12)),
+    (_ofdm, np.arange(8) / FS, np.linspace(-2e3, 2e3, 7)),
+    (_chirp, np.arange(16) / FS, np.array([0.0])),
+    (_chirp, np.array([2.5 / FS]), np.array([700.0])),
+], ids=["psk-12-doppler", "ofdm", "chirp", "one-cell"])
+def test_dictionary_correlate_equals_atom_products(probe, delays, dopplers):
+    u = probe()
+    fresh = estimators.Dictionary(u, delays, dopplers)
+    y = _observation(u, fresh, _ECHOES)
+    corr = fresh.correlate(y)
+    ref = estimators.Dictionary(u, delays, dopplers).atoms.conj().T @ y
+    np.testing.assert_allclose(corr, ref, rtol=1e-12, atol=0)
+
+
+def test_dictionary_correlate_on_fractional_delays_is_the_gemm():
+    u = _psk()
+    delays, dopplers = np.arange(9) * 0.37 / FS, np.linspace(-3e3, 3e3, 5)
+    fresh = estimators.Dictionary(u, delays, dopplers)
+    y = _observation(u, fresh, _ECHOES)
+    corr = fresh.correlate(y)
+    ref = estimators.Dictionary(u, delays, dopplers).atoms.conj().T @ y
+    assert np.array_equal(corr, ref)
+
+
+@pytest.mark.parametrize("probe, delays, dopplers", [
+    (_psk, np.arange(10) / FS, np.linspace(-1100.0, 1100.0, 12)),
+    (_ofdm, np.arange(8) / FS, np.linspace(-2e3, 2e3, 7)),
+    (_psk, np.arange(9) * 0.37 / FS, np.linspace(-3e3, 3e3, 5)),
+], ids=["psk-12-doppler", "ofdm", "fractional-delay"])
+def test_dictionary_columns_are_atom_columns(probe, delays, dopplers):
+    u = probe()
+    d = estimators.Dictionary(u, delays, dopplers)
+    cells = [7, 0, d.n_atoms - 1, 8]
+    block, norms = d.columns(cells)
+    assert "_bank" not in vars(d)
+    assert np.array_equal(block, d.atoms[:, cells])
+    assert np.array_equal(norms, d.atom_norms[cells])
+    assert block.flags.f_contiguous
+
+
+def _psk_trials(n):
+    """n harness PSK trials on the 48 x 12 grid: (probe, grids, rx)."""
+    cfg = harness.ExperimentConfig(wf_kind="psk", bits=256, oversampling=2,
+                                   delay_bins=48, doppler_bins=12,
+                                   doppler_max=1100.0, ebn0_db=10.0)
+    for trial in range(n):
+        rng = np.random.default_rng(trial)
+        u = harness._build_waveform(cfg, rng)
+        targets = (scene.Target(complex(rng.standard_normal(),
+                                        rng.standard_normal()),
+                                int(rng.integers(0, 48)) / FS,
+                                float(rng.uniform(-1100.0, 1100.0))),
+                   scene.Target(0.5, 47 / FS, 0.0))
+        rx = scene.apply_channel(u, scene.TargetScene(targets),
+                                 harness._noise_model(cfg, u, trial))
+        yield u, harness._grids(cfg, u), rx
+
+
+def _reference_omp(y, d, sparsity):
+    """OMP's residual history on the full atom matrix, refit on the copy
+    atoms[:, selected]."""
+    residual, selected, history = y, [], [float(np.linalg.norm(y) ** 2)]
+    for _ in range(sparsity):
+        scores = np.abs(d.atoms.conj().T @ residual)
+        scores[selected] = -1.0
+        selected.append(int(np.argmax(scores)))
+        A_sel = d.atoms[:, selected]
+        coeffs, *_ = np.linalg.lstsq(A_sel, y, rcond=None)
+        residual = y - A_sel @ coeffs
+        history.append(float(np.linalg.norm(residual) ** 2))
+    return history
+
+
+def test_omp_without_atoms_equals_omp_with_atoms():
+    for u, grids, rx in _psk_trials(24):
+        fresh = estimators.Dictionary(u, *grids)
+        fast = estimators.omp_estimate(rx, fresh, 3)
+        assert "_bank" not in vars(fresh)
+        built = estimators.Dictionary(u, *grids)
+        assert built.atoms.shape == (built.length, 48 * 12)
+        full = estimators.omp_estimate(rx, built, 3)
+        y = estimators._pad_to(rx.samples, built.length)
+        assert fast.diagnostics["residual_history"] == _reference_omp(
+            y, built, 3)
+        assert fast.estimated_targets == full.estimated_targets
+        assert fast.diagnostics == full.diagnostics
+        assert fast.residual_energy == full.residual_energy
+        assert np.array_equal(fast.predicted_signal, full.predicted_signal)
+        assert fast.cost == full.cost
+
+
+def test_omp_trial_builds_only_the_selected_atoms(monkeypatch):
+    def no_atoms(self):
+        raise AssertionError("the atom matrix was built")
+    calls = []
+    channel = estimators.apply_channel
+    monkeypatch.setattr(estimators.Dictionary, "_bank", property(no_atoms))
+    monkeypatch.setattr(estimators, "apply_channel",
+                        lambda *args, **kw: calls.append(args)
+                        or channel(*args, **kw))
+    cfg = harness.ExperimentConfig(wf_kind="psk", bits=256, oversampling=2,
+                                   est_kind="omp", sparsity=2, delay_bins=48,
+                                   doppler_bins=12, doppler_max=1100.0,
+                                   ebn0_db=20.0)
+    base = scene.TargetScene((scene.Target(1.0, 3 / FS, 100.0),
+                              scene.Target(0.5j, 20 / FS, -300.0)),
+                             label="two")
+    _, record = harness.run_trial(cfg, 0, base)
+    assert len(record["estimated_targets"]) == 2
+    assert len(calls) <= 1 + cfg.sparsity
+
+
+def _ofdm_with_clutter():
+    clutter = scene.generate_clutter(scene.ClutterModel(
+        2e-3, 0.05, (0.0, 7 / FS), (-2e3, 2e3)), seed=3)
+    return scene.merge_scenes(scene.TargetScene(_ECHOES), clutter).targets
+
+
+@pytest.mark.parametrize("probe, delays, dopplers, targets", [
+    (_psk, np.arange(10) / FS, np.linspace(-1100.0, 1100.0, 12), _ECHOES),
+    (_ofdm, np.arange(8) / FS, np.linspace(-2e3, 2e3, 7),
+     _ofdm_with_clutter()),
+], ids=["psk-12-doppler", "ofdm-clutter"])
+def test_matched_filter_without_atoms_matches_with_atoms(probe, delays,
+                                                         dopplers, targets):
+    # the shift path's correlations differ from the GEMM's in the last bits
+    u = probe()
+    noise = scene.NoiseModel.white(1e-4 / FS, (-FS / 2, FS / 2), 5)
+    rx = scene.apply_channel(u, scene.TargetScene(targets), noise)
+    fresh = estimators.Dictionary(u, delays, dopplers)
+    fast = estimators.matched_filter_estimate(rx, u, fresh, -20.0)
+    assert "_bank" not in vars(fresh)
+    built = estimators.Dictionary(u, delays, dopplers)
+    assert built.atoms.shape[1] == built.n_atoms
+    full = estimators.matched_filter_estimate(rx, u, built, -20.0)
+    cells = [(t.delay, t.doppler) for t in fast.estimated_targets]
+    assert len(cells) > 1
+    assert cells == [(t.delay, t.doppler) for t in full.estimated_targets]
+    np.testing.assert_allclose(
+        [t.amplitude for t in fast.estimated_targets],
+        [t.amplitude for t in full.estimated_targets], rtol=1e-12)
+    assert fast.residual_energy == pytest.approx(full.residual_energy,
+                                                 rel=1e-12)
+    np.testing.assert_allclose(fast.diagnostics["surface"],
+                               full.diagnostics["surface"], rtol=1e-12)
+    assert fast.cost == full.cost
+
+
 def test_matched_filter_exact_on_grid_noiseless():
     u = _chirp()
     h = 0.7 - 0.4j

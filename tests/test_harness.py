@@ -534,6 +534,36 @@ def test_music_with_doppler_bins_is_validation_error(tmp_path, capsys):
     assert harness.load_config(path).doppler_bins == 1
 
 
+def _music_order(probe, order):
+    return probe.replace("order = 1\n", "") + f"order = {order}\n"
+
+
+# MUSIC probes of 128 (PSK: 64 bits at 2 samples each), 64 (chirp) and 40
+# (OFDM: 2 symbols of 16 + 4 samples) samples
+@pytest.mark.parametrize("probe, samples", [
+    (_PSK_OMP.replace("kind = omp", "kind = music"), 128),
+    (_CHIRP_MUSIC, 64),
+    (_OFDM + "\n[estimator]\nkind = music\ndelay-bins = 4\n", 40),
+], ids=["psk", "chirp", "ofdm"])
+def test_music_order_at_probe_length_is_validation_error(tmp_path, capsys,
+                                                         probe, samples):
+    _write_scene(tmp_path / "scene.txt")
+    path = tmp_path / "exp.ini"
+    message = (f"order = {samples} must be below the probe length of "
+               f"{samples} samples")
+    path.write_text(_config_text(trials=1, probe=_music_order(probe, samples)))
+    with pytest.raises(errors.ValidationError, match=message):
+        harness.load_config(path)
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    # one below the probe length, the covariance dimension exceeds the order
+    path.write_text(_config_text(trials=1,
+                                 probe=_music_order(probe, samples - 1)))
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+
+
 def test_load_config_non_utf8_is_parse_error(tmp_path, capsys):
     path = tmp_path / "exp.ini"
     path.write_bytes(b"[experiment]\nschema-version = 1\n# caf\xe9\n")
@@ -570,20 +600,32 @@ def test_cli_ambiguity(tmp_path):
     assert len(values) == 3 * 255 and all(len(v) == 3 for v in values)
 
 
-@pytest.mark.parametrize("args, message", [
-    (["--doppler-bins", "0"], "--doppler-bins must be >= 1"),
-    (["--doppler-bins", "-3"], "--doppler-bins must be >= 1"),
-    (["--doppler-span", "nan"], "--doppler-span must be finite and > 0"),
-    (["--doppler-span", "inf"], "--doppler-span must be finite and > 0"),
-    (["--doppler-span", "0"], "--doppler-span must be finite and > 0"),
-    (["--doppler-span=-1e4"], "--doppler-span must be finite and > 0"),
-    (["--doppler-span", "1e9"], "exceeds sample-rate / 2 = 500000.0"),
+# a 4-sample chirp: the default span 4 / duration is above sample-rate / 2
+_CHIRP_4 = _CHIRP_MUSIC.replace("duration = 6.4e-5", "duration = 4e-6")
+
+
+@pytest.mark.parametrize("args, message, probe", [
+    (["--doppler-bins", "0"], "--doppler-bins must be >= 1", _PSK_OMP),
+    (["--doppler-bins", "-3"], "--doppler-bins must be >= 1", _PSK_OMP),
+    (["--doppler-span", "nan"], "--doppler-span must be finite and > 0",
+     _PSK_OMP),
+    (["--doppler-span", "inf"], "--doppler-span must be finite and > 0",
+     _PSK_OMP),
+    (["--doppler-span", "0"], "--doppler-span must be finite and > 0",
+     _PSK_OMP),
+    (["--doppler-span=-1e4"], "--doppler-span must be finite and > 0",
+     _PSK_OMP),
+    (["--doppler-span", "1e9"], "exceeds sample-rate / 2 = 500000.0",
+     _PSK_OMP),
+    ([], "the default --doppler-span, 4 / duration = 1000000.0 Hz, exceeds "
+         "sample-rate / 2 = 500000.0 for a 4-sample waveform; "
+         "pass --doppler-span", _CHIRP_4),
 ], ids=["bins-0", "bins-negative", "span-nan", "span-inf", "span-0",
-        "span-negative", "span-above-nyquist"])
+        "span-negative", "span-above-nyquist", "default-span-above-nyquist"])
 def test_cli_ambiguity_rejects_bad_doppler_arguments(tmp_path, capsys, args,
-                                                     message):
+                                                     message, probe):
     _write_scene(tmp_path / "scene.txt")
-    (tmp_path / "exp.ini").write_text(_config_text())
+    (tmp_path / "exp.ini").write_text(_config_text(probe=probe))
     code = cli.main(["ambiguity", "--config", str(tmp_path / "exp.ini"),
                      "--out", str(tmp_path / "out")] + args)
     assert code == 2
