@@ -72,13 +72,13 @@ class Dictionary:
     atoms of one delay are that copy (one `apply_channel` at 0 Hz) times
     each Doppler phasor e^{j2pi nu t}; the phasors are computed once.
 
-    The (length x n_atoms) atom matrix is built on first use only:
-    reading `atoms` or `atom_norms`, or calling `coherence()`, builds it on
-    any grid, and so does `correlate` when a delay is more than 1e-9 of a
-    sample away from a whole number of samples.  On a whole-sample grid
-    the atoms are shifted copies of the probe times their phasors, so
-    `correlate` runs one FFT cross-correlation per Doppler column
-    instead, and `columns` builds only the atoms an estimator keeps.
+    The grid alone picks how `correlate` computes atoms^H y.  On a
+    whole-sample grid the atoms are shifted copies of the probe times
+    their phasors, so it runs one FFT cross-correlation per Doppler
+    column; when a delay is more than 1e-9 of a sample off a whole number
+    of samples it multiplies by the (length x n_atoms) atom matrix.  That
+    matrix is built on first use only, and `columns` builds only the
+    atoms an estimator keeps.
     """
 
     def __init__(self, probe: Waveform, delay_grid, doppler_grid):
@@ -88,6 +88,12 @@ class Dictionary:
             raise errors.GridError("delay grid must be strictly increasing")
         if doppler_grid.size > 1 and not (np.diff(doppler_grid) > 0).all():
             raise errors.GridError("doppler grid must be strictly increasing")
+        # the delay check of Target, which every atom's channel would make;
+        # it comes first, since the length below needs finite delays
+        bad = delay_grid[~(np.isfinite(delay_grid) & (delay_grid >= 0))]
+        if bad.size:
+            raise ValueError(f"target delay must be finite and >= 0, "
+                             f"got {float(bad[0])}")
         self.probe = probe
         self.delay_grid = delay_grid
         self.doppler_grid = doppler_grid
@@ -105,17 +111,11 @@ class Dictionary:
             if abs(worst) > fs / 2:
                 raise errors.AliasError(
                     f"doppler {worst} Hz exceeds fs/2 = {fs / 2} Hz")
-        # the delay check of Target, which every atom's channel would make
-        bad = delay_grid[~(np.isfinite(delay_grid) & (delay_grid >= 0))]
-        if bad.size:
-            raise ValueError(f"target delay must be finite and >= 0, "
-                             f"got {float(bad[0])}")
         shifts = delay_grid * fs
         lags = np.round(shifts)
         # whole-sample lags, or None when a delay falls between samples
         self._lags = lags.astype(int) \
             if (np.abs(shifts - lags) < 1e-9).all() else None
-        self._coherence = None
 
     @cached_property
     def _phasors(self) -> np.ndarray:
@@ -131,18 +131,9 @@ class Dictionary:
 
     @cached_property
     def _bank(self) -> tuple[np.ndarray, np.ndarray]:
-        """(atoms, atom_norms) for every cell: one `apply_channel` per delay."""
-        n_nu = self.doppler_grid.size
-        A = np.zeros((self.length, self.n_atoms), np.complex128)
-        norms = np.empty(self.n_atoms)
-        for i, tau in enumerate(self.delay_grid):
-            resp = self._response(tau)
-            block = A[:resp.size, i * n_nu:(i + 1) * n_nu]
-            np.multiply(resp[:, None], self._phasors[:resp.size], out=block)
-        for k in range(self.n_atoms):
-            norms[k] = np.linalg.norm(A[:, k])
-        A /= norms
-        return A, norms
+        """(atoms, atom_norms) for every cell, atoms C-ordered."""
+        atoms, norms = self.columns(np.arange(self.n_atoms))
+        return np.ascontiguousarray(atoms), norms
 
     @property
     def atoms(self) -> np.ndarray:
@@ -152,14 +143,17 @@ class Dictionary:
     def atom_norms(self) -> np.ndarray:
         return self._bank[1]
 
-    def _shift_path(self) -> bool:
-        """True when `correlate` runs the FFT cross-correlation: every delay
-        is a whole number of samples and the atoms are not built."""
-        return self._lags is not None and "_bank" not in self.__dict__
+    @property
+    def corr_norms(self) -> np.ndarray:
+        """The norm `correlate` divides each cell's correlation by: the
+        probe's on a whole-sample grid, else the atom's."""
+        if self._lags is None:
+            return self.atom_norms
+        return np.full(self.n_atoms, np.linalg.norm(self.probe.samples))
 
     def correlate(self, y: np.ndarray) -> np.ndarray:
         """atoms^H y for an observation y of `length` samples."""
-        if not self._shift_path():
+        if self._lags is None:
             return self.atoms.conj().T @ y
         # atom (tau, nu) is the probe delayed by lag = tau * fs samples times
         # e^{j2pi nu t}, so its correlation with y is the cross-correlation
@@ -196,12 +190,10 @@ class Dictionary:
         return float(self.delay_grid[i_tau]), float(self.doppler_grid[i_nu])
 
     def coherence(self) -> float:
-        """Max off-diagonal inter-atom correlation magnitude (cached)."""
-        if self._coherence is None:
-            g = np.abs(self.atoms.conj().T @ self.atoms)
-            np.fill_diagonal(g, 0.0)
-            self._coherence = float(g.max()) if g.size else 0.0
-        return self._coherence
+        """Max off-diagonal inter-atom correlation magnitude."""
+        g = np.abs(self.atoms.conj().T @ self.atoms)
+        np.fill_diagonal(g, 0.0)
+        return float(g.max()) if g.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +250,9 @@ def matched_filter_estimate(rx: ReceivedSignal, u: Waveform,
     if dictionary.length > len(rx) + len(u):
         raise errors.GridError("dictionary grid beyond the observation window")
     y = _pad_to(rx.samples, dictionary.length)
-    # norms of the atoms the correlations are normalised by: on the shift
-    # path every whole-sample atom has the probe's norm, and the cells kept
-    # as targets get their exact norms below
-    if dictionary._shift_path():
-        norms = np.full(dictionary.n_atoms,
-                        np.linalg.norm(dictionary.probe.samples))
-    else:
-        norms = dictionary.atom_norms.copy()
+    # the norms the correlations were divided by; the cells kept as
+    # targets get their exact atom norms below
+    norms = dictionary.corr_norms.copy()
     corr = dictionary.correlate(y)                    # unit-norm correlations
     n_tau, n_nu = dictionary.delay_grid.size, dictionary.doppler_grid.size
     surface = np.abs(corr.reshape(n_tau, n_nu)) ** 2

@@ -272,7 +272,7 @@ def ambiguity(u: Waveform, delay_grid=None, doppler_grid=None) -> AmbiguityMap:
 
     Delays are taken on the sample grid (values snapped to the nearest
     sample; GridError if off-grid by more than 1e-6 of a sample period).
-    A non-finite delay or Doppler value is a GridError too.
+    An empty grid or a non-finite delay or Doppler value is a GridError too.
     FFT-accelerated over the delay axis.
     """
     fs = u.sample_rate
@@ -281,6 +281,8 @@ def ambiguity(u: Waveform, delay_grid=None, doppler_grid=None) -> AmbiguityMap:
     if delay_grid is None:
         delay_grid = np.arange(-(n - 1), n) * dt
     delay_grid = np.asarray(delay_grid, float)
+    if not delay_grid.size:
+        raise errors.GridError("delay grid is empty")
     if not np.isfinite(delay_grid).all():
         raise errors.GridError("delay grid has a non-finite value")
     lags_f = delay_grid * fs
@@ -292,6 +294,8 @@ def ambiguity(u: Waveform, delay_grid=None, doppler_grid=None) -> AmbiguityMap:
     if doppler_grid is None:
         doppler_grid = np.array([0.0])
     doppler_grid = np.asarray(doppler_grid, float)
+    if not doppler_grid.size:
+        raise errors.GridError("doppler grid is empty")
     if not np.isfinite(doppler_grid).all():
         raise errors.GridError("doppler grid has a non-finite value")
     if np.max(np.abs(doppler_grid)) > fs / 2:

@@ -216,20 +216,20 @@ class UniformPrior:
 # ---------------------------------------------------------------------------
 
 def _observables(p_tx, p_rx, orient_rx, to_tx, to_rx, cpo_tx, cpo_rx,
-                 carrier_freq, c=SPEED_OF_LIGHT):
+                 carrier_freq):
     """Noiseless observables for transmitter->receiver geometry (vectorized)."""
     diff = p_tx - p_rx
     dist = np.linalg.norm(diff, axis=-1)
-    delay = dist / c + (to_rx - to_tx)
+    delay = dist / SPEED_OF_LIGHT + (to_rx - to_tx)
     aoa = wrap_angle(np.arctan2(diff[..., 1], diff[..., 0]) - orient_rx)
-    phase = wrap_angle(2 * np.pi * carrier_freq * dist / c + (cpo_rx - cpo_tx))
+    phase = wrap_angle(2 * np.pi * carrier_freq * dist / SPEED_OF_LIGHT
+                       + (cpo_rx - cpo_tx))
     return delay, aoa, phase
 
 
 def simulate_measurements(topology: NetworkTopology, true_states: dict,
                           noise: MeasurementNoise, seed: int,
-                          carrier_freq: float = 1e9,
-                          c: float = SPEED_OF_LIGHT) -> list[PairMeasurement]:
+                          carrier_freq: float = 1e9) -> list[PairMeasurement]:
     """Bidirectional pair observables with additive Gaussian noise.
 
     Delay carries propagation plus the clock-offset difference TO_rx - TO_tx;
@@ -246,7 +246,7 @@ def simulate_measurements(topology: NetworkTopology, true_states: dict,
         tx, rx = true_states[j], true_states[jp]
         delay, aoa, phase = _observables(
             tx.position, rx.position, rx.orientation, tx.time_offset,
-            rx.time_offset, tx.cpo, rx.cpo, carrier_freq, c)
+            rx.time_offset, tx.cpo, rx.cpo, carrier_freq)
         z_delay = z_aoa = z_phase = None
         if noise.delay_std is not None:
             z_delay = float(delay + noise.delay_std * rng.standard_normal())
@@ -285,7 +285,6 @@ class FactorGraph:
     prior_factors: list[PriorFactor]
     pair_factors: list[PairFactor]
     carrier_freq: float = 1e9
-    c: float = SPEED_OF_LIGHT
 
     @property
     def n_factors(self) -> int:
@@ -320,8 +319,7 @@ class FactorGraph:
 
 def build_factor_graph(topology: NetworkTopology, priors: dict,
                        measurements, space: StateSpace | None = None,
-                       carrier_freq: float = 1e9,
-                       c: float = SPEED_OF_LIGHT) -> FactorGraph:
+                       carrier_freq: float = 1e9) -> FactorGraph:
     """Graph of |measured pairs| pair factors plus one prior factor per
     aperture, matching the posterior factorization up to proportionality."""
     space = space or StateSpace()
@@ -346,12 +344,12 @@ def build_factor_graph(topology: NetworkTopology, priors: dict,
         raise errors.TopologyError(f"masked pairs without measurements {dangling}")
     prior_factors = [PriorFactor(j, priors[j]) for j in topology.apertures]
     return FactorGraph(topology, space, prior_factors, pair_factors,
-                       carrier_freq, c)
+                       carrier_freq)
 
 
 def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
                         x_rx: np.ndarray, space: StateSpace,
-                        carrier_freq: float, c: float = SPEED_OF_LIGHT,
+                        carrier_freq: float,
                         noise_scale: float = 1.0) -> np.ndarray:
     """log f(z | theta_tx, theta_rx) for particle arrays (row-broadcastable)."""
     x_tx = np.atleast_2d(x_tx)
@@ -366,7 +364,7 @@ def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
         space.get(x_rx, "orientation"),
         space.get(x_tx, "time_offset"), space.get(x_rx, "time_offset"),
         space.get(x_tx, "cpo"), space.get(x_rx, "cpo"),
-        carrier_freq, c)
+        carrier_freq)
     lw = np.zeros(n)
     noise = meas.noise
     # an overflowing residual legitimately drives the log-weight to -inf
@@ -387,14 +385,19 @@ def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
 # particle BP
 # ---------------------------------------------------------------------------
 
+# a belief's log-weights are DAMPING times this iteration's plus the rest
+# times the previous iteration's, until it is resampled
+DAMPING = 0.5
+# a belief is resampled when its ESS falls below RESAMPLE_THRESHOLD * n
+RESAMPLE_THRESHOLD = 0.5
+
+
 @dataclass(frozen=True)
 class BPConfig:
     particle_count: int = 1000
     max_iterations: int = 50
     message_tol: float = 1e-4
-    resample_threshold: float = 0.5    # resample when ESS < threshold * n
     seed: int = 0
-    damping: float = 0.5
     # likelihood tempering: stds scaled by anneal_start * anneal_decay^iter
     # (floored at 1) to avoid weight underflow under tight likelihoods
     anneal_start: float = 1.0
@@ -405,8 +408,6 @@ class BPConfig:
             raise ValueError("particle_count must be >= 100")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0 < self.resample_threshold <= 1:
-            raise ValueError("resample_threshold must lie in (0, 1]")
         for name in ("anneal_start", "anneal_decay"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
@@ -511,7 +512,7 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
     resampled from the neighbor belief (anchors contribute their exact
     state), weights are the damped product of prior and incoming messages,
     and beliefs are resampled with kernel jitter when the effective sample
-    size drops below the configured fraction.
+    size drops below RESAMPLE_THRESHOLD * n.
     """
     space = graph.space
     top = graph.topology
@@ -565,19 +566,18 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
                 if m == j:
                     lw += pair_log_likelihood(f.measurement, parts, x_other,
                                               space, graph.carrier_freq,
-                                              graph.c, scale)
+                                              noise_scale=scale)
                 else:
                     lw += pair_log_likelihood(f.measurement, x_other, parts,
                                               space, graph.carrier_freq,
-                                              graph.c, scale)
+                                              noise_scale=scale)
             new_logw[m] = lw
 
         converged = scale == 1.0 and it > 0
         for m in top.agents:
             lw = new_logw[m]
             if prev_logw[m] is not None:
-                lw = (config.damping * lw
-                      + (1.0 - config.damping) * prev_logw[m])
+                lw = DAMPING * lw + (1.0 - DAMPING) * prev_logw[m]
             prev_logw[m] = lw.copy()
             # importance correction: particles follow logq, not the target
             lw_is = lw - logq[m]
@@ -603,7 +603,7 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
                 converged = False
             prev_means[m] = mean
 
-            if bel.ess < config.resample_threshold * n:
+            if bel.ess < RESAMPLE_THRESHOLD * n:
                 idx = _systematic_resample(w, rng)
                 old_parts = bel.particles
                 parts = old_parts[idx].copy()
@@ -705,7 +705,7 @@ def measurement_jacobian_rank(graph: FactorGraph, truth: dict,
                 states[j].position, states[jp].position,
                 states[jp].orientation, states[j].time_offset,
                 states[jp].time_offset, states[j].cpo, states[jp].cpo,
-                graph.carrier_freq, graph.c)
+                graph.carrier_freq)
             meas = f.measurement
             if meas.delay is not None:
                 obs.append(d / meas.noise.delay_std)

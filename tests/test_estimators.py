@@ -91,6 +91,10 @@ def test_dictionary_checks_doppler_and_delay_values():
         estimators.Dictionary(u, np.arange(3) / FS, np.array([np.inf]))
     with pytest.raises(ValueError, match="delay"):
         estimators.Dictionary(u, np.array([-1 / FS, 0.0]), np.array([0.0]))
+    # checked before the grid's length is computed from its largest delay
+    for delays in ([np.inf], [np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            estimators.Dictionary(u, np.array(delays), np.array([0.0]))
     # an empty grid has no atoms, and then nothing to alias
     d = estimators.Dictionary(u, np.zeros(0), np.array([6e5]))
     assert d.atoms.shape == (len(u), 0)
@@ -125,11 +129,12 @@ _ECHOES = (scene.Target(0.9 - 0.3j, 2 / FS, 300.0),
 ], ids=["psk-12-doppler", "ofdm", "chirp", "one-cell"])
 def test_dictionary_correlate_equals_atom_products(probe, delays, dopplers):
     u = probe()
-    fresh = estimators.Dictionary(u, delays, dopplers)
-    y = _observation(u, fresh, _ECHOES)
-    corr = fresh.correlate(y)
-    ref = estimators.Dictionary(u, delays, dopplers).atoms.conj().T @ y
-    np.testing.assert_allclose(corr, ref, rtol=1e-12, atol=0)
+    d = estimators.Dictionary(u, delays, dopplers)
+    y = _observation(u, d, _ECHOES)
+    corr = d.correlate(y)
+    np.testing.assert_allclose(corr, d.atoms.conj().T @ y, rtol=1e-12, atol=0)
+    # the grid alone picks the correlator: reading the atoms changes nothing
+    assert np.array_equal(d.correlate(y), corr)
 
 
 def test_dictionary_correlate_on_fractional_delays_is_the_gemm():
@@ -243,7 +248,8 @@ def _ofdm_with_clutter():
 ], ids=["psk-12-doppler", "ofdm-clutter"])
 def test_matched_filter_without_atoms_matches_with_atoms(probe, delays,
                                                          dopplers, targets):
-    # the shift path's correlations differ from the GEMM's in the last bits
+    # reading the atoms first changes nothing; the FFT correlations differ
+    # from the dense product atoms^H y in the last bits only
     u = probe()
     noise = scene.NoiseModel.white(1e-4 / FS, (-FS / 2, FS / 2), 5)
     rx = scene.apply_channel(u, scene.TargetScene(targets), noise)
@@ -253,17 +259,25 @@ def test_matched_filter_without_atoms_matches_with_atoms(probe, delays,
     built = estimators.Dictionary(u, delays, dopplers)
     assert built.atoms.shape[1] == built.n_atoms
     full = estimators.matched_filter_estimate(rx, u, built, -20.0)
-    cells = [(t.delay, t.doppler) for t in fast.estimated_targets]
-    assert len(cells) > 1
-    assert cells == [(t.delay, t.doppler) for t in full.estimated_targets]
+    assert fast.estimated_targets == full.estimated_targets
+    assert fast.residual_energy == full.residual_energy
+    assert np.array_equal(fast.diagnostics["surface"],
+                          full.diagnostics["surface"])
+    assert fast.cost == full.cost
+
+    y = estimators._pad_to(rx.samples, built.length)
+    corr = built.atoms.conj().T @ y
+    flat = [int(np.flatnonzero(delays == t.delay)[0]) * dopplers.size
+            + int(np.flatnonzero(dopplers == t.doppler)[0])
+            for t in fast.estimated_targets]
+    assert len(flat) > 1
     np.testing.assert_allclose(
         [t.amplitude for t in fast.estimated_targets],
-        [t.amplitude for t in full.estimated_targets], rtol=1e-12)
-    assert fast.residual_energy == pytest.approx(full.residual_energy,
-                                                 rel=1e-12)
-    np.testing.assert_allclose(fast.diagnostics["surface"],
-                               full.diagnostics["surface"], rtol=1e-12)
-    assert fast.cost == full.cost
+        corr[flat] / built.atom_norms[flat], rtol=1e-12)
+    surface = np.abs(corr * built.atom_norms).reshape(
+        delays.size, dopplers.size) / FS
+    np.testing.assert_allclose(fast.diagnostics["surface"], surface,
+                               rtol=1e-12)
 
 
 def test_matched_filter_exact_on_grid_noiseless():

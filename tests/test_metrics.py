@@ -234,6 +234,10 @@ def test_ambiguity_grid_errors():
             metrics.ambiguity(u, doppler_grid=np.array([0.0, bad]))
         with pytest.raises(errors.GridError, match="non-finite"):
             metrics.ambiguity(u, delay_grid=np.array([0.0, bad]))
+    with pytest.raises(errors.GridError, match="delay grid is empty"):
+        metrics.ambiguity(u, delay_grid=np.zeros(0))
+    with pytest.raises(errors.GridError, match="doppler grid is empty"):
+        metrics.ambiguity(u, doppler_grid=np.zeros(0))
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,6 @@ def test_bp_config_validation():
         sn.BPConfig(particle_count=10)
     with pytest.raises(ValueError):
         sn.BPConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        sn.BPConfig(resample_threshold=0.0)
 
 
 def _two_node_graph(delay_std=5e-10, seed=3):
