@@ -21,7 +21,7 @@ for name, u in (("chirp", chirp), ("bpsk frame", psk)):
     amb = metrics.ambiguity(u, doppler_grid=dopplers)
     print(f"--- {name} ---")
     print(f"  samples        : {n}")
-    print(f"  papr           : {waveform.to_db(waveform.papr(u)):.2f} dB")
+    print(f"  papr           : {10 * np.log10(waveform.papr(u)):.2f} dB")
     print(f"  energy         : {u.energy:.3e}")
     print(f"  peak |A(0,0)|  : {amb.peak():.3e}  (should equal the energy)")
     print(f"  volume / peak^2: {amb.volume() / amb.peak() ** 2:.4f}"

@@ -60,13 +60,13 @@ def main(argv=None) -> int:
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             print(path)
             return EXIT_OK
-        if args.command == "simulate":
+        if args.command in ("simulate", "sync"):
             store = out_dir / "reports" if cfg.store_reports else None
-            rows = harness.run_experiment(cfg, store_dir=store)
+            run = (harness.run_experiment if args.command == "simulate"
+                   else harness.run_sync)
+            rows = run(cfg, store_dir=store)
         elif args.command == "metrics":
             rows = harness.recompute_metrics(Path(args.reports), cfg)
-        elif args.command == "sync":
-            rows = harness.run_sync(cfg)
         else:
             rows = harness.run_sweep(cfg)
         for path in harness.emit_report(rows, args.format, out_dir):

@@ -189,12 +189,6 @@ class Dictionary:
         i_tau, i_nu = divmod(flat_index, self.doppler_grid.size)
         return float(self.delay_grid[i_tau]), float(self.doppler_grid[i_nu])
 
-    def coherence(self) -> float:
-        """Max off-diagonal inter-atom correlation magnitude."""
-        g = np.abs(self.atoms.conj().T @ self.atoms)
-        np.fill_diagonal(g, 0.0)
-        return float(g.max()) if g.size else 0.0
-
 
 # ---------------------------------------------------------------------------
 # estimate report
@@ -208,7 +202,6 @@ class EstimateReport:
     predicted_signal: np.ndarray
     residual_energy: float
     cost: CostLedger
-    capabilities: dict[str, str] = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -281,9 +274,6 @@ def matched_filter_estimate(rx: ReceivedSignal, u: Waveform,
     dt = 1.0 / u.sample_rate
     raw_surface = np.abs((corr * norms).reshape(n_tau, n_nu)) * dt
     return EstimateReport(targets, y_hat, residual, ledger,
-                          capabilities={"model": "model-free",
-                                        "apriori": "none",
-                                        "setup": "mono-or-multi-static"},
                           diagnostics={"surface": raw_surface})
 
 
@@ -329,9 +319,6 @@ def omp_estimate(rx: ReceivedSignal, dictionary: Dictionary,
                for flat, c, n in zip(selected, coeffs, norms)]
     y_hat = A @ coeffs if selected else np.zeros_like(y)
     return EstimateReport(targets, y_hat, res_history[-1], ledger,
-                          capabilities={"model": "model-based",
-                                        "apriori": "target count P",
-                                        "setup": "mono-or-multi-static"},
                           diagnostics={"residual_history": res_history,
                                        "support": list(selected)})
 
@@ -491,9 +478,6 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
                          + n_tau * n_nu * dim * (dim - order))
     ledger.finalize()
     return EstimateReport(targets, g_hat.reshape(M, L), residual, ledger,
-                          capabilities={"model": "model-based",
-                                        "apriori": "model order P",
-                                        "resolution": "super-resolution"},
                           diagnostics={"pseudospectrum": pseudo,
                                        "eigenvalues": evals,
                                        "noise_floor": float(

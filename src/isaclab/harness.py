@@ -21,6 +21,7 @@ _KNOWN_METRICS = {
     "delay_rmse": "s", "doppler_rmse": "Hz",
     "residual_energy": "energy", "r_squared": "ratio",
     "w_cost": "ratio", "estimator_j": "score",
+    "agent_position_error": "m", "position_rms_m": "m", "to_rms_s": "s",
 }
 
 
@@ -245,6 +246,10 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         else:
             setattr(cfg, f.name, value)
 
+    # a [sync] file without a [metrics] list lists every sync metric
+    if cfg.sync_file is not None and not parser.has_option("metrics", "list"):
+        cfg.metric_list = ("agent_position_error", "position_rms_m",
+                           "to_rms_s")
     # checks across keys
     if "experiment" not in parser:
         problems.append("missing [experiment] section")
@@ -453,19 +458,27 @@ def run_trial(cfg: ExperimentConfig, trial: int,
     elif cfg.est_kind == "omp":
         report = estimators.omp_estimate(rx, dictionary, cfg.sparsity)
     elif cfg.est_kind == "music":
-        # deconvolve to the frequency-domain response; conjugate so the
+        # fold the echo tail back onto the frame, which apply_channel's
+        # one-frame delay cap makes enough for an exact circular model;
+        # deconvolve to the frequency-domain response, conjugated so the
         # delay exponential matches the positive-exponent steering model
         n = len(u)
+        y = rx.samples[:n].copy()
+        y[:len(rx) - n] += rx.samples[n:]
         uf = np.fft.fft(u.samples)
-        yf = np.fft.fft(rx.samples[:n])
         guard = 1e-3 * np.max(np.abs(uf))
-        obs = np.conj(yf / np.where(np.abs(uf) > guard, uf, np.inf))
+        obs = np.conj(np.fft.fft(y) / np.where(np.abs(uf) > guard, uf, np.inf))
         report = estimators.music_estimate(
             obs, cfg.order, *_grids(cfg, u),
             freq_step=u.sample_rate / n)
         report.estimated_targets[:] = [
             scene.Target(np.conj(t.amplitude), t.delay, t.doppler)
             for t in report.estimated_targets]
+        # predict and score in the time domain, as the other estimators do
+        report.predicted_signal = estimators._pad_to(scene.apply_channel(
+            u, scene.TargetScene(report.estimated_targets)).samples, len(rx))
+        report.residual_energy = float(
+            np.linalg.norm(rx.samples - report.predicted_signal) ** 2)
 
     # every generated waveform has a layout; a chirp carries no bits
     tx_bits, decoded = u.layout.data_bits, np.zeros(0, np.uint8)
@@ -503,10 +516,25 @@ def run_trial(cfg: ExperimentConfig, trial: int,
     return metric_rows(record, cfg), record
 
 
+def run_sync_trial(cfg: ExperimentConfig, trial: int,
+                   scenario: syncnet.SyncScenario,
+                   ) -> tuple[list[ResultRow], dict]:
+    """One sync trial on the parsed `[sync]` file: measurements -> particle
+    BP -> record (each agent's position error, the network RMS) -> rows."""
+    seed = derive_seed(cfg.master_seed, trial, "sync")
+    _, _, report = syncnet.run_sync_scenario(scenario, seed=seed)
+    record = {"trial": trial, "seed": seed, "estimator": "bp",
+              "scenario": Path(cfg.sync_file).stem, **report.pop("rms"),
+              "agent_position_error": [[j, row["position_error_m"]]
+                                       for j, row in sorted(report.items())]}
+    return metric_rows(record, cfg), record
+
+
 def _metric_value(name: str, rec: dict, cfg: ExperimentConfig):
     """One formula per metric, reading only the trial record; None means
     the metric does not apply to this trial and yields no row."""
-    if name in ("papr", "residual_energy", "r_squared"):
+    if name in ("papr", "residual_energy", "r_squared", "position_rms_m",
+                "to_rms_s"):
         return rec[name]
     tx = np.asarray(rec["tx_bits"], np.uint8)
     de = np.asarray(rec["decoded_bits"], np.uint8)
@@ -544,15 +572,21 @@ def _metric_value(name: str, rec: dict, cfg: ExperimentConfig):
 
 def metric_rows(rec: dict, cfg: ExperimentConfig, source="trial record",
                 ) -> list[ResultRow]:
-    """The rows of every listed metric of one trial record."""
+    """The rows of every listed metric of one trial record;
+    `agent_position_error` yields one `agent{j}_position_error` row per
+    agent j."""
     rows = []
     for name in cfg.metric_list:
         try:
-            value = _metric_value(name, rec, cfg)
-            if value is not None:
-                rows.append(ResultRow(rec["trial"], rec["scenario"],
-                                      rec["estimator"], name, value,
-                                      _KNOWN_METRICS[name], rec["seed"]))
+            if name == "agent_position_error":
+                values = [(f"agent{j}_position_error", err)
+                          for j, err in rec[name]]
+            else:
+                values = [(name, _metric_value(name, rec, cfg))]
+            rows += [ResultRow(rec["trial"], rec["scenario"], rec["estimator"],
+                               metric, value, _KNOWN_METRICS[name],
+                               rec["seed"])
+                     for metric, value in values if value is not None]
         except KeyError as exc:
             raise errors.ValidationError(
                 [f"{source}: metric {name!r} needs {exc.args[0]!r}, "
@@ -564,32 +598,37 @@ def metric_rows(rec: dict, cfg: ExperimentConfig, source="trial record",
 # experiment drivers
 # ---------------------------------------------------------------------------
 
-def run_experiment(cfg: ExperimentConfig, store_dir: Path | None = None,
-                   ) -> list[ResultRow]:
-    """Monte Carlo simulate sweep; rows deterministic given (config, seed)."""
-    base = None if cfg.scene_file is None else \
-        scene.load_scene(cfg.base_dir / cfg.scene_file)
-
-    def one(trial):
-        return run_trial(cfg, trial, base)
-
+def _run_trials(cfg: ExperimentConfig, trial, store_dir: Path | None,
+                ) -> list[ResultRow]:
+    """The one trial driver: `trial(t)` returns trial t's rows and record.
+    Trials run on `cfg.workers` threads, each record is stored as
+    ``report_<trial>.json`` under `store_dir`, and the rows come back
+    sorted, so they are deterministic given (config, seed)."""
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(one, range(cfg.trials)))
+            results = list(pool.map(trial, range(cfg.trials)))
     else:
-        results = [one(t) for t in range(cfg.trials)]
-    rows = [r for rows_t, _ in results for r in rows_t]
+        results = [trial(t) for t in range(cfg.trials)]
     if store_dir is not None:
         store_dir.mkdir(parents=True, exist_ok=True)
         for _, doc in results:
             out = store_dir / f"report_{doc['trial']:05d}.json"
             out.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-    return _sort_rows(rows)
+    return _sort_rows(r for rows, _ in results for r in rows)
+
+
+def run_experiment(cfg: ExperimentConfig, store_dir: Path | None = None,
+                   ) -> list[ResultRow]:
+    """Monte Carlo simulate trials; the scene file is parsed once."""
+    base = None if cfg.scene_file is None else \
+        scene.load_scene(cfg.base_dir / cfg.scene_file)
+    # run_trial is looked up at call time, so a rebound one is used
+    return _run_trials(cfg, lambda t: run_trial(cfg, t, base), store_dir)
 
 
 def recompute_metrics(report_dir: Path, cfg: ExperimentConfig) -> list[ResultRow]:
     """Recompute metric rows from stored per-trial records, through the same
-    ``metric_rows`` as ``run_experiment``."""
+    ``metric_rows`` as ``run_experiment`` and ``run_sync``."""
     rows = []
     files = sorted(Path(report_dir).glob("report_*.json"))
     if not files:
@@ -617,28 +656,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     return _sort_rows(rows)
 
 
-def run_sync(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Syncnet scenario trials; per-agent errors plus network RMS rows."""
+def run_sync(cfg: ExperimentConfig, store_dir: Path | None = None,
+             ) -> list[ResultRow]:
+    """Syncnet scenario trials; the sync file is parsed once."""
     if cfg.sync_file is None:
         raise errors.ValidationError(["[sync] file is required"])
     scenario = syncnet.load_sync_scenario(cfg.base_dir / cfg.sync_file)
-    tag = Path(cfg.sync_file).stem
-    rows = []
-    for trial in range(cfg.trials):
-        seed = derive_seed(cfg.master_seed, trial, "sync")
-        _, _, report = syncnet.run_sync_scenario(scenario, seed=seed)
-        for j, metrics_row in report.items():
-            if j == "rms":
-                # each RMS name ends in its unit: position_rms_m, to_rms_s
-                for k, v in metrics_row.items():
-                    rows.append(ResultRow(trial, tag, "bp", k, float(v),
-                                          k.rsplit("_", 1)[1], seed))
-            else:
-                rows.append(ResultRow(trial, tag, "bp",
-                                      f"agent{j}_position_error",
-                                      float(metrics_row["position_error_m"]),
-                                      "m", seed))
-    return _sort_rows(rows)
+    return _run_trials(cfg, lambda t: run_sync_trial(cfg, t, scenario),
+                       store_dir)
 
 
 def ambiguity_rows(cfg: ExperimentConfig, doppler_span: float | None = None,

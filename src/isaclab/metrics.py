@@ -32,14 +32,6 @@ class ParameterVector:
             raise errors.LayoutMismatch(
                 f"{self.values.size} values vs {len(self.layout)} labels")
 
-    @classmethod
-    def from_targets(cls, targets) -> "ParameterVector":
-        vals, labels = [], []
-        for i, t in enumerate(targets):
-            vals += [t.amplitude.real, t.amplitude.imag, t.delay, t.doppler]
-            labels += [f"re_h[{i}]", f"im_h[{i}]", f"tau[{i}]", f"nu[{i}]"]
-        return cls(np.array(vals), tuple(labels))
-
 
 @dataclass(frozen=True)
 class AmbiguityMap:

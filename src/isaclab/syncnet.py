@@ -828,6 +828,9 @@ def load_sync_scenario(path) -> SyncScenario:
         raise errors.ParseError(
             f"{path}: no 'noise:' line, so nothing is observed")
     anchors = tuple(j for j, a in apertures.items() if a[0])
+    if len(anchors) == len(apertures):
+        raise errors.ParseError(
+            f"{path}: every aperture is an anchor, so nothing is estimated")
     states = {j: ApertureState(j, np.array(a[1:3]), orientation=a[3],
                                time_offset=a[4], cpo=a[5])
               for j, a in apertures.items()}
@@ -869,7 +872,8 @@ def default_agent_prior(scenario: SyncScenario) -> dict:
 def run_sync_scenario(scenario: SyncScenario, seed: int | None = None):
     """Simulate measurements, run BP, and report errors.
 
-    Returns (estimates dict, beliefs dict, error report).
+    Returns (estimates dict, beliefs dict, error report).  Anchors are
+    estimated by their known states, so the report covers the agents only.
     """
     cfg = scenario.config if seed is None else replace(scenario.config, seed=seed)
     meas_seed = cfg.seed
@@ -880,12 +884,9 @@ def run_sync_scenario(scenario: SyncScenario, seed: int | None = None):
                                default_agent_prior(scenario), measurements,
                                scenario.space, scenario.carrier_freq)
     beliefs = run_loopy_bp(graph, cfg)
-    estimates = {}
-    for j in scenario.topology.apertures:
-        if j in scenario.topology.anchors:
-            estimates[j] = scenario.true_states[j]
-        else:
-            estimates[j] = estimate_mmse(beliefs[j], scenario.space, j)
-    truth_positions = {j: scenario.true_states[j] for j in estimates}
-    report = sync_error_report(estimates, truth_positions)
+    truth = scenario.true_states
+    agents = {j: estimate_mmse(beliefs[j], scenario.space, j)
+              for j in scenario.topology.agents}
+    report = sync_error_report(agents, {j: truth[j] for j in agents})
+    estimates = {**{j: truth[j] for j in scenario.topology.anchors}, **agents}
     return estimates, beliefs, report

@@ -254,10 +254,6 @@ def papr(u: Waveform | np.ndarray) -> float:
     return float(p.max() / p.mean())
 
 
-def to_db(ratio: float) -> float:
-    return float(10.0 * np.log10(ratio))
-
-
 def spectrum_profile(u: Waveform) -> SpectrumProfile:
     """Periodogram PSD; Parseval-exact (integrates to the signal power)."""
     n = len(u)

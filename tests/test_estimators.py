@@ -102,14 +102,6 @@ def test_dictionary_checks_doppler_and_delay_values():
     assert d.atoms.shape == (len(u) + 2, 0)
 
 
-def test_dictionary_coherence():
-    u = _chirp()
-    d = _dictionary(u, 4)
-    g = np.abs(d.atoms.conj().T @ d.atoms)
-    np.fill_diagonal(g, 0.0)
-    assert d.coherence() == pytest.approx(g.max())
-
-
 def _observation(u, d, targets, seed=0):
     """The targets' echo of u plus white noise, padded to d.length."""
     noise = scene.NoiseModel.white(1e-4 / FS, (-FS / 2, FS / 2), seed)
@@ -319,7 +311,7 @@ def test_matched_filter_capabilities_and_cost():
     rx = scene.apply_channel(u, scene.TargetScene(
         (scene.Target(1.0, 0.0, 0.0),)))
     rep = estimators.matched_filter_estimate(rx, u, _dictionary(u))
-    assert rep.capabilities["apriori"] == "none"
+    assert rep.cost.apriori_inputs == []
     assert rep.cost.cost_vector["flops"] > 0
     assert rep.cost.cost_vector["bandwidth_hz"] == pytest.approx(4e5)
 
@@ -388,7 +380,7 @@ def test_music_two_targets():
     assert got[1].delay == pytest.approx(7.2e-6)
     assert got[1].doppler == pytest.approx(-75.0)
     assert got[0].amplitude == pytest.approx(0.8 + 0.3j, abs=0.05)
-    assert rep.capabilities["apriori"] == "model order P"
+    assert rep.cost.apriori_inputs == ["model order P"]
     assert "pseudospectrum" in rep.diagnostics
 
 

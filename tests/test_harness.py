@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isaclab import cli, errors, estimators, harness, scene
+from isaclab import cli, errors, estimators, harness, scene, waveform
 
 
 def test_splitmix64_known_vector():
@@ -675,3 +675,118 @@ file = net.txt
     units = {line.split(",")[3]: line.split(",")[5]
              for line in text.splitlines()[1:]}
     assert units["position_rms_m"] == "m" and units["to_rms_s"] == "s"
+    assert "agent0_position_error" not in text      # anchors are not scored
+    assert harness.load_config(tmp_path / "exp.ini").metric_list == (
+        "agent_position_error", "position_rms_m", "to_rms_s")
+
+
+# 3 anchors and 2 agents; 300 particles keep each trial short
+_SYNC_NET = """sync-version: 1
+components: position
+scene-box: 0 50 0 50
+aperture: 0 anchor 0 0 0 0 0
+aperture: 1 anchor 50 0 0 0 0
+aperture: 2 anchor 0 50 0 0 0
+aperture: 3 agent 20 30 0 0 0
+aperture: 4 agent 35 15 0 0 0
+measure: all
+noise: delay 1e-9
+bp-particles: 300
+bp-iterations: 15
+anneal-start: 1e4
+"""
+
+
+def _sync_config(tmp_path, trials=1, experiment="", metrics=None):
+    (tmp_path / "net.txt").write_text(_SYNC_NET)
+    listed = "" if metrics is None else f"\n[metrics]\nlist = {metrics}\n"
+    (tmp_path / "exp.ini").write_text(f"""[experiment]
+schema-version = 1
+trials = {trials}
+master-seed = 5
+{experiment}
+[sync]
+file = net.txt
+{listed}""")
+    return str(tmp_path / "exp.ini")
+
+
+def test_cli_metrics_reproduces_sync_bytes(tmp_path):
+    ini = _sync_config(tmp_path, trials=2, experiment="store-reports = true")
+    assert cli.main(["sync", "--config", ini,
+                     "--out", str(tmp_path / "sync")]) == 0
+    assert (tmp_path / "sync" / "reports" / "report_00001.json").exists()
+    assert cli.main(["metrics", "--config", ini,
+                     "--reports", str(tmp_path / "sync" / "reports"),
+                     "--out", str(tmp_path / "re")]) == 0
+    rows = (tmp_path / "sync" / "rows.csv").read_bytes()
+    assert rows == (tmp_path / "re" / "rows.csv").read_bytes()
+    metrics = [line.split(",")[3] for line in rows.decode().splitlines()[1:]]
+    assert metrics == 2 * ["agent3_position_error", "agent4_position_error",
+                           "position_rms_m", "to_rms_s"]
+
+
+def test_sync_rows_identical_at_any_worker_count(tmp_path):
+    ini = _sync_config(tmp_path, trials=3)
+    for workers in ("1", "2"):
+        assert cli.main(["sync", "--config", ini, "--workers", workers,
+                         "--out", str(tmp_path / workers)]) == 0
+    one = (tmp_path / "1" / "rows.csv").read_bytes()
+    assert one == (tmp_path / "2" / "rows.csv").read_bytes()
+    assert {line.split(",")[0] for line in one.decode().splitlines()[1:]} \
+        == {"0", "1", "2"}
+
+
+def test_sync_metric_list_selects_rows(tmp_path):
+    ini = _sync_config(tmp_path, metrics="position_rms_m")
+    assert cli.main(["sync", "--config", ini,
+                     "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "rows.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[3:6:2] for line in lines] \
+        == [["position_rms_m", "m"]]
+
+
+def test_sync_with_simulate_metric_exits_2(tmp_path, capsys):
+    ini = _sync_config(tmp_path, metrics="ber")
+    assert cli.main(["sync", "--config", ini,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "'ber' needs 'tx_bits'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "rows.csv").exists()
+
+
+# a 512-sample chirp whose echoes at 84 and 92 samples overrun the frame
+_CHIRP_ECHOES = _CHIRP_MUSIC.replace("bandwidth = 4e5", "bandwidth = 8e5") \
+    .replace("duration = 6.4e-5", "duration = 5.12e-4") \
+    .replace("order = 1", "order = 2").replace("delay-bins = 16",
+                                               "delay-bins = 256")
+
+
+def _music_echo_config(tmp_path, noise):
+    truth = scene.TargetScene((scene.Target(-0.986 - 0.169j, 84e-6, 0.0),
+                               scene.Target(0.769 + 0.268j, 92e-6, 0.0)))
+    scene.save_scene(truth, tmp_path / "scene.txt")
+    text = _config_text(trials=3, probe=_CHIRP_ECHOES,
+                        metrics="residual_energy, r_squared")
+    (tmp_path / "exp.ini").write_text(text.replace(
+        "kind = white\nlevel = 1e-10", noise))
+    return harness.load_config(tmp_path / "exp.ini"), truth
+
+
+def test_music_trial_fits_the_whole_echo_in_the_time_domain(tmp_path):
+    cfg, truth = _music_echo_config(tmp_path, "kind = none")
+    rows, record = harness.run_trial(cfg, 0, truth)
+    est = sorted(record["estimated_targets"], key=lambda t: t[2])
+    for (re, im, tau, _), t in zip(est, truth.targets):
+        assert tau == t.delay
+        assert abs(complex(re, im) - t.amplitude) < 1e-9
+    rx = scene.apply_channel(waveform.generate_chirp(8e5, 5.12e-4, 1e6), truth)
+    assert record["residual_energy"] \
+        < 1e-20 * np.linalg.norm(rx.samples) ** 2
+    assert record["r_squared"] == pytest.approx(1.0)
+
+
+def test_music_r_squared_at_30_db(tmp_path):
+    cfg, _ = _music_echo_config(tmp_path, "ebn0-db = 30")
+    rows = harness.run_experiment(cfg)
+    r2 = [r.value for r in rows if r.metric == "r_squared"]
+    assert len(r2) == 3 and min(r2) > 0.9

@@ -32,13 +32,6 @@ def test_mse_sample_layout_mismatch():
         metrics.mse_sample(truth, [metrics.ParameterVector([1.0], ("b",))])
 
 
-def test_parameter_vector_from_targets():
-    pv = metrics.ParameterVector.from_targets(
-        [scene.Target(1 - 2j, 3e-6, 40.0)])
-    assert np.allclose(pv.values, [1.0, -2.0, 3e-6, 40.0])
-    assert pv.layout == ("re_h[0]", "im_h[0]", "tau[0]", "nu[0]")
-
-
 def test_crlb_numeric_gaussian_mean():
     # N Gaussian samples of known variance: Fisher = N / sigma^2 exactly
     sigma2, n = 2.0, 16

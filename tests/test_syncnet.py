@@ -385,6 +385,10 @@ anneal-start: 1e4
     p.write_text("sync-version: 1\naperture: 0 unknown 0 0 0 0 0\n")
     with pytest.raises(errors.ParseError, match=":2"):
         sn.load_sync_scenario(p)
+    p.write_text("sync-version: 1\naperture: 0 anchor 0 0 0 0 0\n"
+                 "noise: delay 1e-9\n")
+    with pytest.raises(errors.ParseError, match="every aperture is an anchor"):
+        sn.load_sync_scenario(p)
 
 
 def test_run_sync_scenario_end_to_end(tmp_path):
@@ -408,6 +412,33 @@ anneal-decay: 0.4
     est, beliefs, report = sn.run_sync_scenario(scn, seed=4)
     assert report[3]["position_error_m"] < 1.0
     assert set(est) == {0, 1, 2, 3}
+
+
+def test_run_sync_scenario_reports_agents_only(tmp_path):
+    p = tmp_path / "net.txt"
+    p.write_text("""sync-version: 1
+components: position
+scene-box: 0 50 0 50
+aperture: 0 anchor 0 0 0 0 0
+aperture: 1 anchor 50 0 0 0 0
+aperture: 2 anchor 0 50 0 0 0
+aperture: 3 agent 20 30 0 0 0
+aperture: 4 agent 35 15 0 0 0
+measure: all
+noise: delay 1e-9
+bp-particles: 300
+bp-iterations: 15
+anneal-start: 1e4
+""")
+    scn = sn.load_sync_scenario(p)
+    est, _, report = sn.run_sync_scenario(scn, seed=2)
+    # anchors are estimated by their known states, so they are not scored
+    assert set(report) == {3, 4, "rms"}
+    errs = [np.linalg.norm(est[j].position - scn.true_states[j].position)
+            for j in (3, 4)]
+    assert [report[j]["position_error_m"] for j in (3, 4)] == errs
+    assert report["rms"]["position_rms_m"] \
+        == pytest.approx(np.sqrt(np.mean(np.square(errs))), rel=1e-12)
 
 
 def test_bp_tree_matches_grid_marginal():
