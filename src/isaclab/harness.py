@@ -523,11 +523,18 @@ def run_sync_trial(cfg: ExperimentConfig, trial: int,
     BP -> record (each agent's position error, the network RMS) -> rows."""
     seed = derive_seed(cfg.master_seed, trial, "sync")
     _, _, report = syncnet.run_sync_scenario(scenario, seed=seed)
-    record = {"trial": trial, "seed": seed, "estimator": "bp",
-              "scenario": Path(cfg.sync_file).stem, **report.pop("rms"),
-              "agent_position_error": [[j, row["position_error_m"]]
-                                       for j, row in sorted(report.items())]}
+    record = _sync_record(cfg, trial, seed, report)
     return metric_rows(record, cfg), record
+
+
+def _sync_record(cfg: ExperimentConfig, trial: int, seed: int,
+                 report: dict) -> dict:
+    """The record of one sync trial from its `syncnet.sync_error_report`."""
+    report = dict(report)
+    return {"trial": trial, "seed": seed, "estimator": "bp",
+            "scenario": Path(cfg.sync_file).stem, **report.pop("rms"),
+            "agent_position_error": [[j, row["position_error_m"]]
+                                     for j, row in sorted(report.items())]}
 
 
 def _metric_value(name: str, rec: dict, cfg: ExperimentConfig):
@@ -662,6 +669,11 @@ def run_sync(cfg: ExperimentConfig, store_dir: Path | None = None,
     if cfg.sync_file is None:
         raise errors.ValidationError(["[sync] file is required"])
     scenario = syncnet.load_sync_scenario(cfg.base_dir / cfg.sync_file)
+    # a listed metric that no sync record holds exits before any BP runs: the
+    # truth scored against itself gives a record with every key of a trial's
+    truth = {j: scenario.true_states[j] for j in scenario.topology.agents}
+    metric_rows(_sync_record(cfg, 0, 0,
+                             syncnet.sync_error_report(truth, truth)), cfg)
     return _run_trials(cfg, lambda t: run_sync_trial(cfg, t, scenario),
                        store_dir)
 

@@ -351,7 +351,11 @@ def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
                         x_rx: np.ndarray, space: StateSpace,
                         carrier_freq: float,
                         noise_scale: float = 1.0) -> np.ndarray:
-    """log f(z | theta_tx, theta_rx) for particle arrays (row-broadcastable)."""
+    """log f(z | theta_tx, theta_rx) for particle arrays (row-broadcastable).
+
+    Only the observables the measurement holds are computed, each with the
+    arithmetic of `_observables`.
+    """
     x_tx = np.atleast_2d(x_tx)
     x_rx = np.atleast_2d(x_rx)
     n = max(x_tx.shape[0], x_rx.shape[0])
@@ -359,23 +363,26 @@ def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
         x_tx = np.broadcast_to(x_tx, (n, x_tx.shape[1]))
     if x_rx.shape[0] == 1:
         x_rx = np.broadcast_to(x_rx, (n, x_rx.shape[1]))
-    delay, aoa, phase = _observables(
-        space.get(x_tx, "position"), space.get(x_rx, "position"),
-        space.get(x_rx, "orientation"),
-        space.get(x_tx, "time_offset"), space.get(x_rx, "time_offset"),
-        space.get(x_tx, "cpo"), space.get(x_rx, "cpo"),
-        carrier_freq)
+    diff = space.get(x_tx, "position") - space.get(x_rx, "position")
+    dist = np.linalg.norm(diff, axis=-1)
     lw = np.zeros(n)
     noise = meas.noise
     # an overflowing residual legitimately drives the log-weight to -inf
     with np.errstate(over="ignore"):
         if meas.delay is not None:
+            delay = dist / SPEED_OF_LIGHT + (space.get(x_rx, "time_offset")
+                                             - space.get(x_tx, "time_offset"))
             s = noise.delay_std * noise_scale
             lw += -0.5 * ((meas.delay - delay) / s) ** 2
         if meas.aoa is not None:
+            aoa = wrap_angle(np.arctan2(diff[..., 1], diff[..., 0])
+                             - space.get(x_rx, "orientation"))
             s = noise.aoa_std * noise_scale
             lw += -0.5 * (wrap_angle(meas.aoa - aoa) / s) ** 2
         if meas.phase is not None:
+            phase = wrap_angle(2 * np.pi * carrier_freq * dist / SPEED_OF_LIGHT
+                               + (space.get(x_rx, "cpo")
+                                  - space.get(x_tx, "cpo")))
             s = noise.phase_std * noise_scale
             lw += -0.5 * (wrap_angle(meas.phase - phase) / s) ** 2
     return lw
@@ -465,39 +472,69 @@ def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
     return np.searchsorted(cum, positions)
 
 
+# bytes of the one exponent block `_kde_log_density` reuses for every row
+# block: the block and its circular scratch stay in a 4 MiB L2 cache
+_KDE_BLOCK_BYTES = 768 * 1024
+# the log-weight of a zero-weight centre: finite, so no -inf meets a 0 in
+# the product, and far below exp's range, so its term is exactly 0
+_LOG_ZERO_WEIGHT = -1e300
+
+
 def _kde_log_density(x_eval, centers, weights, h, circular_mask):
     """log of the weighted Gaussian-mixture density (the jittered-resample
     proposal) at each evaluation point.
 
-    Linear dims use the expanded quadratic form, so each chunk is one GEMM
-    ``x·cᵀ − ½|x|² − ½|c|²`` with no difference tensor. Both point sets are
-    first centred on the weighted mean of the centres and scaled by h: h
-    shrinks to millimetres while coordinates are tens of metres, and the
-    uncentred |x/h|² ≈ 1e9 would cancel catastrophically. Circular dims
-    keep wrapped differences. log w is folded in before the row maximum,
-    so the largest term of every row is exp(0) and no row underflows.
+    Linear dims use the expanded quadratic form with no difference tensor.
+    Both point sets are first centred on the weighted mean of the centres
+    and scaled by h: h shrinks to millimetres while coordinates are tens of
+    metres, and the uncentred |x/h|² ≈ 1e9 would cancel catastrophically.
+    The operands are augmented, ``a = [x, 1, ½|x|²]`` and
+    ``b = [c, log w − ½|c|², −1]``, so one product ``a·bᵀ`` is the whole
+    exponent ``x·c + log w − ½|c|² − ½|x|²``. A zero weight's log w is
+    ``_LOG_ZERO_WEIGHT``, not −inf, so no −inf enters the product; the
+    centre stays in the row sums, which keeps their summation order.
+
+    The evaluation points go through in row blocks of about
+    ``_KDE_BLOCK_BYTES`` of exponents, in one reused buffer: product, row
+    maximum, shift, exp and sum all run while the block is in cache, and
+    no n_eval × n_centres array is formed. Circular dims subtract
+    ``½(min(|Δ|, 2π − |Δ|)/h)²`` per block and per dim. That is the
+    squared wrapped difference only because both inputs are already
+    wrapped into (−π, π], which the caller must ensure. log w is folded in
+    before the row maximum, so the largest term of every row is exp(0) and
+    no row underflows.
     """
     lin = ~circular_mask
     mu = weights @ centers[:, lin]
     xe = (x_eval[:, lin] - mu) / h[lin]
     ce = (centers[:, lin] - mu) / h[lin]
     with np.errstate(divide="ignore"):
-        col = np.log(weights) - 0.5 * np.sum(ce * ce, axis=1)
-    row = 0.5 * np.sum(xe * xe, axis=1)
-    xc, cc, hc = (x_eval[:, circular_mask], centers[:, circular_mask],
-                  h[circular_mask])
-    n_eval = x_eval.shape[0]
+        log_w = np.maximum(np.log(weights), _LOG_ZERO_WEIGHT)
+    a = np.column_stack([xe, np.ones(len(xe)), 0.5 * np.sum(xe * xe, axis=1)])
+    b = np.column_stack([ce, log_w - 0.5 * np.sum(ce * ce, axis=1),
+                         np.full(len(ce), -1.0)])
+    xc, cc = x_eval[:, circular_mask], centers[:, circular_mask]
+    half_inv_h2 = 0.5 / h[circular_mask] ** 2
+    n_eval, n_c = x_eval.shape[0], centers.shape[0]
+    rows = max(1, _KDE_BLOCK_BYTES // (8 * n_c))
+    buf = np.empty((min(rows, n_eval), n_c))
+    if xc.shape[1]:
+        wrap, rest = np.empty_like(buf), np.empty_like(buf)
     out = np.empty(n_eval)
     log_norm = float(np.sum(np.log(h)) + 0.5 * h.size * np.log(2 * np.pi))
-    chunk = max(1, int(2e6) // max(centers.shape[0], 1))
-    for start in range(0, n_eval, chunk):
-        sl = slice(start, min(start + chunk, n_eval))
-        q = xe[sl] @ ce.T
-        q += col
-        q -= row[sl, None]
-        if hc.size:
-            diff = wrap_angle(xc[sl, None, :] - cc[None, :, :]) / hc
-            q -= 0.5 * np.sum(diff * diff, axis=2)
+    for start in range(0, n_eval, rows):
+        sl = slice(start, min(start + rows, n_eval))
+        q = buf[:sl.stop - start]
+        np.matmul(a[sl], b.T, out=q)
+        for k in range(xc.shape[1]):
+            d, e = wrap[:len(q)], rest[:len(q)]
+            np.subtract(xc[sl, k, None], cc[:, k], out=d)
+            np.abs(d, out=d)
+            np.subtract(2 * np.pi, d, out=e)
+            np.minimum(d, e, out=d)
+            d *= d
+            d *= half_inv_h2[k]
+            q -= d
         peak = q.max(axis=1)
         q -= peak[:, None]
         np.exp(q, out=q)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from isaclab import cli, errors, estimators, harness, scene, waveform
+from isaclab import (cli, errors, estimators, harness, scene, syncnet,
+                     waveform)
 
 
 def test_splitmix64_known_vector():
@@ -746,7 +747,11 @@ def test_sync_metric_list_selects_rows(tmp_path):
         == [["position_rms_m", "m"]]
 
 
-def test_sync_with_simulate_metric_exits_2(tmp_path, capsys):
+def test_sync_with_simulate_metric_exits_2(tmp_path, capsys, monkeypatch):
+    def no_bp(*args, **kwargs):
+        raise AssertionError("particle BP ran before the metric check")
+
+    monkeypatch.setattr(syncnet, "run_sync_scenario", no_bp)
     ini = _sync_config(tmp_path, metrics="ber")
     assert cli.main(["sync", "--config", ini,
                      "--out", str(tmp_path / "out")]) == 2

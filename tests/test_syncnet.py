@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,32 @@ def test_pair_log_likelihood_scalar_oracle():
     assert lw2[0] == pytest.approx(expect / 100.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("held", ["delay", "aoa", "phase",
+                                  "delay aoa phase"])
+def test_pair_log_likelihood_equals_observables(held):
+    # each held observable is computed as _observables computes it
+    space = sn.StateSpace(("position", "orientation", "time_offset", "cpo"))
+    noise = sn.MeasurementNoise(delay_std=2e-9, aoa_std=0.05, phase_std=0.3)
+    z = {"delay": 4e-8, "aoa": 3.1, "phase": -3.0}
+    meas = sn.PairMeasurement((0, 1), *(z[k] if k in held.split() else None
+                                        for k in z), noise)
+    x_tx = _mixed_particles(np.random.default_rng(8), 300)
+    x_rx = np.array([[56.0, 48.0, -3.1, 2e-9, 3.0]])
+    d, a, p = sn._observables(
+        x_tx[:, :2], x_rx[:, :2], x_rx[:, 2], x_tx[:, 3], x_rx[:, 3],
+        x_tx[:, 4], x_rx[:, 4], 2.4e9)
+    expect = np.zeros(300)
+    for key, obs in zip(z, (d, a, p)):
+        if key in held.split():
+            res = z[key] - obs
+            std = getattr(noise, f"{key}_std") * 3.0
+            expect += -0.5 * ((res if key == "delay"
+                               else sn.wrap_angle(res)) / std) ** 2
+    got = sn.pair_log_likelihood(meas, x_tx, x_rx, space, 2.4e9,
+                                 noise_scale=3.0)
+    np.testing.assert_array_equal(got, expect)
+
+
 def test_bp_config_validation():
     with pytest.raises(ValueError):
         sn.BPConfig(particle_count=10)
@@ -233,34 +261,62 @@ def _mixed_particles(rng, n):
 
 
 @pytest.mark.parametrize("case", ["mm-bandwidth", "mixed-circular",
-                                  "zero-weights", "chunked"])
+                                  "zero-weights", "chunked", "one-weight",
+                                  "eval-circular"])
 def test_kde_log_density_matches_difference_tensor(case):
     rng = np.random.default_rng(17)
     n = 400
     space = sn.StateSpace(("position",))
     if case == "mm-bandwidth":
         centers = np.array([50.0, 60.0]) + 1e-3 * rng.standard_normal((n, 2))
-    elif case == "mixed-circular":
+    elif case in ("mixed-circular", "eval-circular"):
         space = sn.StateSpace(("position", "orientation", "time_offset",
                                "cpo"))
         centers = _mixed_particles(rng, n)
-    elif case == "zero-weights":
+    elif case in ("zero-weights", "one-weight"):
         centers = np.array([50.0, 60.0]) + 30.0 * rng.standard_normal((n, 2))
     else:
         centers = np.array([50.0, 60.0]) + rng.standard_normal((2500, 2))
     x_eval = centers
     if case == "chunked":
-        # 2500 centres give chunks of 800 rows, so 1700 rows take three
-        x_eval = np.array([50.0, 60.0]) + 2.0 * rng.standard_normal((1700, 2))
+        # three whole row blocks and a part of a fourth
+        rows = sn._KDE_BLOCK_BYTES // (8 * centers.shape[0])
+        x_eval = np.array([50.0, 60.0]) \
+            + 2.0 * rng.standard_normal((3 * rows + rows // 2 + 1, 2))
+    if case == "eval-circular":
+        # fewer evaluation points than centres, angles again around ±pi
+        x_eval = _mixed_particles(rng, 173)
     cm = space.circular_mask
     w = rng.random(centers.shape[0])
     if case == "zero-weights":
         w[rng.random(w.size) < 0.3] = 0.0
     w /= w.sum()
     h = sn._silverman_bandwidth(centers, w, cm)
+    if case == "one-weight":
+        # one centre carries all the weight; h stays that of the whole set
+        w = np.zeros(n)
+        w[123] = 1.0
     got = sn._kde_log_density(x_eval, centers, w, h, cm)
     np.testing.assert_allclose(got, _kde_reference(x_eval, centers, w, h, cm),
                                rtol=0, atol=1e-9)
+
+
+def test_kde_log_density_peak_memory():
+    # at 1500 centres with two circular dims an n×n×k wrapped-difference
+    # tensor alone would be 34 MiB
+    rng = np.random.default_rng(4)
+    space = sn.StateSpace(("position", "orientation", "time_offset", "cpo"))
+    x = _mixed_particles(rng, 1500)
+    w = rng.random(1500)
+    w /= w.sum()
+    h = sn._silverman_bandwidth(x, w, space.circular_mask)
+    tracemalloc.start()
+    try:
+        sn._kde_log_density(x, x, w, h, space.circular_mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_estimate_map_matches_difference_tensor():
