@@ -215,16 +215,34 @@ class UniformPrior:
 # forward model
 # ---------------------------------------------------------------------------
 
+def _geometry(p_tx, p_rx):
+    """Transmitter-minus-receiver offset and its length (vectorized)."""
+    diff = p_tx - p_rx
+    return diff, np.linalg.norm(diff, axis=-1)
+
+
+def _delay(dist, to_tx, to_rx):
+    """Propagation delay plus the clock-offset difference TO_rx - TO_tx."""
+    return dist / SPEED_OF_LIGHT + (to_rx - to_tx)
+
+
+def _aoa(diff, orient_rx):
+    """Bearing of the transmitter in the receiver frame."""
+    return wrap_angle(np.arctan2(diff[..., 1], diff[..., 0]) - orient_rx)
+
+
+def _phase(dist, cpo_tx, cpo_rx, carrier_freq):
+    """Wrapped carrier phase of the geometric delay plus the CPO difference."""
+    return wrap_angle(2 * np.pi * carrier_freq * dist / SPEED_OF_LIGHT
+                      + (cpo_rx - cpo_tx))
+
+
 def _observables(p_tx, p_rx, orient_rx, to_tx, to_rx, cpo_tx, cpo_rx,
                  carrier_freq):
     """Noiseless observables for transmitter->receiver geometry (vectorized)."""
-    diff = p_tx - p_rx
-    dist = np.linalg.norm(diff, axis=-1)
-    delay = dist / SPEED_OF_LIGHT + (to_rx - to_tx)
-    aoa = wrap_angle(np.arctan2(diff[..., 1], diff[..., 0]) - orient_rx)
-    phase = wrap_angle(2 * np.pi * carrier_freq * dist / SPEED_OF_LIGHT
-                       + (cpo_rx - cpo_tx))
-    return delay, aoa, phase
+    diff, dist = _geometry(p_tx, p_rx)
+    return (_delay(dist, to_tx, to_rx), _aoa(diff, orient_rx),
+            _phase(dist, cpo_tx, cpo_rx, carrier_freq))
 
 
 def simulate_measurements(topology: NetworkTopology, true_states: dict,
@@ -353,8 +371,7 @@ def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
                         noise_scale: float = 1.0) -> np.ndarray:
     """log f(z | theta_tx, theta_rx) for particle arrays (row-broadcastable).
 
-    Only the observables the measurement holds are computed, each with the
-    arithmetic of `_observables`.
+    Only the observables the measurement holds are computed.
     """
     x_tx = np.atleast_2d(x_tx)
     x_rx = np.atleast_2d(x_rx)
@@ -363,26 +380,24 @@ def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
         x_tx = np.broadcast_to(x_tx, (n, x_tx.shape[1]))
     if x_rx.shape[0] == 1:
         x_rx = np.broadcast_to(x_rx, (n, x_rx.shape[1]))
-    diff = space.get(x_tx, "position") - space.get(x_rx, "position")
-    dist = np.linalg.norm(diff, axis=-1)
+    diff, dist = _geometry(space.get(x_tx, "position"),
+                           space.get(x_rx, "position"))
     lw = np.zeros(n)
     noise = meas.noise
     # an overflowing residual legitimately drives the log-weight to -inf
     with np.errstate(over="ignore"):
         if meas.delay is not None:
-            delay = dist / SPEED_OF_LIGHT + (space.get(x_rx, "time_offset")
-                                             - space.get(x_tx, "time_offset"))
+            delay = _delay(dist, space.get(x_tx, "time_offset"),
+                           space.get(x_rx, "time_offset"))
             s = noise.delay_std * noise_scale
             lw += -0.5 * ((meas.delay - delay) / s) ** 2
         if meas.aoa is not None:
-            aoa = wrap_angle(np.arctan2(diff[..., 1], diff[..., 0])
-                             - space.get(x_rx, "orientation"))
+            aoa = _aoa(diff, space.get(x_rx, "orientation"))
             s = noise.aoa_std * noise_scale
             lw += -0.5 * (wrap_angle(meas.aoa - aoa) / s) ** 2
         if meas.phase is not None:
-            phase = wrap_angle(2 * np.pi * carrier_freq * dist / SPEED_OF_LIGHT
-                               + (space.get(x_rx, "cpo")
-                                  - space.get(x_tx, "cpo")))
+            phase = _phase(dist, space.get(x_tx, "cpo"),
+                           space.get(x_rx, "cpo"), carrier_freq)
             s = noise.phase_std * noise_scale
             lw += -0.5 * (wrap_angle(meas.phase - phase) / s) ** 2
     return lw
@@ -473,7 +488,8 @@ def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
 
 
 # bytes of the one exponent block `_kde_log_density` reuses for every row
-# block: the block and its circular scratch stay in a 4 MiB L2 cache
+# block. Budgets from 256 KiB to 2 MiB timed within run-to-run noise of
+# each other on a host with a 4 MiB L2; 768 KiB is a middle value
 _KDE_BLOCK_BYTES = 768 * 1024
 # the log-weight of a zero-weight centre: finite, so no -inf meets a 0 in
 # the product, and far below exp's range, so its term is exactly 0
@@ -498,11 +514,9 @@ def _kde_log_density(x_eval, centers, weights, h, circular_mask):
     ``_KDE_BLOCK_BYTES`` of exponents, in one reused buffer: product, row
     maximum, shift, exp and sum all run while the block is in cache, and
     no n_eval × n_centres array is formed. Circular dims subtract
-    ``½(min(|Δ|, 2π − |Δ|)/h)²`` per block and per dim. That is the
-    squared wrapped difference only because both inputs are already
-    wrapped into (−π, π], which the caller must ensure. log w is folded in
-    before the row maximum, so the largest term of every row is exp(0) and
-    no row underflows.
+    ``½(wrap(Δ)/h)²`` per block and per dim. log w is folded in before the
+    row maximum, so the largest term of every row is exp(0) and no row
+    underflows.
     """
     lin = ~circular_mask
     mu = weights @ centers[:, lin]
@@ -518,8 +532,6 @@ def _kde_log_density(x_eval, centers, weights, h, circular_mask):
     n_eval, n_c = x_eval.shape[0], centers.shape[0]
     rows = max(1, _KDE_BLOCK_BYTES // (8 * n_c))
     buf = np.empty((min(rows, n_eval), n_c))
-    if xc.shape[1]:
-        wrap, rest = np.empty_like(buf), np.empty_like(buf)
     out = np.empty(n_eval)
     log_norm = float(np.sum(np.log(h)) + 0.5 * h.size * np.log(2 * np.pi))
     for start in range(0, n_eval, rows):
@@ -527,14 +539,7 @@ def _kde_log_density(x_eval, centers, weights, h, circular_mask):
         q = buf[:sl.stop - start]
         np.matmul(a[sl], b.T, out=q)
         for k in range(xc.shape[1]):
-            d, e = wrap[:len(q)], rest[:len(q)]
-            np.subtract(xc[sl, k, None], cc[:, k], out=d)
-            np.abs(d, out=d)
-            np.subtract(2 * np.pi, d, out=e)
-            np.minimum(d, e, out=d)
-            d *= d
-            d *= half_inv_h2[k]
-            q -= d
+            q -= half_inv_h2[k] * wrap_angle(xc[sl, k, None] - cc[:, k]) ** 2
         peak = q.max(axis=1)
         q -= peak[:, None]
         np.exp(q, out=q)
@@ -737,19 +742,17 @@ def measurement_jacobian_rank(graph: FactorGraph, truth: dict,
             off += space.dim
         obs = []
         for f in graph.pair_factors:
-            j, jp = f.pair
-            d, a, p = _observables(
-                states[j].position, states[jp].position,
-                states[jp].orientation, states[j].time_offset,
-                states[jp].time_offset, states[j].cpo, states[jp].cpo,
-                graph.carrier_freq)
+            tx, rx = states[f.pair[0]], states[f.pair[1]]
+            diff, dist = _geometry(tx.position, rx.position)
             meas = f.measurement
             if meas.delay is not None:
-                obs.append(d / meas.noise.delay_std)
+                obs.append(_delay(dist, tx.time_offset, rx.time_offset)
+                           / meas.noise.delay_std)
             if meas.aoa is not None:
-                obs.append(a / meas.noise.aoa_std)
+                obs.append(_aoa(diff, rx.orientation) / meas.noise.aoa_std)
             if meas.phase is not None:
-                obs.append(p / meas.noise.phase_std)
+                obs.append(_phase(dist, tx.cpo, rx.cpo, graph.carrier_freq)
+                           / meas.noise.phase_std)
         return np.asarray(obs, float)
 
     f0 = stacked(x0)

@@ -150,32 +150,6 @@ def test_pair_log_likelihood_scalar_oracle():
     assert lw2[0] == pytest.approx(expect / 100.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("held", ["delay", "aoa", "phase",
-                                  "delay aoa phase"])
-def test_pair_log_likelihood_equals_observables(held):
-    # each held observable is computed as _observables computes it
-    space = sn.StateSpace(("position", "orientation", "time_offset", "cpo"))
-    noise = sn.MeasurementNoise(delay_std=2e-9, aoa_std=0.05, phase_std=0.3)
-    z = {"delay": 4e-8, "aoa": 3.1, "phase": -3.0}
-    meas = sn.PairMeasurement((0, 1), *(z[k] if k in held.split() else None
-                                        for k in z), noise)
-    x_tx = _mixed_particles(np.random.default_rng(8), 300)
-    x_rx = np.array([[56.0, 48.0, -3.1, 2e-9, 3.0]])
-    d, a, p = sn._observables(
-        x_tx[:, :2], x_rx[:, :2], x_rx[:, 2], x_tx[:, 3], x_rx[:, 3],
-        x_tx[:, 4], x_rx[:, 4], 2.4e9)
-    expect = np.zeros(300)
-    for key, obs in zip(z, (d, a, p)):
-        if key in held.split():
-            res = z[key] - obs
-            std = getattr(noise, f"{key}_std") * 3.0
-            expect += -0.5 * ((res if key == "delay"
-                               else sn.wrap_angle(res)) / std) ** 2
-    got = sn.pair_log_likelihood(meas, x_tx, x_rx, space, 2.4e9,
-                                 noise_scale=3.0)
-    np.testing.assert_array_equal(got, expect)
-
-
 def test_bp_config_validation():
     with pytest.raises(ValueError):
         sn.BPConfig(particle_count=10)
