@@ -440,14 +440,14 @@ def run_trial(cfg: ExperimentConfig, trial: int,
                 scn.clutter, derive_seed(cfg.master_seed, trial, "clutter"))
             scn = scene.merge_scenes(scn, cl, label=scenario)
     noise = _noise_model(cfg, u, derive_seed(cfg.master_seed, trial, "noise"))
-    if scn.targets or (noise is not None and base is not None):
-        rx = scene.apply_channel(u, scn, noise)
-    else:
-        # identity channel: the direct link when there is no [scene] (probe
-        # plus noise), and a noiseless scene without targets
+    if base is None:
+        # the direct link: the probe itself, plus noise when set
         y = u.samples.copy() if noise is None else \
             u.samples + scene.apply_channel(u, scn, noise).samples
         rx = scene.ReceivedSignal(y, u.sample_rate)
+    else:
+        # a scene without targets echoes nothing, with or without noise
+        rx = scene.apply_channel(u, scn, noise)
 
     report = None
     if cfg.est_kind in ("matched-filter", "omp"):

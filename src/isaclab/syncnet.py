@@ -67,11 +67,9 @@ class StateSpace:
             self.slices[c] = slice(off, off + d)
             off += d
         self.dim = off
-        mask = np.zeros(self.dim, bool)
-        for c in self.components:
-            if c in _CIRCULAR:
-                mask[self.slices[c]] = True
-        self.circular_mask = mask
+        self.circular_mask = np.array([c in _CIRCULAR for c in self.components
+                                       for _ in range(_COMPONENT_DIMS[c])],
+                                      bool)
 
     def pack(self, state: ApertureState) -> np.ndarray:
         v = np.zeros(self.dim)
@@ -237,14 +235,6 @@ def _phase(dist, cpo_tx, cpo_rx, carrier_freq):
                       + (cpo_rx - cpo_tx))
 
 
-def _observables(p_tx, p_rx, orient_rx, to_tx, to_rx, cpo_tx, cpo_rx,
-                 carrier_freq):
-    """Noiseless observables for transmitter->receiver geometry (vectorized)."""
-    diff, dist = _geometry(p_tx, p_rx)
-    return (_delay(dist, to_tx, to_rx), _aoa(diff, orient_rx),
-            _phase(dist, cpo_tx, cpo_rx, carrier_freq))
-
-
 def simulate_measurements(topology: NetworkTopology, true_states: dict,
                           noise: MeasurementNoise, seed: int,
                           carrier_freq: float = 1e9) -> list[PairMeasurement]:
@@ -253,7 +243,9 @@ def simulate_measurements(topology: NetworkTopology, true_states: dict,
     Delay carries propagation plus the clock-offset difference TO_rx - TO_tx;
     AOA is the bearing of the transmitter in the receiver frame; phase is the
     wrapped carrier phase of the geometric delay plus the CPO difference.
-    Deterministic given the seed.
+    Only the observables the noise model enables are computed, and their
+    noise is drawn in the order delay, AOA, phase. Deterministic given the
+    seed.
     """
     missing = set(topology.apertures) - set(true_states)
     if missing:
@@ -262,15 +254,16 @@ def simulate_measurements(topology: NetworkTopology, true_states: dict,
     out = []
     for (j, jp) in sorted(topology.measurement_mask):
         tx, rx = true_states[j], true_states[jp]
-        delay, aoa, phase = _observables(
-            tx.position, rx.position, rx.orientation, tx.time_offset,
-            rx.time_offset, tx.cpo, rx.cpo, carrier_freq)
+        diff, dist = _geometry(tx.position, rx.position)
         z_delay = z_aoa = z_phase = None
         if noise.delay_std is not None:
-            z_delay = float(delay + noise.delay_std * rng.standard_normal())
+            z_delay = float(_delay(dist, tx.time_offset, rx.time_offset)
+                            + noise.delay_std * rng.standard_normal())
         if noise.aoa_std is not None:
-            z_aoa = float(wrap_angle(aoa + noise.aoa_std * rng.standard_normal()))
+            z_aoa = float(wrap_angle(_aoa(diff, rx.orientation)
+                                     + noise.aoa_std * rng.standard_normal()))
         if noise.phase_std is not None:
+            phase = _phase(dist, tx.cpo, rx.cpo, carrier_freq)
             z_phase = float(wrap_angle(phase
                                        + noise.phase_std * rng.standard_normal()))
         out.append(PairMeasurement((j, jp), z_delay, z_aoa, z_phase, noise))
@@ -312,26 +305,24 @@ class FactorGraph:
         return {f.node_id: f.prior for f in self.prior_factors}
 
     def has_cycles(self) -> bool:
-        """Cycle check on the undirected measured-pair graph."""
-        edges = {frozenset(f.pair) for f in self.pair_factors}
-        adj: dict[int, set[int]] = {j: set() for j in self.topology.apertures}
-        for e in edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        seen: set[int] = set()
-        for root in self.topology.apertures:
-            if root in seen:
-                continue
-            stack = [(root, None)]
-            while stack:
-                node, parent = stack.pop()
-                if node in seen:
-                    return True
-                seen.add(node)
-                for nb in adj[node]:
-                    if nb != parent:
-                        stack.append((nb, node))
+        """Whether the undirected measured-pair graph has a cycle.
+
+        Both directions of a pair are one edge. Union-find over the edges:
+        an edge that joins two already-connected apertures closes a cycle,
+        in whichever connected component it lies.
+        """
+        parent = {j: j for j in self.topology.apertures}
+
+        def root(j):
+            while parent[j] != j:
+                j = parent[j]
+            return j
+
+        for a, b in {frozenset(f.pair) for f in self.pair_factors}:
+            ra, rb = root(a), root(b)
+            if ra == rb:
+                return True
+            parent[ra] = rb
         return False
 
 
@@ -375,14 +366,9 @@ def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
     """
     x_tx = np.atleast_2d(x_tx)
     x_rx = np.atleast_2d(x_rx)
-    n = max(x_tx.shape[0], x_rx.shape[0])
-    if x_tx.shape[0] == 1:
-        x_tx = np.broadcast_to(x_tx, (n, x_tx.shape[1]))
-    if x_rx.shape[0] == 1:
-        x_rx = np.broadcast_to(x_rx, (n, x_rx.shape[1]))
     diff, dist = _geometry(space.get(x_tx, "position"),
                            space.get(x_rx, "position"))
-    lw = np.zeros(n)
+    lw = np.zeros(dist.shape)
     noise = meas.noise
     # an overflowing residual legitimately drives the log-weight to -inf
     with np.errstate(over="ignore"):
@@ -551,10 +537,14 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
     """Synchronous (flooding) particle BP over the factor graph.
 
     Messages into an agent pair each of its particles with a particle
-    resampled from the neighbor belief (anchors contribute their exact
-    state), weights are the damped product of prior and incoming messages,
-    and beliefs are resampled with kernel jitter when the effective sample
-    size drops below RESAMPLE_THRESHOLD * n.
+    resampled from the neighbor belief, weights are the damped product of
+    prior and incoming messages, and beliefs are resampled with kernel
+    jitter when the effective sample size drops below
+    RESAMPLE_THRESHOLD * n. An anchor's belief is its one known state,
+    shape (1, d), drawn from its point-mass prior; it never changes, and a
+    message from it reads that state as is, with no resampling.
+
+    Returns a dict of aperture id to its `Belief`, anchors included.
     """
     space = graph.space
     top = graph.topology
@@ -563,15 +553,9 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
     n = config.particle_count
 
     beliefs: dict[int, Belief] = {}
-    anchor_vecs: dict[int, np.ndarray] = {}
     for j in top.apertures:
-        if j in top.anchors:
-            vec = priors[j].vec
-            anchor_vecs[j] = vec
-            beliefs[j] = Belief(vec[None, :].copy(), np.ones(1))
-        else:
-            parts = priors[j].sample(n, rng)
-            beliefs[j] = Belief(parts, np.full(n, 1.0 / n))
+        k = 1 if j in top.anchors else n
+        beliefs[j] = Belief(priors[j].sample(k, rng), np.full(k, 1.0 / k))
 
     # importance proposal density of each agent's particle set; starts as
     # the prior (the initial sampler) and becomes the jittered-resample KDE
@@ -579,16 +563,10 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
         m: priors[m].logpdf(beliefs[m].particles).astype(float)
         for m in top.agents}
 
-    factors_of: dict[int, list[PairFactor]] = {j: [] for j in top.apertures}
-    for f in graph.pair_factors:
-        j, jp = f.pair
-        if j not in top.anchors:
-            factors_of[j].append(f)
-        if jp not in top.anchors:
-            factors_of[jp].append(f)
-
+    factors_of = {m: [f for f in graph.pair_factors if m in f.pair]
+                  for m in top.agents}
     prev_logw: dict[int, np.ndarray | None] = {m: None for m in top.agents}
-    prev_means: dict[int, np.ndarray | None] = {m: None for m in top.agents}
+    prev_means: dict[int, np.ndarray] = {}
 
     for it in range(config.max_iterations):
         scale = max(1.0, config.anneal_start * config.anneal_decay ** it)
@@ -599,20 +577,14 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
             for f in factors_of[m]:
                 j, jp = f.pair
                 other = jp if m == j else j
-                if other in top.anchors:
-                    x_other = anchor_vecs[other][None, :]
-                else:
-                    b = beliefs[other]
-                    idx = _systematic_resample(b.weights, rng)
-                    x_other = b.particles[idx]
-                if m == j:
-                    lw += pair_log_likelihood(f.measurement, parts, x_other,
-                                              space, graph.carrier_freq,
-                                              noise_scale=scale)
-                else:
-                    lw += pair_log_likelihood(f.measurement, x_other, parts,
-                                              space, graph.carrier_freq,
-                                              noise_scale=scale)
+                x_other = beliefs[other].particles
+                if other not in top.anchors:
+                    x_other = x_other[_systematic_resample(
+                        beliefs[other].weights, rng)]
+                x_tx, x_rx = (parts, x_other) if m == j else (x_other, parts)
+                lw += pair_log_likelihood(f.measurement, x_tx, x_rx, space,
+                                          graph.carrier_freq,
+                                          noise_scale=scale)
             new_logw[m] = lw
 
         converged = scale == 1.0 and it > 0
@@ -620,38 +592,34 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
             lw = new_logw[m]
             if prev_logw[m] is not None:
                 lw = DAMPING * lw + (1.0 - DAMPING) * prev_logw[m]
-            prev_logw[m] = lw.copy()
+            prev_logw[m] = lw
             # importance correction: particles follow logq, not the target
             lw_is = lw - logq[m]
-            peak = lw_is[np.isfinite(lw_is)].max() \
-                if np.isfinite(lw_is).any() else -np.inf
-            if not np.isfinite(peak):
+            finite = np.isfinite(lw_is)
+            if not finite.any():
                 raise errors.DegeneracyError(
                     f"all particle weights underflowed for agent {m}")
-            w = np.exp(lw_is - peak)
+            # the largest finite term is exp(0) = 1, so the sum is >= 1
+            w = np.exp(lw_is - lw_is[finite].max())
             w_sum = w.sum()
-            if w_sum == 0 or not np.isfinite(w_sum):
+            if not np.isfinite(w_sum):
                 raise errors.DegeneracyError(
-                    f"all particle weights underflowed for agent {m}")
+                    f"particle weights of agent {m} sum to {w_sum}")
             w /= w_sum
             bel = Belief(beliefs[m].particles, w, iteration=it + 1)
 
             mean = np.sum(bel.particles * w[:, None], axis=0)
-            if prev_means[m] is not None:
-                delta = float(np.max(np.abs(mean - prev_means[m])))
-                if delta > config.message_tol:
-                    converged = False
-            else:
+            if it > 0 and np.max(np.abs(mean - prev_means[m])) \
+                    > config.message_tol:
                 converged = False
             prev_means[m] = mean
 
             if bel.ess < RESAMPLE_THRESHOLD * n:
-                idx = _systematic_resample(w, rng)
-                old_parts = bel.particles
-                parts = old_parts[idx].copy()
-                h = _silverman_bandwidth(old_parts, w, space.circular_mask)
-                parts += h * rng.standard_normal(parts.shape)
                 cm = space.circular_mask
+                old_parts = bel.particles
+                parts = old_parts[_systematic_resample(w, rng)]
+                h = _silverman_bandwidth(old_parts, w, cm)
+                parts += h * rng.standard_normal(parts.shape)
                 parts[:, cm] = wrap_angle(parts[:, cm])
                 # new particles follow the jitter-KDE; record it as the
                 # proposal so later weights stay importance-corrected
@@ -696,7 +664,9 @@ def estimate_map(belief: Belief, space: StateSpace,
 
 
 def sync_error_report(estimates: dict, truth: dict) -> dict:
-    """Per-agent state errors (wrapped where circular) plus network RMS."""
+    """Per-aperture position error (m) and signed time-offset error (s),
+    plus their network RMS under ``"rms"``. Orientation and CPO errors are
+    not reported."""
     if set(estimates) != set(truth):
         raise errors.IdMismatch(
             f"estimate ids {sorted(estimates)} != truth ids {sorted(truth)}")
@@ -705,13 +675,8 @@ def sync_error_report(estimates: dict, truth: dict) -> dict:
     for j in sorted(estimates):
         e, t = estimates[j], truth[j]
         pos_err = float(np.linalg.norm(e.position - t.position))
-        row = {
-            "position_error_m": pos_err,
-            "orientation_error_rad": abs(wrap_angle(e.orientation
-                                                    - t.orientation)),
-            "to_error_s": e.time_offset - t.time_offset,
-            "cpo_error_rad": abs(wrap_angle(e.cpo - t.cpo)),
-        }
+        row = {"position_error_m": pos_err,
+               "to_error_s": e.time_offset - t.time_offset}
         rows[j] = row
         pos_sq.append(pos_err ** 2)
         to_sq.append(row["to_error_s"] ** 2)

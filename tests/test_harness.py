@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,41 @@ values = 0, 4, 20
     assert 0.06 < mean["ebn0=0dB"] < 0.10
     assert mean["ebn0=0dB"] > mean["ebn0=4dB"] > mean["ebn0=20dB"]
     assert mean["ebn0=20dB"] < 1e-3
+
+
+@pytest.mark.parametrize("noise", ["", "[noise]\nebn0-db = 10\n"],
+                         ids=["noiseless", "ebn0=10dB"])
+def test_cli_empty_scene_receives_no_echo(tmp_path, noise):
+    # a [scene] without targets is an empty channel, not the direct link:
+    # the matched filter finds nothing to fit when no noise is set, and
+    # the decoder gets no probe to read the bits from at either setting
+    scene.save_scene(scene.TargetScene((), label="empty"),
+                     tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(f"""[experiment]
+schema-version = 1
+trials = 2
+master-seed = 5
+store-reports = true
+
+[scene]
+file = scene.txt
+
+{noise}
+{_PSK_OMP.replace("kind = omp", "kind = matched-filter")}
+[metrics]
+list = ber
+""")
+    assert cli.main(["simulate", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 0
+    ber = [float(line.split(",")[4]) for line in
+           (tmp_path / "out" / "rows.csv").read_text().splitlines()[1:]]
+    assert len(ber) == 2 and all(0.3 < b < 0.7 for b in ber)
+    for path in sorted((tmp_path / "out" / "reports").glob("*.json")):
+        rec = json.loads(path.read_text())
+        assert rec["true_targets"] == []
+        if not noise:
+            assert rec["estimated_targets"] == []
+            assert rec["residual_energy"] == 0.0
 
 
 def test_load_config_rejects_seed_component(tmp_path):

@@ -69,10 +69,12 @@ def test_observables_closed_form():
     p_tx = np.array([3.0, 4.0])
     p_rx = np.array([0.0, 0.0])
     fc = 1e9
-    d, a, ph = sn._observables(p_tx, p_rx, 0.1, 2e-9, 5e-9, 0.2, 0.4, fc)
-    assert d == pytest.approx(5.0 / C + 3e-9)
-    assert a == pytest.approx(sn.wrap_angle(np.arctan2(4.0, 3.0) - 0.1))
-    assert ph == pytest.approx(sn.wrap_angle(2 * np.pi * fc * 5.0 / C + 0.2))
+    diff, dist = sn._geometry(p_tx, p_rx)
+    assert np.array_equal(diff, [3.0, 4.0]) and dist == 5.0
+    assert sn._delay(dist, 2e-9, 5e-9) == pytest.approx(5.0 / C + 3e-9)
+    assert sn._aoa(diff, 0.1) == pytest.approx(np.arctan2(4.0, 3.0) - 0.1)
+    assert sn._phase(dist, 0.2, 0.4, fc) \
+        == pytest.approx(sn.wrap_angle(2 * np.pi * fc * 5.0 / C + 0.2))
 
 
 def test_simulate_measurements_deterministic_and_selective():
@@ -103,6 +105,26 @@ def test_factor_graph_counts_and_cycles():
         g = sn.build_factor_graph(top, priors, meas, space)
         assert g.n_factors == j_count * (j_count - 1) + j_count
         assert g.has_cycles() == (j_count > 2)
+
+
+def _graph_with_pairs(apertures, pairs):
+    noise = sn.MeasurementNoise(delay_std=1e-9)
+    top = sn.NetworkTopology(apertures, (), measurement_mask=pairs)
+    meas = [sn.PairMeasurement(p, 1e-8, None, None, noise) for p in pairs]
+    priors = {j: sn.UniformPrior([0.0, 0.0], [1.0, 1.0]) for j in apertures}
+    return sn.build_factor_graph(top, priors, meas)
+
+
+@pytest.mark.parametrize("apertures, pairs, cyclic", [
+    # a path 0-1-2, a triangle 3-4-5 and aperture 6 on its own
+    (range(7), ((0, 1), (2, 1), (3, 4), (4, 5), (5, 3)), True),
+    ((0, 1, 2, 3), ((0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)), False),
+    ((0, 1, 2, 3), ((0, 1), (2, 1), (2, 3)), False),
+    ((0, 1, 2), ((0, 1), (1, 2), (2, 0)), True),
+], ids=["cycle-in-second-component", "star-both-ways", "path",
+        "one-way-triangle"])
+def test_has_cycles_graph_shapes(apertures, pairs, cyclic):
+    assert _graph_with_pairs(tuple(apertures), pairs).has_cycles() is cyclic
 
 
 def test_build_factor_graph_validation():
@@ -141,9 +163,10 @@ def test_pair_log_likelihood_scalar_oracle():
     x_tx = np.array([[0.0, 0.0]])
     x_rx = np.array([[6.0, 8.0]])
     lw = sn.pair_log_likelihood(z, x_tx, x_rx, space, 1e9)
-    d, a, _ = sn._observables(x_tx[0], x_rx[0], 0.0, 0.0, 0.0, 0.0, 0.0, 1e9)
-    expect = (-0.5 * ((4e-8 - d) / 2e-9) ** 2
-              - 0.5 * (sn.wrap_angle(0.3 - a) / 0.05) ** 2)
+    # the transmitter sits 10 m from the receiver, at bearing
+    # arctan2(-8, -6) in its frame; 0.3 minus that needs no wrapping
+    expect = (-0.5 * ((4e-8 - 10.0 / C) / 2e-9) ** 2
+              - 0.5 * ((0.3 - np.arctan2(-8.0, -6.0)) / 0.05) ** 2)
     assert lw[0] == pytest.approx(expect, rel=1e-12)
     # tempering widens the likelihood
     lw2 = sn.pair_log_likelihood(z, x_tx, x_rx, space, 1e9, noise_scale=10.0)
