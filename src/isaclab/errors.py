@@ -94,10 +94,6 @@ class DegeneracyError(ToolkitError):
     """All particle weights underflowed (inconsistent measurements/priors)."""
 
 
-class EmptyBelief(ToolkitError):
-    """Estimate requested from an empty belief."""
-
-
 class IdMismatch(ToolkitError):
     """Estimate and truth id sets differ."""
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import errors
 from .scene import ReceivedSignal, Target, TargetScene, apply_channel
-from .waveform import Waveform, slice_psk, pilot_sequence, map_psk
+from .waveform import Waveform, ofdm_grid, slice_psk
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +214,12 @@ def _pad_to(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _local_maxima(surface: np.ndarray) -> np.ndarray:
-    """Boolean mask of cells >= all existing neighbors (8-connectivity)."""
-    s = surface
-    mask = np.ones_like(s, bool)
-    padded = np.full((s.shape[0] + 2, s.shape[1] + 2), -np.inf)
-    padded[1:-1, 1:-1] = s
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            mask &= s >= padded[1 + di:1 + di + s.shape[0],
-                                1 + dj:1 + dj + s.shape[1]]
-    return mask
+    """Boolean mask of cells >= all existing neighbors (8-connectivity):
+    each cell against its 3x3 window maximum, False where that is NaN."""
+    p = np.pad(surface, 1, constant_values=-np.inf)
+    rows = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+    return surface >= np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]),
+                                 rows[:, 2:])
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +382,8 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     with 1/time_step), so a grid spanning a whole period raises GridError.
     The cost ledger counts the nominal algorithm, a full eigendecomposition
     and the noise-subspace projection, whichever path ran.
+    Unlike the other estimators', `predicted_signal` and `residual_energy`
+    are channel-domain: the (M, L) steering fit of G and its residual.
     """
     G = np.asarray(obs, np.complex128)
     if G.ndim == 1:
@@ -413,8 +409,8 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
                                    ("doppler", doppler_grid, time_step, L > 1)):
         if used and grid.size and abs(np.ptp(grid) * step) >= 1:
             raise errors.GridError(
-                f"{axis} grid spans {np.ptp(grid)!r}, at least the steering "
-                f"period {1 / abs(step)!r}, so its cells alias")
+                f"{axis} grid spans {np.ptp(grid)}, at least the steering "
+                f"period {1 / abs(step)}, so its cells alias")
 
     # snapshot i * (L - lw + 1) + j is G[i:i + mw, j:j + lw], row-major
     snaps = np.ascontiguousarray(
@@ -454,21 +450,14 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
             break
 
     # amplitudes: LS fit of full-size steering vectors to the observation
-    targets: list[Target] = []
-    if chosen:
-        cols = []
-        for i, j in chosen:
-            v = np.outer(_steering(delay_grid[i], freq_step, M),
-                         _steering(doppler_grid[j], time_step, L)).reshape(-1)
-            cols.append(v)
-        B = np.stack(cols, axis=1)
-        amps, *_ = np.linalg.lstsq(B, G.reshape(-1), rcond=None)
-        g_hat = B @ amps
-        for (i, j), h in zip(chosen, amps):
-            targets.append(Target(complex(h), float(delay_grid[i]),
-                                  float(doppler_grid[j])))
-    else:
-        g_hat = np.zeros(M * L, np.complex128)
+    B = np.empty((M * L, len(chosen)), np.complex128)
+    for k, (i, j) in enumerate(chosen):
+        B[:, k] = np.outer(_steering(delay_grid[i], freq_step, M),
+                           _steering(doppler_grid[j], time_step, L)).reshape(-1)
+    amps, *_ = np.linalg.lstsq(B, G.reshape(-1), rcond=None)
+    g_hat = B @ amps
+    targets = [Target(complex(h), float(delay_grid[i]), float(doppler_grid[j]))
+               for (i, j), h in zip(chosen, amps)]
     residual = float(np.linalg.norm(G.reshape(-1) - g_hat) ** 2)
 
     ledger = CostLedger(time_samples_used=M * L, spectral_bins_used=M,
@@ -518,12 +507,8 @@ def demodulate(rx: ReceivedSignal, u: Waveform,
         sym = y.reshape(-1, lay.oversampling).mean(axis=1) / gain
         return slice_psk(sym, lay.bits_per_symbol)
 
-    n_sc, n_sym = lay.n_subcarriers, lay.n_symbols
-    sym_len = len(u) // n_sym
-    cp = sym_len - n_sc
-    y = _pad_to(rx.samples, len(u))
-    blocks = y.reshape(sym_len, n_sym, order="F")[cp:, :]
-    grid = np.fft.fft(blocks, axis=0) / np.sqrt(n_sc)
+    n_sc = lay.n_subcarriers
+    grid = ofdm_grid(_pad_to(rx.samples, len(u)), lay)
     H = np.ones(n_sc, np.complex128)
     if channel_estimate is not None and channel_estimate.estimated_targets:
         freqs = np.fft.fftfreq(n_sc, 1.0 / fs)

@@ -298,6 +298,10 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     if cfg.est_kind == "music" and 0 < samples <= cfg.order:
         problems.append(f"[estimator] order = {cfg.order} must be below the "
                         f"probe length of {samples} samples")
+    # MUSIC's delay steering repeats every probe length: more cells alias
+    if cfg.est_kind == "music" and 0 < samples < cfg.delay_bins:
+        problems.append(f"[estimator] delay-bins = {cfg.delay_bins} must not "
+                        f"exceed the probe length of {samples} samples")
     # an explicit 'kind = none' and an Eb/N0 ask for opposite things
     if cfg.noise_kind == "none" and (cfg.ebn0_db is not None
                                      or cfg.sweep_parameter == "ebn0-db"):

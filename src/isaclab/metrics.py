@@ -58,8 +58,6 @@ class JointPMF:
     """Joint PMF over finite alphabets; rows = X symbols, cols = Y symbols."""
 
     pmf: np.ndarray
-    x_alphabet: tuple = ()
-    y_alphabet: tuple = ()
 
     def __post_init__(self):
         p = np.asarray(self.pmf, dtype=float)
@@ -76,8 +74,6 @@ class CommReport:
 
     bits_transmitted: int
     bit_errors: int
-    ser: float = 0.0
-    eb_over_n0_db: float = float("nan")
 
     def __post_init__(self):
         if not 0 <= self.bit_errors <= self.bits_transmitted:
@@ -237,21 +233,26 @@ def conditional_mi_spectra(esd: np.ndarray, sigma_g2: np.ndarray,
     return float(duration * np.trapezoid(integrand, freqs))
 
 
-def conditional_mi(u: Waveform, prior: SensingPrior, noise: NoiseModel,
-                   duration: float | None = None) -> float:
-    """Conditional sensing MI of a waveform under a Gaussian target prior."""
-    T = u.duration if duration is None else duration
+def _common_band(u: Waveform, prior: SensingPrior, noise: NoiseModel, n):
+    """(freqs, sigma_g^2, P_nn) on `n` points of the band u, prior and noise
+    share; no points when they share no interval."""
     lo = max(u.band[0], prior.band[0], noise.band[0])
     hi = min(u.band[1], prior.band[1], noise.band[1])
-    if hi <= lo:
-        return 0.0
-    n = max(prior.spectral_variance.size, noise.psd.size, 256)
-    freqs = np.linspace(lo, hi, n)
+    freqs = np.linspace(lo, hi, n if hi > lo else 0)
+    return (freqs, np.interp(freqs, prior.freqs, prior.spectral_variance,
+                             left=0.0, right=0.0),
+            np.interp(freqs, noise.freqs, noise.psd, left=0.0, right=0.0))
+
+
+def conditional_mi(u: Waveform, prior: SensingPrior, noise: NoiseModel,
+                   duration: float | None = None) -> float:
+    """Conditional sensing MI of a waveform under a Gaussian target prior;
+    0 when the waveform, prior and noise bands share no interval."""
+    T = u.duration if duration is None else duration
+    freqs, sg2, pnn = _common_band(
+        u, prior, noise, max(prior.spectral_variance.size, noise.psd.size, 256))
     prof = energy_spectral_density(u)
     esd = np.interp(freqs, prof.freqs, prof.psd, left=0.0, right=0.0)
-    sg2 = np.interp(freqs, prior.freqs, prior.spectral_variance,
-                    left=0.0, right=0.0)
-    pnn = np.interp(freqs, noise.freqs, noise.psd, left=0.0, right=0.0)
     return conditional_mi_spectra(esd, sg2, pnn, freqs, T)
 
 

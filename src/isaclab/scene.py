@@ -114,10 +114,6 @@ class NoiseModel:
               n: int = 64) -> "NoiseModel":
         return cls(np.full(n, level), band, seed)
 
-    @classmethod
-    def zero(cls, band: tuple[float, float] = (-0.5, 0.5)) -> "NoiseModel":
-        return cls(np.zeros(2), band, 0)
-
 
 @dataclass(frozen=True)
 class SensingPrior:

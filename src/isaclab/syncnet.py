@@ -9,7 +9,6 @@ produce MAP/MMSE estimates of agent states.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -431,6 +430,8 @@ class Belief:
     iteration: int = 0
 
     def __post_init__(self):
+        if self.weights.shape != self.particles.shape[:1]:
+            raise ValueError("a belief needs one weight per particle")
         s = self.weights.sum()
         if not (np.isfinite(s) and s > 0):
             raise errors.DegeneracyError(f"belief weights sum to {s}")
@@ -640,8 +641,6 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
 def estimate_mmse(belief: Belief, space: StateSpace,
                   node_id: int = -1) -> ApertureState:
     """Weighted particle mean; circular mean on wrapped coordinates."""
-    if belief.particles.size == 0:
-        raise errors.EmptyBelief("empty belief")
     w = belief.weights
     x = belief.particles
     mean = np.sum(x * w[:, None], axis=0)
@@ -655,8 +654,6 @@ def estimate_map(belief: Belief, space: StateSpace,
                  node_id: int = -1) -> ApertureState:
     """Highest-density particle after Gaussian kernel smoothing with the
     Silverman bandwidth rule (circular dims use wrapped differences)."""
-    if belief.particles.size == 0:
-        raise errors.EmptyBelief("empty belief")
     x = belief.particles
     h = _silverman_bandwidth(x, belief.weights, space.circular_mask)
     dens = _kde_log_density(x, x, belief.weights, h, space.circular_mask)

@@ -8,14 +8,15 @@ estimator that produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 from .estimators import CostLedger, tally_cost
-from .metrics import (CommReport, JointPMF, channel_capacity, conditional_mi,
-                      conditional_mi_spectra, mutual_information)
+from .metrics import (CommReport, JointPMF, _common_band, channel_capacity,
+                      conditional_mi, conditional_mi_spectra,
+                      mutual_information)
 from .scene import NoiseModel, SensingPrior
 from .waveform import Waveform
 
@@ -47,14 +48,13 @@ def max_attainable_normalization(u: Waveform, prior: SensingPrior,
                                  noise: NoiseModel,
                                  channel: np.ndarray) -> NormalizationPolicy:
     """Scenario maxima: flat full-power spectrum for sensing, channel
-    capacity for communication."""
-    lo = max(u.band[0], prior.band[0], noise.band[0])
-    hi = min(u.band[1], prior.band[1], noise.band[1])
-    n = 512
-    freqs = np.linspace(lo, hi, n)
-    flat_esd = np.full(n, u.energy / (hi - lo))      # same energy budget
-    sg2 = np.interp(freqs, prior.freqs, prior.spectral_variance)
-    pnn = np.interp(freqs, noise.freqs, noise.psd)
+    capacity for communication; NormalizationError when the waveform,
+    prior and noise bands share no interval."""
+    freqs, sg2, pnn = _common_band(u, prior, noise, 512)
+    if not freqs.size:
+        raise errors.NormalizationError(f"bands {u.band}, {prior.band} and "
+                                        f"{noise.band} share no interval")
+    flat_esd = np.full(512, u.energy / np.ptp(freqs))      # same energy budget
     i_s_max = conditional_mi_spectra(flat_esd, sg2, pnn, freqs, u.duration)
     c, _ = channel_capacity(channel)
     return NormalizationPolicy(i_s_max, c, name="max-attainable")

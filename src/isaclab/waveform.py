@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -216,8 +216,7 @@ def generate_ofdm(layout: ModulationLayout, sample_rate: float,
     grid.T[data_cells.T] = data_syms
 
     time_syms = np.fft.ifft(grid, axis=0) * np.sqrt(n_sc)
-    with_cp = np.concatenate([time_syms[-cp_length:, :] if cp_length else
-                              np.zeros((0, n_sym)), time_syms], axis=0)
+    with_cp = np.concatenate([time_syms[n_sc - cp_length:], time_syms])
     samples = with_cp.reshape(-1, order="F")
 
     df = sample_rate / n_sc
@@ -226,6 +225,14 @@ def generate_ofdm(layout: ModulationLayout, sample_rate: float,
     band = (float(used.min() - df / 2), float(used.max() + df / 2))
     band = (max(band[0], -sample_rate / 2), min(band[1], sample_rate / 2))
     return Waveform(samples, sample_rate, band, layout)
+
+
+def ofdm_grid(samples: np.ndarray, layout: ModulationLayout) -> np.ndarray:
+    """The (n_subcarriers, n_symbols) grid of whole OFDM symbols, the inverse
+    of `generate_ofdm`: per symbol, CP removal and a unitary DFT."""
+    n_sc = layout.n_subcarriers
+    blocks = samples.reshape(-1, layout.n_symbols, order="F")[-n_sc:]
+    return np.fft.fft(blocks, axis=0) / np.sqrt(n_sc)
 
 
 def generate_chirp(bandwidth: float, duration: float,
@@ -278,17 +285,12 @@ def _spectral_support(u: Waveform):
     """
     lay = u.layout
     if lay is not None and lay.kind == "ofdm":
-        n_sc, n_sym = lay.n_subcarriers, lay.n_symbols
-        sym_len = len(u) // n_sym
-        cp = sym_len - n_sc
-        blocks = u.samples.reshape(sym_len, n_sym, order="F")[cp:, :]
-        grid = np.fft.fft(blocks, axis=0) / np.sqrt(n_sc)
-        energy = (np.abs(grid) ** 2).sum(axis=1)
-        freqs = np.fft.fftfreq(n_sc, 1.0 / u.sample_rate)
+        energy = (np.abs(ofdm_grid(u.samples, lay)) ** 2).sum(axis=1)
+        freqs = np.fft.fftfreq(lay.n_subcarriers, 1.0 / u.sample_rate)
         order = np.argsort(freqs)
-        return freqs[order], energy[order], np.arange(n_sc)[order]
+        return freqs[order], energy[order], np.arange(lay.n_subcarriers)[order]
     prof = spectrum_profile(u)
-    return prof.freqs, prof.psd.copy(), None
+    return prof.freqs, prof.psd.copy(), np.arange(prof.freqs.size)
 
 
 def informativeness_check(u: Waveform, dictionary, threshold_db: float = -40.0,
@@ -304,8 +306,6 @@ def informativeness_check(u: Waveform, dictionary, threshold_db: float = -40.0,
     freqs, energy, labels = _spectral_support(u)
     lo, hi = dictionary.band
     required = np.nonzero((freqs >= lo) & (freqs <= hi))[0]
-    if labels is None:
-        labels = np.arange(freqs.size)
     if required.size == 0 or not energy[required].any():
         return InformativenessReport((), tuple(int(labels[i]) for i in required),
                                      tuple(int(labels[i]) for i in required),
@@ -334,19 +334,12 @@ def save_waveform(u: Waveform, basepath) -> tuple[Path, Path]:
     inter[1::2] = u.samples.imag
     inter.astype("<f8").tofile(iq_path)
     lay = u.layout
-    lay_doc = None
-    if lay is not None:
-        lay_doc = {
-            "kind": lay.kind,
-            "bits_per_symbol": lay.bits_per_symbol,
-            "n_subcarriers": lay.n_subcarriers,
-            "n_symbols": lay.n_symbols,
-            "pilot_mask": None if lay.pilot_mask is None
-            else lay.pilot_mask.astype(int).tolist(),
-            "active_subcarriers": list(lay.active_subcarriers),
-            "data_bits": lay.data_bits.tolist(),
-            "oversampling": lay.oversampling,
-        }
+    lay_doc = None if lay is None else {
+        **vars(lay),
+        "pilot_mask": None if lay.pilot_mask is None
+        else lay.pilot_mask.astype(int).tolist(),
+        "active_subcarriers": list(lay.active_subcarriers),
+        "data_bits": lay.data_bits.tolist()}
     with open(hdr_path, "w", encoding="utf-8") as f:
         f.write("format: isaclab-waveform v1\n")
         f.write("byte-order: little-endian\n")
@@ -366,17 +359,13 @@ def _layout_from_json(text: str) -> ModulationLayout | None:
     doc = json.loads(text)
     if doc is None:
         return None
+    if set(doc) != {f.name for f in fields(ModulationLayout)}:  # no defaults
+        raise ValueError(f"layout keys {sorted(doc)} are not its fields")
     mask = doc["pilot_mask"]
-    return ModulationLayout(
-        kind=doc["kind"],
-        bits_per_symbol=doc["bits_per_symbol"],
-        n_subcarriers=doc["n_subcarriers"],
-        n_symbols=doc["n_symbols"],
-        pilot_mask=None if mask is None else np.asarray(mask, bool),
-        active_subcarriers=tuple(doc["active_subcarriers"]),
-        data_bits=np.asarray(doc["data_bits"], np.uint8),
-        oversampling=doc["oversampling"],
-    )
+    return ModulationLayout(**{
+        **doc, "pilot_mask": None if mask is None else np.asarray(mask, bool),
+        "active_subcarriers": tuple(doc["active_subcarriers"]),
+        "data_bits": np.asarray(doc["data_bits"], np.uint8)})
 
 
 def load_waveform(basepath) -> Waveform:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isaclab import errors, estimators, harness, scene, waveform
 
@@ -293,6 +294,30 @@ def test_matched_filter_surface_energy_convention():
     rep = estimators.matched_filter_estimate(rx, u, _dictionary(u))
     surface = rep.diagnostics["surface"]
     assert surface[3, 0] == pytest.approx(u.energy, rel=1e-9)
+
+
+def _local_maxima_reference(s):
+    """Each cell against its 8 neighbours in turn, -inf beyond the edge."""
+    mask = np.ones(s.shape, bool)
+    padded = np.full((s.shape[0] + 2, s.shape[1] + 2), -np.inf)
+    padded[1:-1, 1:-1] = s
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if (di, dj) != (0, 0):
+                mask &= s >= padded[1 + di:1 + di + s.shape[0],
+                                    1 + dj:1 + dj + s.shape[1]]
+    return mask
+
+
+@given(st.integers(0, 5), st.integers(0, 5),
+       st.lists(st.sampled_from([0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]),
+                min_size=25, max_size=25))
+@settings(max_examples=300, deadline=None)
+def test_local_maxima_matches_the_neighbour_loop(rows, cols, values):
+    # few distinct values, so ties, +-inf and NaN neighbours are common
+    surface = np.array(values[:rows * cols]).reshape(rows, cols)
+    assert np.array_equal(estimators._local_maxima(surface),
+                          _local_maxima_reference(surface))
 
 
 def test_matched_filter_threshold_suppresses_weak_sidelobes():

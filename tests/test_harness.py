@@ -638,8 +638,10 @@ def test_cli_ambiguity(tmp_path):
     assert len(values) == 3 * 255 and all(len(v) == 3 for v in values)
 
 
-# a 4-sample chirp: the default span 4 / duration is above sample-rate / 2
-_CHIRP_4 = _CHIRP_MUSIC.replace("duration = 6.4e-5", "duration = 4e-6")
+# a 4-sample chirp: the default span 4 / duration is above sample-rate / 2;
+# MUSIC's delay grid may not exceed the probe length, so it has 4 bins
+_CHIRP_4 = _CHIRP_MUSIC.replace("duration = 6.4e-5", "duration = 4e-6") \
+    .replace("delay-bins = 16", "delay-bins = 4")
 
 
 @pytest.mark.parametrize("args, message, probe", [
@@ -671,16 +673,23 @@ def test_cli_ambiguity_rejects_bad_doppler_arguments(tmp_path, capsys, args,
     assert not (tmp_path / "out" / "ambiguity.csv").exists()
 
 
-def test_cli_music_grid_that_aliases_is_a_runtime_error(tmp_path, capsys):
-    # 20 delay bins on a 16-sample chirp: cells k and k + 16 coincide
+@pytest.mark.parametrize("delay_bins, code", [(16, 0), (17, 2), (20, 2)],
+                         ids=["16-bins", "17-bins", "20-bins"])
+def test_cli_music_grid_that_aliases_is_a_config_error(tmp_path, capsys,
+                                                       delay_bins, code):
+    # a 16-sample chirp: 16 delay bins span 15 samples, one below the
+    # steering period; with 17 or more, cells k and k + 16 coincide
     _write_scene(tmp_path / "scene.txt")
     (tmp_path / "exp.ini").write_text(_config_text(
         trials=1, probe=_CHIRP_MUSIC.replace("delay-bins = 16",
-                                             "delay-bins = 20")
+                                             f"delay-bins = {delay_bins}")
         .replace("duration = 6.4e-5", "duration = 1.6e-5")))
     assert cli.main(["simulate", "--config", str(tmp_path / "exp.ini"),
-                     "--out", str(tmp_path / "out")]) == 3
-    assert "delay grid" in capsys.readouterr().err
+                     "--out", str(tmp_path / "out")]) == code
+    if code:
+        assert (f"delay-bins = {delay_bins} must not exceed the probe length "
+                f"of 16 samples") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_sync(tmp_path):
@@ -794,6 +803,28 @@ def test_sync_with_simulate_metric_exits_2(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "out")]) == 2
     assert "'ber' needs 'tx_bits'" in capsys.readouterr().err
     assert not (tmp_path / "out" / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "metrics", "sync"])
+def test_empty_metric_list_exits_2_before_any_trial(tmp_path, capsys,
+                                                    monkeypatch, command):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the metric list check")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    monkeypatch.setattr(syncnet, "run_sync_scenario", no_trial)
+    if command == "sync":
+        ini = _sync_config(tmp_path, metrics="")
+    else:
+        _write_scene(tmp_path / "scene.txt")
+        (tmp_path / "exp.ini").write_text(_config_text(
+            metrics="", extra="\n[sweep]\nparameter = lambda\nvalues = 0.5\n"))
+        ini = str(tmp_path / "exp.ini")
+    extra = ["--reports", str(tmp_path)] if command == "metrics" else []
+    assert cli.main([command, "--config", ini,
+                     "--out", str(tmp_path / "out")] + extra) == 2
+    assert "[metrics] list is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # a 512-sample chirp whose echoes at 84 and 92 samples overrun the frame

@@ -610,3 +610,10 @@ def test_sync_scenario_without_noise_is_parse_error(tmp_path):
 def test_belief_rejects_degenerate_weights(weights):
     with pytest.raises(errors.DegeneracyError):
         sn.Belief(np.zeros((2, 2)), np.array(weights))
+
+
+@pytest.mark.parametrize("n_particles, n_weights", [(0, 1), (3, 2)])
+def test_belief_needs_one_weight_per_particle(n_particles, n_weights):
+    # no particles under a unit weight would estimate the origin
+    with pytest.raises(ValueError, match="one weight per particle"):
+        sn.Belief(np.zeros((n_particles, 2)), np.ones(n_weights))

@@ -37,6 +37,22 @@ def test_max_attainable_normalization():
     assert norm.sensing_ref >= 0.95 * i_s
 
 
+def test_disjoint_bands_have_no_default_normalization():
+    # a chirp in +-50 kHz and a prior on (200, 300) kHz share no band: the
+    # sensing MI is 0, and no sensing maximum exists to normalize it by
+    u = waveform.generate_chirp(1e5, 1e-4, FS)
+    _, _, noise, chan = _setup()
+    prior = scene.SensingPrior(np.full(64, 1.0), (2e5, 3e5))
+    assert metrics.conditional_mi(u, prior, noise) == 0.0
+    with pytest.raises(errors.NormalizationError, match="share no interval"):
+        unified.max_attainable_normalization(u, prior, noise, chan)
+    with pytest.raises(errors.NormalizationError, match="share no interval"):
+        unified.signal_metric(u, prior, noise, chan, 0.5)
+    fixed = unified.NormalizationPolicy(1.0, 1.0)
+    score = unified.signal_metric(u, prior, noise, chan, 0.5, fixed)
+    assert score.sensing_term == 0.0 and np.isfinite(score.value)
+
+
 def test_signal_metric_components_and_value():
     u, prior, noise, chan = _setup()
     lam = 0.3

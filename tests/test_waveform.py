@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,6 +224,54 @@ def test_load_waveform_header_errors_carry_context(tmp_path, edit, match):
     _, hdr = waveform.save_waveform(u, tmp_path / "w")
     hdr.write_text(edit(hdr.read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(errors.ParseError, match=match):
+        waveform.load_waveform(tmp_path / "w")
+
+
+def _ofdm_with_pilots():
+    mask = np.array([[0, 0], [1, 0], [0, 1], [0, 0]], bool)
+    layout = waveform.ModulationLayout(
+        kind="ofdm", bits_per_symbol=2, n_subcarriers=4, n_symbols=2,
+        pilot_mask=mask, active_subcarriers=(1, 2, 3),
+        data_bits=[1, 0, 0, 1, 1, 1, 0, 0])
+    return waveform.generate_ofdm(layout, 1e6, 1)
+
+
+def test_save_waveform_ofdm_header_text(tmp_path):
+    u = _ofdm_with_pilots()
+    _, hdr = waveform.save_waveform(u, tmp_path / "w")
+    assert hdr.read_text(encoding="utf-8") == (
+        "format: isaclab-waveform v1\n"
+        "byte-order: little-endian\n"
+        "sample-rate: 1000000.0\n"
+        "duration: 1e-05\n"
+        "band: -500000.0 375000.0\n"
+        'layout: {"kind": "ofdm", "bits_per_symbol": 2, "n_subcarriers": 4, '
+        '"n_symbols": 2, "pilot_mask": [[0, 0], [1, 0], [0, 1], [0, 0]], '
+        '"active_subcarriers": [1, 2, 3], '
+        '"data_bits": [1, 0, 0, 1, 1, 1, 0, 0], "oversampling": 1}\n')
+    v = waveform.load_waveform(tmp_path / "w")
+    assert np.array_equal(v.samples, u.samples)
+    assert np.array_equal(v.layout.pilot_mask, u.layout.pilot_mask)
+    assert v.layout.active_subcarriers == (1, 2, 3)
+    assert np.array_equal(v.layout.data_bits, u.layout.data_bits)
+
+
+@pytest.mark.parametrize("key", ["kind", "bits_per_symbol", "n_subcarriers",
+                                 "n_symbols", "pilot_mask",
+                                 "active_subcarriers", "data_bits",
+                                 "oversampling", "+extra"])
+def test_load_waveform_layout_keys_are_exact(tmp_path, key):
+    # a missing key is a defect even where the layout has a default, and
+    # so is a key the layout does not have
+    _, hdr = waveform.save_waveform(_ofdm_with_pilots(), tmp_path / "w")
+    head, _, layout = hdr.read_text(encoding="utf-8").partition("layout: ")
+    doc = json.loads(layout)
+    if key == "+extra":
+        doc["extra"] = 1
+    else:
+        del doc[key]
+    hdr.write_text(f"{head}layout: {json.dumps(doc)}\n", encoding="utf-8")
+    with pytest.raises(errors.ParseError, match=r"\.hdr:6: bad 'layout'"):
         waveform.load_waveform(tmp_path / "w")
 
 
