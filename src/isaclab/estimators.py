@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,12 +25,12 @@ class CostLedger:
     components for the unified metric.
 
     flop_count counts each estimator's nominal algorithm, not the
-    arithmetic that runs: MUSIC's ledger counts a full eigendecomposition
-    and the noise-subspace projection even when its signal subspace comes
-    from the cheaper subspace iteration.  OMP counts a dense atoms^H r
-    GEMM per selection and the matched filter an FFT correlator per
-    Doppler column, whichever way `Dictionary.correlate` computes the
-    correlations.
+    arithmetic that runs: MUSIC's ledger counts the covariance, a full
+    eigendecomposition and the noise-subspace projection even when its
+    signal subspace comes from block Lanczos, which forms no covariance.
+    OMP counts a dense atoms^H r GEMM per selection and the matched filter
+    an FFT correlator per Doppler column, whichever way
+    `Dictionary.correlate` computes the correlations.
     """
 
     flop_count: int = 0
@@ -325,40 +325,124 @@ def _steering(freq_like: float, step: float, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * step * freq_like * np.arange(n))
 
 
-# block subspace iteration for MUSIC's signal subspace: the block holds
-# order + SUBSPACE_EXTRA vectors, and the top `order` Ritz pairs must meet
-# ||Rv - lambda v|| <= SUBSPACE_TOL * lambda_max within SUBSPACE_MAX_ITER steps
+@lru_cache(maxsize=4)
+def _steering_matrix(delays: bytes, dopplers: bytes, freq_step: float,
+                     time_step: float, mw: int, lw: int) -> np.ndarray:
+    """Unit-norm steering vectors of an (mw, lw) window at every cell of the
+    grids (float64 bytes), columns in (tau, nu) order.
+
+    A sweep calls MUSIC on one grid again and again, so the matrix is
+    cached; it is read-only, since every call on equal grids shares it.
+    """
+    delay_grid = np.frombuffer(delays)
+    doppler_grid = np.frombuffer(dopplers)
+    a_f = np.exp(2j * np.pi * freq_step * delay_grid * np.arange(mw)[:, None])
+    a_t = np.exp(2j * np.pi * time_step * doppler_grid
+                 * np.arange(lw)[:, None])
+    S = (a_f[:, None, :, None] * a_t[None, :, None, :]).reshape(mw * lw, -1)
+    S /= np.linalg.norm(S, axis=0)
+    S.flags.writeable = False
+    return S
+
+
+def _snapshot_covariance(G: np.ndarray, mw: int, lw: int):
+    """X -> R X for MUSIC's smoothed covariance R = snaps snaps^H / n_snap,
+    without forming snaps or R.
+
+    Snapshot i * (L - lw + 1) + j is G[i:i + mw, j:j + lw], so snaps is
+    block-Hankel in G: snaps^H x is the correlation of conj(G) with the
+    window x, and snaps y the correlation of G with y on the snapshot grid.
+    Both run as FFTs of G's own shape, over the axes longer than 1; an
+    index i + p never passes the last row of G, so no product wraps.
+    """
+    M, L = G.shape
+    n_i, n_j = M - mw + 1, L - lw + 1
+    shape, axes = ((M, L), (0, 1)) if L > 1 else ((M,), (0,))
+    FG = np.fft.fftn(G, shape, axes)[..., None]
+
+    def apply(X: np.ndarray) -> np.ndarray:
+        # W = conj(snaps^H X) on the snapshot grid, then R X = snaps
+        # conj(W) / n_snap, each a correlation with G
+        X = X.reshape(mw, lw, -1)
+        W = np.fft.ifftn(FG * np.fft.fftn(X, shape, axes).conj(),
+                         axes=axes)[:n_i, :n_j]
+        Y = np.fft.ifftn(FG * np.fft.fftn(W, shape, axes).conj(),
+                         axes=axes)[:mw, :lw]
+        return Y.reshape(mw * lw, -1) / (n_i * n_j)
+
+    return apply
+
+
+# block Lanczos for MUSIC's signal subspace: a block holds `order` vectors,
+# at most SUBSPACE_MAX_ITER blocks make the basis, and the top `order` Ritz
+# pairs must meet ||Rv - lambda v|| <= SUBSPACE_TOL * lambda_max; a
+# covariance of at most order + SUBSPACE_EXTRA rows goes to a full `eigh`
 SUBSPACE_EXTRA = 10
 SUBSPACE_TOL = 1e-13
-SUBSPACE_MAX_ITER = 80
+SUBSPACE_MAX_ITER = 36
 
 
-def _signal_subspace(R: np.ndarray, order: int):
-    """Top `order` eigenpairs of the Hermitian R by block subspace iteration
-    with Rayleigh-Ritz (Xu & Kailath, "Fast subspace decomposition", IEEE
-    TSP 1994), as ``(eigenvalues ascending, eigenvectors)``.
+def _signal_subspace(apply_R, dim: int, trace: float, order: int):
+    """Top `order` eigenpairs of the Hermitian positive semi-definite R, of
+    size dim x dim, by block Lanczos (Golub & Underwood, "The block Lanczos
+    method for computing eigenvalues", 1977), as ``(steps, found)``:
+    `found` is ``(eigenvalues ascending, eigenvectors)`` or None.
 
-    The start block is the columns of R with the largest norms, so the
-    result depends on R alone.  Returns None when the block would not be
-    smaller than R, or when a Ritz pair still misses the residual test
-    after SUBSPACE_MAX_ITER steps; the caller then runs a full `eigh`.
+    R is seen only through `apply_R` (X -> R X) and its trace.  The first
+    block is a fixed pseudo-random one, so the result depends on R alone;
+    a block of `order` vectors, not one, is what finds every direction of
+    a repeated eigenvalue.  Each next block is R times the newest one,
+    orthogonalised twice against the whole basis, and every step runs
+    Rayleigh-Ritz on the whole basis and the residual test on its top
+    `order` Ritz pairs.  A block that loses rank (singular values at most
+    SUBSPACE_TOL times the largest Ritz value are dropped) makes the basis
+    invariant; its Ritz pairs are then exact only if the basis holds all
+    of R, so they are taken only if the Ritz values sum to trace(R)
+    within SUBSPACE_TOL.
+
+    `steps` counts the blocks, 0 when R is too small to gain from them.
+    `found` is None when R is too small, when a basis that lost rank misses
+    part of trace(R), or when SUBSPACE_MAX_ITER blocks (or R's dimension)
+    pass without meeting the residual test; the caller then runs a full
+    `eigh`.  The cap bounds a call that never meets the test: on a
+    256-row covariance, 36 blocks of 2 cost about as much as the R and
+    full `eigh` that follow them.
     """
-    dim = R.shape[0]
-    block = order + SUBSPACE_EXTRA
-    if block >= dim:
-        return None
-    start = np.argsort(-np.linalg.norm(R, axis=0), kind="stable")[:block]
-    Q, _ = np.linalg.qr(R[:, start])
-    for _ in range(SUBSPACE_MAX_ITER):
-        Z = R @ Q
-        ritz, V = np.linalg.eigh(Q.conj().T @ Z)
-        X = Q @ V[:, -order:]
+    if dim <= order + SUBSPACE_EXTRA:
+        return 0, None
+    rng = np.random.default_rng(0)
+    new, _ = np.linalg.qr(rng.standard_normal((dim, order))
+                          + 1j * rng.standard_normal((dim, order)))
+    cap = min(dim, order * SUBSPACE_MAX_ITER)
+    Q = np.empty((dim, cap), np.complex128)
+    Qh = np.empty((cap, dim), np.complex128)  # Q^H, spares a copy per use
+    Z = np.empty_like(Q)                      # R Q
+    T = np.empty((cap, cap), np.complex128)   # Q^H R Q, lower triangle
+    k = 0
+    for step in range(1, SUBSPACE_MAX_ITER + 1):
+        r = new.shape[1]
+        Q[:, k:k + r] = new
+        Qh[k:k + r] = new.conj().T
+        Z[:, k:k + r] = apply_R(new)
+        T[k:k + r, :k + r] = Qh[k:k + r] @ Z[:, :k + r]
+        k += r
+        ritz, V = np.linalg.eigh(T[:k, :k])
+        X = Q[:, :k] @ V[:, -order:]
         lam = ritz[-order:]
-        resid = np.linalg.norm(Z @ V[:, -order:] - X * lam, axis=0)
+        resid = np.linalg.norm(Z[:, :k] @ V[:, -order:] - X * lam, axis=0)
         if (resid <= SUBSPACE_TOL * ritz[-1]).all():
-            return lam, X
-        Q, _ = np.linalg.qr(Z)
-    return None
+            return step, (lam, X)
+        if r < order:
+            held = abs(ritz.sum() - trace) <= SUBSPACE_TOL * trace
+            return step, (lam, X) if held else None
+        W = Z[:, k - order:k]
+        for _ in range(2):
+            W = W - Q[:, :k] @ (Qh[:k] @ W)
+        U, sv, _ = np.linalg.svd(W, full_matrices=False)
+        new = U[:, sv > SUBSPACE_TOL * ritz[-1]]
+        if k + new.shape[1] > cap:
+            return step, None
+    return SUBSPACE_MAX_ITER, None
 
 
 def music_estimate(obs, order: int, delay_grid, doppler_grid,
@@ -372,16 +456,24 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     Snapshots come from 2-D spatial smoothing over sliding windows of
     shape `window` (default: about half of each axis extent).
 
-    The signal subspace E_s comes from `_signal_subspace`, and the
-    pseudospectrum denominator is ||a - E_s E_s^H a||^2, the norm of the
-    projection residual; the difference ||a||^2 - ||E_s^H a||^2 would lose
-    digits to cancellation at the peaks.  If the iteration misses its
-    residual test, a full `eigh` and the noise-subspace form ||E_n^H a||^2
-    run instead (diagnostic `eigh_fallback`).  The steering
-    vectors are periodic in delay with period 1/freq_step (and in Doppler
-    with 1/time_step), so a grid spanning a whole period raises GridError.
-    The cost ledger counts the nominal algorithm, a full eigendecomposition
-    and the noise-subspace projection, whichever path ran.
+    The covariance R = snaps snaps^H / n_snap is not formed: the signal
+    subspace E_s comes from block Lanczos in `_signal_subspace`, which
+    sees R only through the FFT products of `_snapshot_covariance` and
+    trace(R), the windowed energy of |G|^2.  The pseudospectrum
+    denominator is ||a - E_s E_s^H a||^2, the norm of the projection
+    residual; the difference ||a||^2 - ||E_s^H a||^2 would lose digits to
+    cancellation at the peaks.  When the iteration gives up (R too small,
+    a lost rank that leaves part of trace(R) out, or the SUBSPACE_MAX_ITER
+    cap), the snapshots and R are built, and a full `eigh` and the
+    noise-subspace form ||E_n^H a||^2 run instead (diagnostic
+    `eigh_fallback`; `subspace_steps` counts the Lanczos blocks, 0 when R
+    was too small to try).  The unit-norm steering matrix comes from the
+    read-only cache of `_steering_matrix`.  The steering vectors are
+    periodic in delay with period 1/freq_step (and in Doppler with
+    1/time_step), so a grid spanning a whole period raises GridError.
+    The cost ledger counts the nominal algorithm, the covariance, a full
+    eigendecomposition and the noise-subspace projection, whichever path
+    ran.
     Unlike the other estimators', `predicted_signal` and `residual_energy`
     are channel-domain: the (M, L) steering fit of G and its residual.
     """
@@ -412,25 +504,25 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
                 f"{axis} grid spans {np.ptp(grid)}, at least the steering "
                 f"period {1 / abs(step)}, so its cells alias")
 
-    # snapshot i * (L - lw + 1) + j is G[i:i + mw, j:j + lw], row-major
-    snaps = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(G, (mw, lw))
-        .transpose(2, 3, 0, 1).reshape(dim, n_snap))
-    R = snaps @ snaps.conj().T / n_snap
-
     n_tau, n_nu = delay_grid.size, doppler_grid.size
-    # unit-norm steering vectors of every cell, columns in (tau, nu) order
-    a_f = np.exp(2j * np.pi * freq_step * delay_grid * np.arange(mw)[:, None])
-    a_t = np.exp(2j * np.pi * time_step * doppler_grid
-                 * np.arange(lw)[:, None])
-    S = (a_f[:, None, :, None] * a_t[None, :, None, :]).reshape(dim, -1)
-    S /= np.linalg.norm(S, axis=0)
-    found = _signal_subspace(R, order)
+    S = _steering_matrix(delay_grid.tobytes(), doppler_grid.tobytes(),
+                         freq_step, time_step, mw, lw)
+    # snapshot i * (L - lw + 1) + j is G[i:i + mw, j:j + lw], and trace(R)
+    # the snapshots' mean energy
+    trace = float(np.lib.stride_tricks.sliding_window_view(
+        np.abs(G) ** 2, (mw, lw)).sum()) / n_snap
+    steps, found = _signal_subspace(_snapshot_covariance(G, mw, lw), dim,
+                                    trace, order)
     if found is not None:
         evals, signal_sub = found
-        resid = S - signal_sub @ (signal_sub.conj().T @ S)
+        resid = signal_sub @ (signal_sub.conj().T @ S)
+        np.subtract(S, resid, out=resid)
         denom = np.sum(np.abs(resid) ** 2, axis=0)
     else:
+        snaps = np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(G, (mw, lw))
+            .transpose(2, 3, 0, 1).reshape(dim, n_snap))
+        R = snaps @ snaps.conj().T / n_snap
         evals, evecs = np.linalg.eigh(R)
         evals = evals[dim - order:]
         denom = np.sum(np.abs(evecs[:, :dim - order].conj().T @ S) ** 2,
@@ -470,9 +562,10 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
                           diagnostics={"pseudospectrum": pseudo,
                                        "eigenvalues": evals,
                                        "noise_floor": float(
-                                           (np.trace(R).real - evals.sum())
+                                           (trace - evals.sum())
                                            / (dim - order)),
-                                       "eigh_fallback": found is None})
+                                       "eigh_fallback": found is None,
+                                       "subspace_steps": steps})
 
 
 # ---------------------------------------------------------------------------

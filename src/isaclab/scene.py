@@ -89,7 +89,8 @@ class TargetScene:
 class NoiseModel:
     """Sampled noise PSD over a band, with a generation seed.
 
-    psd holds P_nn(f) in W/Hz at len(psd) uniform samples spanning band.
+    psd holds P_nn(f) in W/Hz at len(psd) >= 2 uniform samples spanning
+    band, the first at band[0] and the last at band[1].
     """
 
     psd: np.ndarray
@@ -100,6 +101,9 @@ class NoiseModel:
         object.__setattr__(self, "psd", np.asarray(self.psd, dtype=float))
         if (self.psd < 0).any():
             raise ValueError("noise PSD samples must be >= 0")
+        if self.psd.size < 2:
+            raise ValueError("a noise PSD needs at least 2 samples to "
+                             "span its band")
 
     @property
     def freqs(self) -> np.ndarray:
@@ -117,7 +121,8 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SensingPrior:
-    """Spectral variance sigma_g^2(f) of the random impulse response."""
+    """Spectral variance sigma_g^2(f) of the random impulse response, at
+    len(spectral_variance) >= 2 uniform samples spanning band."""
 
     spectral_variance: np.ndarray
     band: tuple[float, float]
@@ -127,6 +132,9 @@ class SensingPrior:
                            np.asarray(self.spectral_variance, dtype=float))
         if (self.spectral_variance < 0).any():
             raise ValueError("spectral variance samples must be >= 0")
+        if self.spectral_variance.size < 2:
+            raise ValueError("a spectral variance needs at least 2 samples "
+                             "to span its band")
 
     @property
     def freqs(self) -> np.ndarray:

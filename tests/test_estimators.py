@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -506,13 +508,19 @@ delay-bins = 256
 """
 
 
-def _chirp_music_trial(tmp_path, monkeypatch, ebn0):
+def _chirp_music_trial(tmp_path, monkeypatch, ebn0,
+                       targets=((1.0, 84e-6), (0.7j, 89e-6))):
     """The arguments and report of the MUSIC call in one harness trial: a
-    512-sample chirp, two targets, the harness's deconvolution and grids."""
+    512-sample chirp, two targets unless `targets` (amplitude, delay) says
+    otherwise, the harness's deconvolution and grids.  An `ebn0` of None
+    runs the trial without noise."""
     scene.save_scene(scene.TargetScene(
-        (scene.Target(1.0, 84e-6, 0.0), scene.Target(0.7j, 89e-6, 0.0))),
+        tuple(scene.Target(h, tau, 0.0) for h, tau in targets)),
         tmp_path / "scene.txt")
-    (tmp_path / "exp.ini").write_text(_CHIRP_SWEEP.format(ebn0=ebn0))
+    text = _CHIRP_SWEEP.format(ebn0=ebn0)
+    if ebn0 is None:
+        text = text.replace("kind = white\nebn0-db = None", "kind = none")
+    (tmp_path / "exp.ini").write_text(text)
     cfg = harness.load_config(tmp_path / "exp.ini")
     calls = []
     real = estimators.music_estimate
@@ -602,6 +610,118 @@ def test_music_never_decomposes_the_full_covariance(tmp_path, monkeypatch):
     *_, rep = _chirp_music_trial(tmp_path, monkeypatch, 20)
     assert not rep.diagnostics["eigh_fallback"]
     assert sizes and max(sizes) <= 2 + estimators.SUBSPACE_EXTRA
+
+
+def _equal_power_pair(third: bool):
+    """Noiseless G of 63 bins with targets on bins 3, 11 (and 20) of the
+    grid arange(31) / (32 f): the 32-sample steering vectors of the bins
+    are orthogonal, so R has the double eigenvalue 32 (and 8)."""
+    f = 25e3
+    bins = [(1.0, 3), (1j, 11)] + ([(0.5, 20)] if third else [])
+    targets = [scene.Target(h, b / (32 * f), 0.0) for h, b in bins]
+    return _dd_observation(targets, M=63, L=1, df=f)[:, 0], \
+        np.arange(31) / (32 * f)
+
+
+@pytest.mark.parametrize("third", [False, True], ids=["pair", "pair+third"])
+def test_music_separates_an_equal_power_orthogonal_pair(third):
+    # a single start vector would see one direction of the double
+    # eigenvalue only, and report 8 and bin 20 in its place
+    G, delays = _equal_power_pair(third)
+    rep = estimators.music_estimate(G, 2, delays, np.array([0.0]),
+                                    freq_step=25e3)
+    got = sorted(round(t.delay * 32 * 25e3) for t in rep.estimated_targets)
+    assert got == [3, 11]
+    _, evals, _ = _music_full_eigh(G, 2, delays, np.array([0.0]), 25e3)
+    np.testing.assert_allclose(rep.diagnostics["eigenvalues"], evals[-2:],
+                               rtol=1e-10)
+    np.testing.assert_allclose(evals[-2:], [32.0, 32.0], rtol=1e-10)
+
+
+def test_music_three_noiseless_chirp_targets_need_no_fallback(tmp_path,
+                                                             monkeypatch):
+    # R has rank 3, so the second block of two loses a column: the basis
+    # then holds all of R, which its Ritz values summing to trace(R) shows
+    obs, order, delays, dopplers, kw, rep = _chirp_music_trial(
+        tmp_path, monkeypatch, None,
+        targets=((1.0, 84e-6), (0.7j, 89e-6), (0.3, 140e-6)))
+    assert not rep.diagnostics["eigh_fallback"]
+    _, evals, _ = _music_full_eigh(obs, order, delays, dopplers,
+                                   kw["freq_step"])
+    np.testing.assert_allclose(rep.diagnostics["eigenvalues"],
+                               evals[-order:], rtol=1e-10)
+    assert sorted(t.delay for t in rep.estimated_targets) \
+        == pytest.approx([84e-6, 89e-6])
+
+
+def _snapshots(G, mw, lw):
+    G = G.reshape(G.shape[0], -1)
+    M, L = G.shape
+    return np.stack([G[i:i + mw, j:j + lw].reshape(-1)
+                     for i in range(M - mw + 1) for j in range(L - lw + 1)],
+                    axis=1)
+
+
+@pytest.mark.parametrize("case", ["chirp", "2d-window"])
+def test_snapshot_covariance_product_matches_the_snapshot_matrix(
+        tmp_path, monkeypatch, case):
+    if case == "chirp":
+        obs, *_ = _chirp_music_trial(tmp_path, monkeypatch, 10)
+        G, (mw, lw) = obs[:, None], (256, 1)
+    else:
+        G = _dd_observation([scene.Target(0.8 + 0.3j, 3.2e-6, 150.0),
+                             scene.Target(0.5 - 0.2j, 7.2e-6, -75.0)],
+                            snr_db=10, seed=8)
+        mw, lw = 12, 9
+    snaps = _snapshots(G, mw, lw)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((mw * lw, 3)) + 1j * rng.standard_normal(
+        (mw * lw, 3))
+    got = estimators._snapshot_covariance(G, mw, lw)(X)
+    np.testing.assert_allclose(got, snaps @ (snaps.conj().T @ X)
+                               / snaps.shape[1], rtol=1e-12)
+
+
+def test_steering_matrix_is_shared_and_read_only():
+    delays = np.arange(0, 10e-6, 0.4e-6)
+    dopplers = np.arange(-200.0, 201.0, 25.0)
+    S = estimators._steering_matrix(delays.tobytes(), dopplers.tobytes(),
+                                    25e3, 1e-3, 10, 8)
+    again = estimators._steering_matrix(delays.copy().tobytes(),
+                                        dopplers.copy().tobytes(),
+                                        25e3, 1e-3, 10, 8)
+    assert again is S and not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0] = 0
+    a_f = np.exp(2j * np.pi * 25e3 * delays * np.arange(10)[:, None])
+    a_t = np.exp(2j * np.pi * 1e-3 * dopplers * np.arange(8)[:, None])
+    want = (a_f[:, None, :, None] * a_t[None, :, None, :]).reshape(80, -1)
+    want /= np.linalg.norm(want, axis=0)
+    np.testing.assert_array_equal(S, want)
+
+
+def test_music_call_stays_under_3_mib(tmp_path, monkeypatch):
+    # the 256 x 256 covariance and snapshot matrix alone would take 2 MiB
+    obs, order, delays, dopplers, kw, _ = _chirp_music_trial(
+        tmp_path, monkeypatch, 0)
+    tracemalloc.start()
+    try:
+        rep = estimators.music_estimate(obs, order, delays, dopplers, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.diagnostics["eigh_fallback"]
+    assert peak < 3 * 2 ** 20
+
+
+def test_music_reports_its_subspace_steps(tmp_path, monkeypatch):
+    *_, rep = _chirp_music_trial(tmp_path, monkeypatch, 20)
+    assert rep.diagnostics["subspace_steps"] >= 1
+    # a covariance of order + SUBSPACE_EXTRA rows or fewer goes to `eigh`
+    rep = estimators.music_estimate(np.arange(1.0, 6.0), 1, np.zeros(1),
+                                    np.zeros(1), freq_step=25e3)
+    assert rep.diagnostics["subspace_steps"] == 0
+    assert rep.diagnostics["eigh_fallback"]
 
 
 def test_music_rejects_grids_that_alias():

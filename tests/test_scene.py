@@ -135,6 +135,21 @@ def test_colored_noise_shaping():
     assert neg < 0.05 * pos
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_psd_with_fewer_than_two_samples_is_rejected(n):
+    # one sample sits at the band's lower edge alone, so the rest of the
+    # band would read as zero: no noise, and no mutual information
+    band = (-5e5, 5e5)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        scene.NoiseModel(np.full(n, 1e-9), band)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        scene.NoiseModel.white(1e-9, band, n=n)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        scene.SensingPrior(np.full(n, 1.0), band)
+    assert scene.NoiseModel(np.full(2, 1e-9), band).enabled
+    scene.SensingPrior(np.full(2, 1.0), band)
+
+
 def test_noise_deterministic_given_seed():
     fs = 1e6
     u = _tone(fs)
