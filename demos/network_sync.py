@@ -34,8 +34,8 @@ b = beliefs[4]
 mmse = sn.estimate_mmse(b, space, 4)
 mapest = sn.estimate_map(b, space, 4)
 err = np.linalg.norm(mmse.position - truth[4].position)
-print(f"converged after {b.iteration} iterations, ESS {b.ess:.0f}/"
-      f"{config.particle_count}")
+print(f"BP ran {b.iteration} of {config.max_iterations} iterations, "
+      f"ESS {b.ess:.0f}/{config.particle_count}")
 print(f"truth     : ({truth[4].position[0]:.3f}, {truth[4].position[1]:.3f})")
 print(f"mmse est  : ({mmse.position[0]:.3f}, {mmse.position[1]:.3f})"
       f"   error {err:.3f} m")

@@ -28,7 +28,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="override the master seed")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--workers", type=int, default=None,
-                        help="override worker count")
+                        help="accepted and checked (>= 1) for existing "
+                             "configs; trials run in order on one thread")
         sp.add_argument("--format", choices=("csv", "summary", "both"),
                         default="csv", help="report format")
 

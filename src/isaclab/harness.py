@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import configparser
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -131,6 +130,8 @@ class ExperimentConfig:
                                           int)
     trials: int = _setting(1, "experiment", "trials", int, _ge(1))
     master_seed: int = _setting(0, "experiment", "master-seed", int)
+    # accepted and checked so that existing configs still load, but trials
+    # run in order on one thread at any value
     workers: int = _setting(1, "experiment", "workers", int, _ge(1))
     output_dir: str = _setting("out", "experiment", "output-dir")
     store_reports: bool = _setting(
@@ -195,8 +196,8 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     """Load and validate an experiment config, reporting every violation.
 
     `overrides` maps field names to values that replace the file's, such
-    as ``{"workers": 2}``, and pass the same cast and rule; None keeps the
-    file's value.
+    as ``{"master_seed": 7}``, and pass the same cast and rule; None keeps
+    the file's value.
     """
     path = Path(path)
     # no interpolation: a '%' in a value is literal text
@@ -257,8 +258,15 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         problems.append(f"[experiment] schema-version must be 1, "
                         f"got {cfg.schema_version}")
     for section, name in (("scene", cfg.scene_file), ("sync", cfg.sync_file)):
-        if name is not None and not (cfg.base_dir / name).exists():
+        if name is None:
+            continue
+        if not (cfg.base_dir / name).exists():
             problems.append(f"[{section}] file {name!r} does not exist")
+        # the stem names the scenario in rows.csv, unless a scene label does
+        if scene.csv_quoted(Path(name).stem):
+            problems.append(f"[{section}] file {name!r}: its stem names the "
+                            f"scenario, and rows.csv cannot hold a ',', "
+                            f"'\"' or line break unquoted")
     # waveform values that would fail every trial, checked without building
     # the waveform, whose `bits` may be huge
     if cfg.wf_kind == "psk" and cfg.bits < cfg.bits_per_symbol:
@@ -442,7 +450,7 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         if scn.clutter is not None:
             cl = scene.generate_clutter(
                 scn.clutter, derive_seed(cfg.master_seed, trial, "clutter"))
-            scn = scene.merge_scenes(scn, cl, label=scenario)
+            scn = scene.merge_scenes(scn, cl, label=scn.label)
     noise = _noise_model(cfg, u, derive_seed(cfg.master_seed, trial, "noise"))
     if base is None:
         # the direct link: the probe itself, plus noise when set
@@ -612,14 +620,11 @@ def metric_rows(rec: dict, cfg: ExperimentConfig, source="trial record",
 def _run_trials(cfg: ExperimentConfig, trial, store_dir: Path | None,
                 ) -> list[ResultRow]:
     """The one trial driver: `trial(t)` returns trial t's rows and record.
-    Trials run on `cfg.workers` threads, each record is stored as
-    ``report_<trial>.json`` under `store_dir`, and the rows come back
-    sorted, so they are deterministic given (config, seed)."""
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(trial, range(cfg.trials)))
-    else:
-        results = [trial(t) for t in range(cfg.trials)]
+    Trials run in order on the calling thread, whatever `cfg.workers` says;
+    each record is stored as ``report_<trial>.json`` under `store_dir`, and
+    the rows come back sorted, so they are deterministic given (config,
+    seed)."""
+    results = [trial(t) for t in range(cfg.trials)]
     if store_dir is not None:
         store_dir.mkdir(parents=True, exist_ok=True)
         for _, doc in results:
@@ -649,6 +654,11 @@ def recompute_metrics(report_dir: Path, cfg: ExperimentConfig) -> list[ResultRow
             rec = json.loads(f.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise errors.ParseError(f"{f}: {exc}") from None
+        if not isinstance(rec, dict):
+            raise errors.ParseError(f"{f}: a trial record is a JSON object")
+        if scene.csv_quoted(str(rec.get("scenario", ""))):
+            raise errors.ParseError(f"{f}: scenario {rec['scenario']!r} "
+                                    f"would need quotes in rows.csv")
         rows += metric_rows(rec, cfg, source=str(f))
     return _sort_rows(rows)
 

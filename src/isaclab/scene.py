@@ -64,6 +64,20 @@ class ClutterModel:
                 * (self.doppler_span[1] - self.doppler_span[0]))
 
 
+def csv_quoted(text: str) -> bool:
+    """Whether a CSV field holding `text` would need quotes: it holds a
+    comma, a double quote or a line break."""
+    return any(c in text for c in ',"') or "".join(text.splitlines()) != text
+
+
+def _check_label(label: str) -> None:
+    """A label is a scenario name: rows.csv must hold it unquoted, and a
+    scene file's `label:` line must read it back unchanged."""
+    if csv_quoted(label) or "#" in label or label != label.strip():
+        raise ValueError(f"label {label!r} must hold no ',', '\"', '#' or "
+                         f"line break, and no surrounding whitespace")
+
+
 @dataclass(frozen=True)
 class TargetScene:
     """Sparse scatterer set plus optional clutter description."""
@@ -73,6 +87,7 @@ class TargetScene:
     label: str = ""
 
     def __post_init__(self):
+        _check_label(self.label)
         object.__setattr__(self, "targets", tuple(self.targets))
         seen = set()
         for t in self.targets:
@@ -277,6 +292,7 @@ def load_scene(path) -> TargetScene:
     for lineno, key, rest in errors.key_value_lines(path, "scene-version: 1"):
         try:
             if key == "label":
+                _check_label(rest)
                 label = rest
             elif key == "target":
                 parts = rest.split()

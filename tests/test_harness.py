@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -227,6 +228,25 @@ def test_recompute_missing_input_is_validation_error(tmp_path, capsys):
     assert "papr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda rec: [rec], "a trial record is a JSON object"),
+    (lambda rec: {**rec, "scenario": "a,b"}, "scenario 'a,b'"),
+], ids=["not-an-object", "comma-scenario"])
+def test_recompute_rejects_a_record_rows_csv_cannot_hold(tmp_path, capsys,
+                                                         edit, message):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=1, metrics="ber"))
+    harness.run_experiment(harness.load_config(tmp_path / "exp.ini"),
+                           store_dir=tmp_path / "reports")
+    stored = tmp_path / "reports" / "report_00000.json"
+    stored.write_text(json.dumps(edit(json.loads(stored.read_text()))))
+    assert cli.main(["metrics", "--config", str(tmp_path / "exp.ini"),
+                     "--reports", str(tmp_path / "reports"),
+                     "--out", str(tmp_path / "re")]) == 2
+    assert f"report_00000.json: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "re").exists()
+
+
 def test_cli_sweep_without_scene_is_direct_link(tmp_path):
     # no [scene]: the receiver sees the probe plus noise, so the BPSK BER
     # follows Q(sqrt(2 Eb/N0)): 0.079 at 0 dB, 0.012 at 4 dB, ~0 at 20 dB
@@ -352,8 +372,9 @@ def test_cli_runtime_error_exit_3(tmp_path):
 
 @pytest.mark.parametrize("scene_text, probe, message", [
     ("scene-version: 1\ntarget: 1 0 nope 0\n", _PSK_OMP, "scene.txt:2"),
+    ("scene-version: 1\nlabel: a,b\n", _PSK_OMP, "scene.txt:2: label 'a,b'"),
     (None, "", "[waveform]"),
-], ids=["bad-scene-value", "no-waveform-section"])
+], ids=["bad-scene-value", "comma-label", "no-waveform-section"])
 def test_cli_input_errors_found_in_trials_exit_2(tmp_path, capsys,
                                                  scene_text, probe, message):
     if scene_text is None:
@@ -782,6 +803,39 @@ def test_sync_rows_identical_at_any_worker_count(tmp_path):
     assert one == (tmp_path / "2" / "rows.csv").read_bytes()
     assert {line.split(",")[0] for line in one.decode().splitlines()[1:]} \
         == {"0", "1", "2"}
+
+
+def test_trials_run_on_the_calling_thread(tmp_path, monkeypatch):
+    threads = []
+    for name in ("run_trial", "run_sync_trial"):
+        def recorded(*args, _run=getattr(harness, name)):
+            threads.append(threading.get_ident())
+            return _run(*args)
+        monkeypatch.setattr(harness, name, recorded)
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=3))
+    assert cli.main(["simulate", "--config", str(tmp_path / "exp.ini"),
+                     "--workers", "2", "--out", str(tmp_path / "sim")]) == 0
+    (tmp_path / "sync").mkdir()
+    ini = _sync_config(tmp_path / "sync", trials=2)
+    assert cli.main(["sync", "--config", ini, "--workers", "2",
+                     "--out", str(tmp_path / "sync" / "out")]) == 0
+    assert threads == 5 * [threading.get_ident()]
+
+
+@pytest.mark.parametrize("stem", ["a,b", 'say "hi"'], ids=["comma", "quote"])
+def test_file_stem_that_csv_would_quote_is_a_validation_error(tmp_path,
+                                                               capsys, stem):
+    _write_scene(tmp_path / f"{stem}.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(f"{stem}.txt", trials=1))
+    with pytest.raises(errors.ValidationError, match=r"\[scene\] file"):
+        harness.load_config(tmp_path / "exp.ini")
+    (tmp_path / f"{stem}.sync").write_text(_SYNC_NET)
+    (tmp_path / "sync.ini").write_text(
+        f"[experiment]\nschema-version = 1\n\n[sync]\nfile = {stem}.sync\n")
+    assert cli.main(["sync", "--config", str(tmp_path / "sync.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "[sync] file" in capsys.readouterr().err
 
 
 def test_sync_metric_list_selects_rows(tmp_path):

@@ -203,6 +203,31 @@ def test_scene_file_roundtrip(tmp_path):
     assert back.clutter.doppler_span == (-100.0, 100.0)
 
 
+@pytest.mark.parametrize("label", ["two targets", "run-3 (b)", "x=1;y",
+                                   "\u00e9cho", ""])
+def test_scene_label_reads_back_unchanged(tmp_path, label):
+    scene.save_scene(scene.TargetScene((), label=label), tmp_path / "s.txt")
+    assert scene.load_scene(tmp_path / "s.txt").label == label
+
+
+@pytest.mark.parametrize("label", [
+    "run #3", " padded ", "padded ", "two\nlines", "two\rlines",
+    "two\u2028lines", "a,b", 'say "hi"',
+], ids=["hash", "padded", "trailing-space", "newline", "return",
+        "line-separator", "comma", "quote"])
+def test_scene_label_that_would_not_read_back_is_rejected(label):
+    with pytest.raises(ValueError, match="label"):
+        scene.TargetScene((), label=label)
+
+
+@pytest.mark.parametrize("label", ["a,b", 'say "hi"', 'a,"b"'])
+def test_scene_file_label_csv_would_quote_is_a_parse_error(tmp_path, label):
+    p = tmp_path / "scene.txt"
+    p.write_text(f"scene-version: 1\nlabel: {label}\ntarget: 1 0 0 0\n")
+    with pytest.raises(errors.ParseError, match=r"scene\.txt:2: label"):
+        scene.load_scene(p)
+
+
 def test_scene_file_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("target: 1 0 0 0\n")
