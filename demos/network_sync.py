@@ -34,8 +34,10 @@ b = beliefs[4]
 mmse = sn.estimate_mmse(b, space, 4)
 mapest = sn.estimate_map(b, space, 4)
 err = np.linalg.norm(mmse.position - truth[4].position)
-print(f"BP ran {b.iteration} of {config.max_iterations} iterations, "
-      f"ESS {b.ess:.0f}/{config.particle_count}")
+status = (f"converged after {beliefs.iterations} iterations"
+          if beliefs.converged else
+          f"stopped at the cap of {config.max_iterations} without converging")
+print(f"BP {status}, ESS {b.ess:.0f}/{config.particle_count}")
 print(f"truth     : ({truth[4].position[0]:.3f}, {truth[4].position[1]:.3f})")
 print(f"mmse est  : ({mmse.position[0]:.3f}, {mmse.position[1]:.3f})"
       f"   error {err:.3f} m")

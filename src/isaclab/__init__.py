@@ -30,11 +30,12 @@ from .metrics import (AmbiguityMap, CommReport, JointPMF, ParameterVector,
 from .unified import (EstimatorScore, NormalizationPolicy, SignalScore,
                       estimator_metric, max_attainable_normalization,
                       signal_metric, sweep_lambda)
-from .syncnet import (ApertureState, BPConfig, FactorGraph, MeasurementNoise,
-                      NetworkTopology, StateSpace, SyncScenario,
-                      build_factor_graph, estimate_map, estimate_mmse,
-                      load_sync_scenario, run_loopy_bp, run_sync_scenario,
-                      simulate_measurements, sync_error_report)
+from .syncnet import (ApertureState, BPConfig, BPResult, FactorGraph,
+                      MeasurementNoise, NetworkTopology, StateSpace,
+                      SyncScenario, build_factor_graph, estimate_map,
+                      estimate_mmse, load_sync_scenario, run_loopy_bp,
+                      run_sync_scenario, simulate_measurements,
+                      sync_error_report)
 from .harness import (ExperimentConfig, ResultRow, derive_seed, emit_report,
                       load_config, run_experiment, run_sweep)
 

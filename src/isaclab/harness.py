@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -532,9 +533,14 @@ def run_sync_trial(cfg: ExperimentConfig, trial: int,
                    scenario: syncnet.SyncScenario,
                    ) -> tuple[list[ResultRow], dict]:
     """One sync trial on the parsed `[sync]` file: measurements -> particle
-    BP -> record (each agent's position error, the network RMS) -> rows."""
+    BP -> record (each agent's position error, the network RMS) -> rows.
+    A BP that stops at its iteration cap without converging is reported
+    on stderr; the rows are the same either way."""
     seed = derive_seed(cfg.master_seed, trial, "sync")
-    _, _, report = syncnet.run_sync_scenario(scenario, seed=seed)
+    _, beliefs, report = syncnet.run_sync_scenario(scenario, seed=seed)
+    if not beliefs.converged:
+        print(f"trial {trial}: BP stopped at bp-iterations "
+              f"{beliefs.iterations} without converging", file=sys.stderr)
     record = _sync_record(cfg, trial, seed, report)
     return metric_rows(record, cfg), record
 

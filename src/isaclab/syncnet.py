@@ -443,6 +443,18 @@ class Belief:
         return float(1.0 / np.sum(self.weights ** 2))
 
 
+class BPResult(dict):
+    """What `run_loopy_bp` returns: a dict of aperture id to its `Belief`,
+    anchors included, that also says whether BP `converged` (the belief
+    means settled after annealing ended) and after how many `iterations`
+    it stopped."""
+
+    def __init__(self, beliefs: dict, converged: bool, iterations: int):
+        super().__init__(beliefs)
+        self.converged = converged
+        self.iterations = iterations
+
+
 def _weighted_std(x: np.ndarray, w: np.ndarray, circular: bool) -> float:
     if circular:
         cbar = np.sum(w * np.cos(x))
@@ -484,8 +496,9 @@ _LOG_ZERO_WEIGHT = -1e300
 
 
 def _kde_log_density(x_eval, centers, weights, h, circular_mask):
-    """log of the weighted Gaussian-mixture density (the jittered-resample
-    proposal) at each evaluation point.
+    """log of the weighted Gaussian-mixture density at each evaluation
+    point: BP's resample proposal, the mixture over the drawn parents, and
+    `estimate_map`'s smoothed belief.
 
     Linear dims use the expanded quadratic form with no difference tensor.
     Both point sets are first centred on the weighted mean of the centres
@@ -534,18 +547,23 @@ def _kde_log_density(x_eval, centers, weights, h, circular_mask):
     return out
 
 
-def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
+def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
     """Synchronous (flooding) particle BP over the factor graph.
 
     Messages into an agent pair each of its particles with a particle
     resampled from the neighbor belief, weights are the damped product of
     prior and incoming messages, and beliefs are resampled with kernel
     jitter when the effective sample size drops below
-    RESAMPLE_THRESHOLD * n. An anchor's belief is its one known state,
-    shape (1, d), drawn from its point-mass prior; it never changes, and a
-    message from it reads that state as is, with no resampling.
+    RESAMPLE_THRESHOLD * n. The jittered particles follow the Gaussian
+    mixture over the parents the resampling drew, each weighted by how
+    often it was drawn (the deterministic-mixture proposal), and later
+    weights divide by that density. An anchor's belief is its one known
+    state, shape (1, d), drawn from its point-mass prior; it never
+    changes, and a message from it reads that state as is, with no
+    resampling.
 
-    Returns a dict of aperture id to its `Belief`, anchors included.
+    Returns a `BPResult`: the dict of aperture id to its `Belief`, anchors
+    included, with `converged` and `iterations`.
     """
     space = graph.space
     top = graph.topology
@@ -559,7 +577,8 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
         beliefs[j] = Belief(priors[j].sample(k, rng), np.full(k, 1.0 / k))
 
     # importance proposal density of each agent's particle set; starts as
-    # the prior (the initial sampler) and becomes the jittered-resample KDE
+    # the prior (the initial sampler) and becomes the kernel mixture over
+    # the parents of each resample
     logq: dict[int, np.ndarray] = {
         m: priors[m].logpdf(beliefs[m].particles).astype(float)
         for m in top.agents}
@@ -618,20 +637,26 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> dict:
             if bel.ess < RESAMPLE_THRESHOLD * n:
                 cm = space.circular_mask
                 old_parts = bel.particles
-                parts = old_parts[_systematic_resample(w, rng)]
+                idx = _systematic_resample(w, rng)
+                parts = old_parts[idx]
                 h = _silverman_bandwidth(old_parts, w, cm)
                 parts += h * rng.standard_normal(parts.shape)
                 parts[:, cm] = wrap_angle(parts[:, cm])
-                # new particles follow the jitter-KDE; record it as the
-                # proposal so later weights stay importance-corrected
-                logq[m] = _kde_log_density(parts, old_parts, w, h, cm)
+                # the new particles follow the kernel mixture over the
+                # parents they were drawn from, each weighted by its share
+                # of the draws; record it as the proposal so later weights
+                # stay importance-corrected
+                counts = np.bincount(idx)
+                parents = np.flatnonzero(counts)
+                logq[m] = _kde_log_density(parts, old_parts[parents],
+                                           counts[parents] / n, h, cm)
                 bel = Belief(parts, np.full(n, 1.0 / n), iteration=it + 1)
                 prev_logw[m] = None
             beliefs[m] = bel
 
         if converged:
             break
-    return beliefs
+    return BPResult(beliefs, converged, it + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +899,7 @@ def default_agent_prior(scenario: SyncScenario) -> dict:
 def run_sync_scenario(scenario: SyncScenario, seed: int | None = None):
     """Simulate measurements, run BP, and report errors.
 
-    Returns (estimates dict, beliefs dict, error report).  Anchors are
+    Returns (estimates dict, `BPResult`, error report).  Anchors are
     estimated by their known states, so the report covers the agents only.
     """
     cfg = scenario.config if seed is None else replace(scenario.config, seed=seed)

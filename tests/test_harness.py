@@ -838,6 +838,21 @@ def test_file_stem_that_csv_would_quote_is_a_validation_error(tmp_path,
     assert "[sync] file" in capsys.readouterr().err
 
 
+def test_sync_reports_bp_stopped_at_its_cap_on_stderr(tmp_path, capsys):
+    ini = _sync_config(tmp_path, trials=2)
+    # _SYNC_NET anneals through all 15 iterations, so it stops at the cap;
+    # a faster anneal and a looser tolerance let it converge
+    for extra, err in (("", [f"trial {t}: BP stopped at bp-iterations 15 "
+                             f"without converging" for t in (0, 1)]),
+                       ("anneal-decay: 0.3\nbp-tol: 1e-2\n", [])):
+        (tmp_path / "net.txt").write_text(_SYNC_NET + extra)
+        assert cli.main(["sync", "--config", ini,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.splitlines() == err
+        assert len((tmp_path / "out" / "rows.csv").read_text()
+                   .splitlines()) == 1 + 2 * 4
+
+
 def test_sync_metric_list_selects_rows(tmp_path):
     ini = _sync_config(tmp_path, metrics="position_rms_m")
     assert cli.main(["sync", "--config", ini,

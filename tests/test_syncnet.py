@@ -298,6 +298,93 @@ def test_kde_log_density_matches_difference_tensor(case):
                                rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("components", [("position",),
+                                        ("position", "orientation",
+                                         "time_offset", "cpo")],
+                         ids=["position", "mixed-circular"])
+def test_kde_over_drawn_parents_matches_duplicated_list(components):
+    # the resample proposal: each drawn parent once, weighted by its share
+    # of the draws, is the equal-weight mixture over the drawn list
+    rng = np.random.default_rng(23)
+    n = 600
+    space = sn.StateSpace(components)
+    cm = space.circular_mask
+    c = (_mixed_particles(rng, n) if cm.any()
+         else np.array([50.0, 60.0]) + rng.standard_normal((n, 2)))
+    w = rng.random(n) ** 6
+    w /= w.sum()
+    idx = sn._systematic_resample(w, rng)
+    counts = np.bincount(idx)
+    parents = np.flatnonzero(counts)
+    assert parents.size < n
+    h = sn._silverman_bandwidth(c, w, cm)
+    x = c[idx] + h * rng.standard_normal((n, c.shape[1]))
+    x[:, cm] = sn.wrap_angle(x[:, cm])
+    got = sn._kde_log_density(x, c[parents], counts[parents] / n, h, cm)
+    np.testing.assert_allclose(
+        got, _kde_reference(x, c[idx], np.full(n, 1.0 / n), h, cm),
+        rtol=0, atol=1e-9)
+
+
+def test_bp_proposal_is_the_mixture_over_drawn_parents(monkeypatch):
+    # each resample's proposal has one centre per drawn parent at most,
+    # weighted by the parent's share of the draws
+    drawn, calls = [], []
+    resample, kde = sn._systematic_resample, sn._kde_log_density
+
+    def spy_resample(weights, rng):
+        idx = resample(weights, rng)
+        drawn.append(np.unique(idx).size)
+        return idx
+
+    def spy_kde(x_eval, centers, weights, h, circular_mask):
+        calls.append((centers.shape[0], drawn[-1], weights.sum()))
+        return kde(x_eval, centers, weights, h, circular_mask)
+
+    monkeypatch.setattr(sn, "_systematic_resample", spy_resample)
+    monkeypatch.setattr(sn, "_kde_log_density", spy_kde)
+    g, _, _ = _two_node_graph()
+    sn.run_loopy_bp(g, sn.BPConfig(particle_count=500, seed=1,
+                                   anneal_start=100.0))
+    assert calls
+    for n_centres, n_parents, w_sum in calls:
+        assert n_centres <= n_parents < 500
+        assert w_sum == pytest.approx(1.0, abs=1e-12)
+
+
+def _mesh_graph():
+    """Criterion 8b's mesh: four corner anchors and one agent, noiseless
+    two-way delays at mm scale."""
+    space = sn.StateSpace(("position",))
+    ids, anchors = (0, 1, 2, 3, 4), (0, 1, 2, 3)
+    top = sn.NetworkTopology.full_mesh(ids, anchors)
+    truth = {0: sn.ApertureState(0, [0.0, 0.0]),
+             1: sn.ApertureState(1, [100.0, 0.0]),
+             2: sn.ApertureState(2, [0.0, 100.0]),
+             3: sn.ApertureState(3, [100.0, 100.0]),
+             4: sn.ApertureState(4, [37.0, 61.0])}
+    meas = sn.simulate_measurements(top, truth,
+                                    sn.MeasurementNoise(delay_std=1e-13),
+                                    seed=7)
+    priors = {j: (sn.PointPrior(space.pack(truth[j])) if j in anchors
+                  else sn.UniformPrior([0.0, 0.0], [100.0, 100.0]))
+              for j in ids}
+    return sn.build_factor_graph(top, priors, meas, space)
+
+
+@pytest.mark.parametrize("cap,converged", [(50, True), (2, False)])
+def test_bp_result_says_whether_it_converged(cap, converged):
+    cfg = sn.BPConfig(particle_count=1500, max_iterations=cap, seed=0,
+                      anneal_start=1e6, anneal_decay=0.4)
+    result = sn.run_loopy_bp(_mesh_graph(), cfg)
+    assert result.converged is converged
+    assert (result.iterations < cap) is converged
+    assert sorted(result) == [0, 1, 2, 3, 4]
+    # the values keep their per-belief iteration; anchors never update
+    assert max(b.iteration for b in result.values()) == result.iterations
+    assert result[0].iteration == 0
+
+
 def test_kde_log_density_peak_memory():
     # at 1500 centres with two circular dims an n×n×k wrapped-difference
     # tensor alone would be 34 MiB
