@@ -24,7 +24,7 @@ priors = {j: sn.PointPrior(space.pack(truth[j])) for j in anchors}
 priors[4] = sn.UniformPrior([0.0, 0.0], [100.0, 100.0])
 graph = sn.build_factor_graph(topology, priors, measurements, space)
 print(f"factor graph: {len(graph.pair_factors)} pair factors + "
-      f"{len(graph.prior_factors)} priors, cycles={graph.has_cycles()}")
+      f"{len(graph.priors)} priors, cycles={graph.has_cycles()}")
 
 config = sn.BPConfig(particle_count=1500, max_iterations=40, seed=1,
                      anneal_start=1e5, anneal_decay=0.4)

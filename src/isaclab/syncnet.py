@@ -212,12 +212,6 @@ class UniformPrior:
 # forward model
 # ---------------------------------------------------------------------------
 
-def _geometry(p_tx, p_rx):
-    """Transmitter-minus-receiver offset and its length (vectorized)."""
-    diff = p_tx - p_rx
-    return diff, np.linalg.norm(diff, axis=-1)
-
-
 def _delay(dist, to_tx, to_rx):
     """Propagation delay plus the clock-offset difference TO_rx - TO_tx."""
     return dist / SPEED_OF_LIGHT + (to_rx - to_tx)
@@ -234,6 +228,35 @@ def _phase(dist, cpo_tx, cpo_rx, carrier_freq):
                       + (cpo_rx - cpo_tx))
 
 
+# the pair observables, in the order they are computed, drawn and summed
+_OBSERVABLES = ("delay", "aoa", "phase")
+_ANGULAR = {"aoa", "phase"}
+
+
+def _held(obj, suffix=""):
+    """The observables whose attribute `name + suffix` of obj is set."""
+    return [k for k in _OBSERVABLES if getattr(obj, k + suffix) is not None]
+
+
+def _observables(which, x_tx, x_rx, space: StateSpace, carrier_freq):
+    """Noiseless observables named in `which`, in `_OBSERVABLES` order, of
+    packed state arrays that broadcast by row; absent components read 0."""
+    x_tx, x_rx = np.atleast_2d(x_tx), np.atleast_2d(x_rx)
+    # transmitter-minus-receiver offset and its length
+    diff = space.get(x_tx, "position") - space.get(x_rx, "position")
+    dist = np.linalg.norm(diff, axis=-1)
+    out = []
+    if "delay" in which:
+        out.append(_delay(dist, space.get(x_tx, "time_offset"),
+                          space.get(x_rx, "time_offset")))
+    if "aoa" in which:
+        out.append(_aoa(diff, space.get(x_rx, "orientation")))
+    if "phase" in which:
+        out.append(_phase(dist, space.get(x_tx, "cpo"),
+                          space.get(x_rx, "cpo"), carrier_freq))
+    return out
+
+
 def simulate_measurements(topology: NetworkTopology, true_states: dict,
                           noise: MeasurementNoise, seed: int,
                           carrier_freq: float = 1e9) -> list[PairMeasurement]:
@@ -242,30 +265,25 @@ def simulate_measurements(topology: NetworkTopology, true_states: dict,
     Delay carries propagation plus the clock-offset difference TO_rx - TO_tx;
     AOA is the bearing of the transmitter in the receiver frame; phase is the
     wrapped carrier phase of the geometric delay plus the CPO difference.
-    Only the observables the noise model enables are computed, and their
-    noise is drawn in the order delay, AOA, phase. Deterministic given the
-    seed.
+    Every component of the true states is read. Only the observables the
+    noise model enables are computed, and their noise is drawn in the order
+    delay, AOA, phase. Deterministic given the seed.
     """
     missing = set(topology.apertures) - set(true_states)
     if missing:
         raise errors.TopologyError(f"missing true states for {missing}")
     rng = np.random.default_rng(seed)
+    full = StateSpace(tuple(_COMPONENT_DIMS))
+    which = _held(noise, "_std")
     out = []
     for (j, jp) in sorted(topology.measurement_mask):
-        tx, rx = true_states[j], true_states[jp]
-        diff, dist = _geometry(tx.position, rx.position)
-        z_delay = z_aoa = z_phase = None
-        if noise.delay_std is not None:
-            z_delay = float(_delay(dist, tx.time_offset, rx.time_offset)
-                            + noise.delay_std * rng.standard_normal())
-        if noise.aoa_std is not None:
-            z_aoa = float(wrap_angle(_aoa(diff, rx.orientation)
-                                     + noise.aoa_std * rng.standard_normal()))
-        if noise.phase_std is not None:
-            phase = _phase(dist, tx.cpo, rx.cpo, carrier_freq)
-            z_phase = float(wrap_angle(phase
-                                       + noise.phase_std * rng.standard_normal()))
-        out.append(PairMeasurement((j, jp), z_delay, z_aoa, z_phase, noise))
+        z = dict.fromkeys(_OBSERVABLES)
+        for k, clean in zip(which, _observables(
+                which, full.pack(true_states[j]), full.pack(true_states[jp]),
+                full, carrier_freq)):
+            v = clean[0] + getattr(noise, f"{k}_std") * rng.standard_normal()
+            z[k] = float(wrap_angle(v) if k in _ANGULAR else v)
+        out.append(PairMeasurement((j, jp), noise=noise, **z))
     return out
 
 
@@ -282,26 +300,19 @@ class PairFactor:
         return self.measurement.pair
 
 
-@dataclass(frozen=True)
-class PriorFactor:
-    node_id: int
-    prior: object
-
-
 @dataclass
 class FactorGraph:
+    """Pair factors plus `priors`, the dict of aperture id to its prior."""
+
     topology: NetworkTopology
     space: StateSpace
-    prior_factors: list[PriorFactor]
+    priors: dict
     pair_factors: list[PairFactor]
     carrier_freq: float = 1e9
 
     @property
     def n_factors(self) -> int:
-        return len(self.prior_factors) + len(self.pair_factors)
-
-    def priors(self) -> dict:
-        return {f.node_id: f.prior for f in self.prior_factors}
+        return len(self.priors) + len(self.pair_factors)
 
     def has_cycles(self) -> bool:
         """Whether the undirected measured-pair graph has a cycle.
@@ -331,9 +342,9 @@ def build_factor_graph(topology: NetworkTopology, priors: dict,
     """Graph of |measured pairs| pair factors plus one prior factor per
     aperture, matching the posterior factorization up to proportionality."""
     space = space or StateSpace()
-    missing = set(topology.apertures) - set(priors)
-    if missing:
-        raise errors.TopologyError(f"missing priors for apertures {missing}")
+    if set(priors) != set(topology.apertures):
+        raise errors.TopologyError(f"priors for apertures {sorted(priors)}, "
+                                   f"not {list(topology.apertures)}")
     for j in topology.anchors:
         if not isinstance(priors[j], PointPrior):
             raise errors.TopologyError(f"anchor {j} needs a point-mass prior")
@@ -350,8 +361,7 @@ def build_factor_graph(topology: NetworkTopology, priors: dict,
     dangling = mask - seen
     if dangling:
         raise errors.TopologyError(f"masked pairs without measurements {dangling}")
-    prior_factors = [PriorFactor(j, priors[j]) for j in topology.apertures]
-    return FactorGraph(topology, space, prior_factors, pair_factors,
+    return FactorGraph(topology, space, dict(priors), pair_factors,
                        carrier_freq)
 
 
@@ -363,28 +373,16 @@ def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
 
     Only the observables the measurement holds are computed.
     """
-    x_tx = np.atleast_2d(x_tx)
-    x_rx = np.atleast_2d(x_rx)
-    diff, dist = _geometry(space.get(x_tx, "position"),
-                           space.get(x_rx, "position"))
-    lw = np.zeros(dist.shape)
-    noise = meas.noise
+    which = _held(meas)
+    lw = np.zeros(max(len(np.atleast_2d(x_tx)), len(np.atleast_2d(x_rx))))
     # an overflowing residual legitimately drives the log-weight to -inf
     with np.errstate(over="ignore"):
-        if meas.delay is not None:
-            delay = _delay(dist, space.get(x_tx, "time_offset"),
-                           space.get(x_rx, "time_offset"))
-            s = noise.delay_std * noise_scale
-            lw += -0.5 * ((meas.delay - delay) / s) ** 2
-        if meas.aoa is not None:
-            aoa = _aoa(diff, space.get(x_rx, "orientation"))
-            s = noise.aoa_std * noise_scale
-            lw += -0.5 * (wrap_angle(meas.aoa - aoa) / s) ** 2
-        if meas.phase is not None:
-            phase = _phase(dist, space.get(x_tx, "cpo"),
-                           space.get(x_rx, "cpo"), carrier_freq)
-            s = noise.phase_std * noise_scale
-            lw += -0.5 * (wrap_angle(meas.phase - phase) / s) ** 2
+        for k, clean in zip(which, _observables(which, x_tx, x_rx, space,
+                                                carrier_freq)):
+            r = getattr(meas, k) - clean
+            r = wrap_angle(r) if k in _ANGULAR else r
+            s = getattr(meas.noise, f"{k}_std") * noise_scale
+            lw += -0.5 * (r / s) ** 2
     return lw
 
 
@@ -568,7 +566,7 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
     space = graph.space
     top = graph.topology
     rng = np.random.default_rng(config.seed)
-    priors = graph.priors()
+    priors = graph.priors
     n = config.particle_count
 
     beliefs: dict[int, Belief] = {}
@@ -715,39 +713,36 @@ def measurement_jacobian_rank(graph: FactorGraph, truth: dict,
 
     Reports identifiability diagnostics instead of asserting anchor-count
     thresholds: rank deficiency signals unobservable directions (e.g. the
-    common clock shift in anchor-free delay-only networks).
+    common clock shift in anchor-free delay-only networks). Central
+    differences of the whitened observables, one forward-model call per
+    factor over all +-step states; an angle's difference is wrapped.
     """
     space = graph.space
     agents = graph.topology.agents
     x0 = np.concatenate([space.pack(truth[m]) for m in agents])
-
-    def stacked(x):
-        states = dict(truth)
-        off = 0
-        for m in agents:
-            states[m] = space.unpack(x[off:off + space.dim], m)
-            off += space.dim
-        obs = []
-        for f in graph.pair_factors:
-            tx, rx = states[f.pair[0]], states[f.pair[1]]
-            diff, dist = _geometry(tx.position, rx.position)
-            meas = f.measurement
-            if meas.delay is not None:
-                obs.append(_delay(dist, tx.time_offset, rx.time_offset)
-                           / meas.noise.delay_std)
-            if meas.aoa is not None:
-                obs.append(_aoa(diff, rx.orientation) / meas.noise.aoa_std)
-            if meas.phase is not None:
-                obs.append(_phase(dist, tx.cpo, rx.cpo, graph.carrier_freq)
-                           / meas.noise.phase_std)
-        return np.asarray(obs, float)
-
-    f0 = stacked(x0)
-    jac = np.empty((f0.size, x0.size))
-    for k in range(x0.size):
-        dx = np.zeros_like(x0)
-        dx[k] = step * max(abs(x0[k]), 1.0)
-        jac[:, k] = (stacked(x0 + dx) - stacked(x0 - dx)) / (2 * dx[k])
+    dx = step * np.maximum(np.abs(x0), 1.0)
+    # row k is x0 + dx[k] e_k and row x0.size + k is x0 - dx[k] e_k, their
+    # angles wrapped as every state's are
+    x = np.concatenate([x0 + np.diag(dx), x0 - np.diag(dx)])
+    circ = np.tile(space.circular_mask, len(agents))
+    x[:, circ] = wrap_angle(x[:, circ])
+    states = {j: np.broadcast_to(space.pack(s), (len(x), space.dim))
+              for j, s in truth.items()}
+    for i, m in enumerate(agents):
+        states[m] = x[:, i * space.dim:(i + 1) * space.dim]
+    rows = []
+    for f in graph.pair_factors:
+        meas = f.measurement
+        which = _held(meas)
+        for k, clean in zip(which, _observables(
+                which, states[f.pair[0]], states[f.pair[1]], space,
+                graph.carrier_freq)):
+            std = getattr(meas.noise, f"{k}_std")
+            d = clean[:x0.size] / std - clean[x0.size:] / std
+            if k in _ANGULAR:
+                d -= 2 * np.pi / std * np.rint(d * std / (2 * np.pi))
+            rows.append(d / (2 * dx))
+    jac = np.array(rows).reshape(-1, x0.size)
     sv = np.linalg.svd(jac, compute_uv=False)
     tol = max(jac.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > max(tol, 1e-9 * (sv[0] if sv.size else 1.0))))

@@ -88,7 +88,6 @@ class EstimatorScore:
     lam: float
     wcost: float
     value: float
-    phi_kind: str = "parameters"   # 'parameters' or 'data'
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +125,7 @@ def signal_metric(u: Waveform, prior: SensingPrior, noise: NoiseModel,
 
 def estimator_metric(truth, estimate, comm: CommReport, lam: float,
                      cost: CostLedger | dict, cost_weights: dict,
-                     c_max: float, form: str = "fpe",
-                     phi_kind: str = "parameters") -> EstimatorScore:
+                     c_max: float, form: str = "fpe") -> EstimatorScore:
     """J = w_cost * (lam * (1/K) sum (phi - phi_hat)^2 + (1-lam) * BER)."""
     phi = np.asarray(truth, float)
     phi_hat = np.asarray(estimate, float)
@@ -140,7 +138,7 @@ def estimator_metric(truth, estimate, comm: CommReport, lam: float,
     sensing = float(np.mean((phi - phi_hat) ** 2))
     ber = comm.ber
     value = wcost * (lam * sensing + (1 - lam) * ber)
-    return EstimatorScore(sensing, ber, lam, wcost, value, phi_kind)
+    return EstimatorScore(sensing, ber, lam, wcost, value)
 
 
 def sweep_lambda(sensing_term: float, comm_term: float, lambda_grid,

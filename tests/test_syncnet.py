@@ -66,15 +66,21 @@ def test_measurement_noise_validation():
 
 
 def test_observables_closed_form():
-    p_tx = np.array([3.0, 4.0])
-    p_rx = np.array([0.0, 0.0])
+    space = sn.StateSpace(("position", "orientation", "time_offset", "cpo"))
+    # packed (x, y, orientation, time offset, cpo); the receiver's
+    # orientation turns the bearing, the transmitter's does not
+    x_tx = np.array([3.0, 4.0, 0.7, 2e-9, 0.2])
+    x_rx = np.array([0.0, 0.0, 0.1, 5e-9, 0.4])
     fc = 1e9
-    diff, dist = sn._geometry(p_tx, p_rx)
-    assert np.array_equal(diff, [3.0, 4.0]) and dist == 5.0
-    assert sn._delay(dist, 2e-9, 5e-9) == pytest.approx(5.0 / C + 3e-9)
-    assert sn._aoa(diff, 0.1) == pytest.approx(np.arctan2(4.0, 3.0) - 0.1)
-    assert sn._phase(dist, 0.2, 0.4, fc) \
-        == pytest.approx(sn.wrap_angle(2 * np.pi * fc * 5.0 / C + 0.2))
+    delay, aoa, phase = sn._observables(("delay", "aoa", "phase"), x_tx, x_rx,
+                                        space, fc)
+    assert delay[0] == pytest.approx(5.0 / C + 3e-9)
+    assert aoa[0] == pytest.approx(np.arctan2(4.0, 3.0) - 0.1)
+    assert phase[0] == pytest.approx(sn.wrap_angle(2 * np.pi * fc * 5.0 / C
+                                                   + 0.2))
+    # only the named observables, in the order delay, AoA, phase
+    d2, p2 = sn._observables(("phase", "delay"), x_tx, x_rx, space, fc)
+    assert d2[0] == delay[0] and p2[0] == phase[0]
 
 
 def test_simulate_measurements_deterministic_and_selective():
@@ -139,9 +145,14 @@ def test_build_factor_graph_validation():
     # missing prior
     with pytest.raises(errors.TopologyError):
         sn.build_factor_graph(top, {0: priors[0]}, meas, space)
+    # a prior for an aperture the topology lacks
+    with pytest.raises(errors.TopologyError, match="priors for apertures"):
+        sn.build_factor_graph(top, {**priors, 7: priors[1]}, meas, space)
     # anchor without point prior
     with pytest.raises(errors.TopologyError):
         sn.build_factor_graph(top, {0: priors[1], 1: priors[1]}, meas, space)
+    # the graph holds the priors it was given
+    assert sn.build_factor_graph(top, priors, meas, space).priors == priors
     # unmasked pair
     bad = sn.PairMeasurement((1, 0), 1e-8, None, None, noise)
     top_partial = sn.NetworkTopology((0, 1), (0,),
@@ -204,7 +215,7 @@ def test_bp_two_node_matches_exact_posterior_mean():
     gy = np.linspace(5.0, 13.0, n)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    logp = g.priors()[1].logpdf(pts)
+    logp = g.priors[1].logpdf(pts)
     for f in g.pair_factors:
         j, _ = f.pair
         if j == 0:
@@ -492,6 +503,104 @@ def test_measurement_jacobian_rank_detects_common_clock_shift():
     diag = sn.measurement_jacobian_rank(g, truth)
     assert diag["dim"] == 3
     assert diag["rank"] == 2          # one flat direction: the common shift
+
+
+def _analytic_jacobian(g, truth):
+    """The whitened observable Jacobian w.r.t. the agents' packed states,
+    from the closed-form derivatives of delay, AoA and phase."""
+    space, agents = g.space, g.topology.agents
+    fc = g.carrier_freq
+    rows = []
+    for f in g.pair_factors:
+        j, jp = f.pair
+        meas, noise = f.measurement, f.measurement.noise
+        diff = truth[j].position - truth[jp].position
+        dist = np.linalg.norm(diff)
+        u = diff / dist
+        perp = np.array([-diff[1], diff[0]]) / dist ** 2
+        # observable -> (std, {(aperture, component): derivative})
+        derivs = {
+            "delay": (noise.delay_std, {
+                (j, "position"): u / C, (jp, "position"): -u / C,
+                (j, "time_offset"): -1.0, (jp, "time_offset"): 1.0}),
+            "aoa": (noise.aoa_std, {
+                (j, "position"): perp, (jp, "position"): -perp,
+                (jp, "orientation"): -1.0}),
+            "phase": (noise.phase_std, {
+                (j, "position"): 2 * np.pi * fc / C * u,
+                (jp, "position"): -2 * np.pi * fc / C * u,
+                (j, "cpo"): -1.0, (jp, "cpo"): 1.0}),
+        }
+        for name, (std, grad) in derivs.items():
+            if getattr(meas, name) is None:
+                continue
+            row = np.zeros(len(agents) * space.dim)
+            for (node, comp), d in grad.items():
+                if node in agents and comp in space.slices:
+                    sl = space.slices[comp]
+                    off = agents.index(node) * space.dim
+                    row[off + sl.start:off + sl.stop] = np.asarray(d) / std
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("pairs", [((0, 2),), "all"], ids=["one-pair", "mesh"])
+def test_measurement_jacobian_wraps_angle_differences(pairs):
+    # the agent's phase to anchor 0 lies 1e-5 rad below pi, well within
+    # one step of the wrap; its Jacobian row is the closed form, not a
+    # 2 pi jump over two steps
+    fc, std = 1e9, 0.1
+    lam = C / fc
+    x = 100.5 * lam - 1e-5 * lam / (2 * np.pi)
+    space = sn.StateSpace(("position",))
+    truth = {0: sn.ApertureState(0, [0.0, 0.0]),
+             1: sn.ApertureState(1, [0.0, 50.0]),
+             2: sn.ApertureState(2, [x, 0.0])}
+    top = sn.NetworkTopology.full_mesh((0, 1, 2), (0, 1))
+    if pairs != "all":
+        top = sn.NetworkTopology((0, 1, 2), (0, 1), measurement_mask=pairs)
+    noise = sn.MeasurementNoise(phase_std=std)
+    meas = sn.simulate_measurements(top, truth, noise, seed=0, carrier_freq=fc)
+    priors = {0: sn.PointPrior(space.pack(truth[0])),
+              1: sn.PointPrior(space.pack(truth[1])),
+              2: sn.UniformPrior([0.0, -50.0], [100.0, 50.0])}
+    g = sn.build_factor_graph(top, priors, meas, space, fc)
+    sv = sn.measurement_jacobian_rank(g, truth)["singular_values"]
+    expect = np.linalg.svd(_analytic_jacobian(g, truth), compute_uv=False)
+    np.testing.assert_allclose(sv, expect, rtol=1e-6)
+    if pairs != "all":
+        np.testing.assert_allclose(sv, [2 * np.pi * fc / (C * std)],
+                                   rtol=1e-6)
+
+
+# agent 5's orientation; the second puts anchor 0's bearing in its frame
+# 1e-7 rad below pi, within one step of the wrap
+@pytest.mark.parametrize(
+    "orient", [-2.4, np.arctan2(-30.0, -70.0) + np.pi + 1e-7],
+    ids=["aoa-inside", "aoa-at-wrap"])
+def test_measurement_jacobian_all_components_matches_analytic(orient):
+    space = sn.StateSpace(("position", "orientation", "time_offset", "cpo"))
+    anchors = (0, 1, 2, 3)
+    truth = {0: sn.ApertureState(0, [0.0, 0.0]),
+             1: sn.ApertureState(1, [100.0, 0.0]),
+             2: sn.ApertureState(2, [0.0, 100.0]),
+             3: sn.ApertureState(3, [100.0, 100.0]),
+             4: sn.ApertureState(4, [37.0, 61.0], orientation=0.7,
+                                 time_offset=2e-7, cpo=1.1),
+             5: sn.ApertureState(5, [70.0, 30.0], orientation=orient,
+                                 time_offset=-2e-7, cpo=-0.6)}
+    top = sn.NetworkTopology.full_mesh(tuple(truth), anchors)
+    noise = sn.MeasurementNoise(delay_std=1e-10, aoa_std=0.02, phase_std=0.05)
+    meas = sn.simulate_measurements(top, truth, noise, seed=0)
+    priors = {j: sn.PointPrior(space.pack(truth[j])) for j in anchors}
+    for j in (4, 5):
+        priors[j] = sn.UniformPrior([0, 0, -np.pi, -1e-6, -np.pi],
+                                    [100, 100, np.pi, 1e-6, np.pi])
+    g = sn.build_factor_graph(top, priors, meas, space)
+    diag = sn.measurement_jacobian_rank(g, truth)
+    expect = np.linalg.svd(_analytic_jacobian(g, truth), compute_uv=False)
+    assert diag["dim"] == 10 and diag["rank"] == 10
+    np.testing.assert_allclose(diag["singular_values"], expect, rtol=1e-6)
 
 
 def test_sync_scenario_file(tmp_path):

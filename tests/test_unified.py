@@ -109,7 +109,6 @@ def test_estimator_metric_formula():
     assert score.wcost == pytest.approx(wcost)
     assert score.value == pytest.approx(wcost * (lam * mse + 0.6 * 0.05),
                                         rel=1e-9)
-    assert score.phi_kind == "parameters"
 
 
 def test_estimator_metric_shape_mismatch():
