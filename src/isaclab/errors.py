@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the toolkit, and the line grammar of
 its versioned text files."""
 
+import math
 from pathlib import Path
 
 
@@ -104,13 +105,16 @@ class ParseError(ToolkitError):
     """Malformed config or scenario file; carries line/field context."""
 
 
-def key_value_lines(path, header: str) -> list[tuple[int, str, str]]:
+def key_value_lines(path, header: str, keys, repeatable=(),
+                    ) -> list[tuple[int, str, str]]:
     """The ``(lineno, key, value)`` lines of a versioned text file.
 
     The file is UTF-8 text of `key: value` lines; `#` starts a comment and
     blank lines are skipped.  The first line left must equal `header` (such
-    as 'scene-version: 1') and is not returned.  Every defect raises
-    ParseError naming `path`, with the line number when there is one.
+    as 'scene-version: 1') and is not returned.  Every other line's key
+    must be one of `keys`, and only a key in `repeatable` may be on more
+    than one line.  Every defect raises ParseError naming `path`, with the
+    line number when there is one.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -130,7 +134,23 @@ def key_value_lines(path, header: str) -> list[tuple[int, str, str]]:
     lineno, key, value = lines[0]
     if f"{key}: {value}" != header:
         raise ParseError(f"{path}:{lineno}: first line must be '{header}'")
+    first: dict[str, int] = {}
+    for lineno, key, _ in lines[1:]:
+        if key not in keys:
+            raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first and key not in repeatable:
+            raise ParseError(f"{path}:{lineno}: key {key!r} repeats line "
+                             f"{first[key]}")
+        first.setdefault(key, lineno)
     return lines[1:]
+
+
+def positive(text: str) -> float:
+    """A line's value that must be a finite number > 0."""
+    v = float(text)
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"expected a finite value > 0, got {text!r}")
+    return v
 
 
 class ValidationError(ToolkitError):

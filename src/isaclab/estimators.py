@@ -63,10 +63,11 @@ class Dictionary:
     """Delay-Doppler atom bank for a probe waveform.
 
     Each atom is the noiseless unit-amplitude channel response at one
-    (tau, nu) grid cell, normalized to unit norm; atom_norms keeps the
-    pre-normalization norms so correlator outputs convert back to
-    physical amplitudes.  Atoms are flattened delay-major: flat index
-    i_tau * len(doppler_grid) + i_nu.
+    (tau, nu) grid cell divided by `norm`, the probe's norm, which is
+    every response's: a delay is a unit-modulus phase ramp over the whole
+    spectrum (Parseval) and a Doppler shift a unit-modulus phasor, so
+    dividing a correlation by `norm` gives a physical amplitude.  Atoms
+    are flattened delay-major: flat index i_tau * len(doppler_grid) + i_nu.
 
     Doppler modulates the delayed copy at the channel output, so the
     atoms of one delay are that copy (one `apply_channel` at 0 Hz) times
@@ -102,6 +103,7 @@ class Dictionary:
         length = len(probe) + int(np.ceil(delay_grid.max() * fs)) \
             if delay_grid.size else len(probe)
         self.length = length
+        self.norm = float(np.linalg.norm(probe.samples))
         self.n_atoms = delay_grid.size * doppler_grid.size
         if self.n_atoms:
             # the Doppler checks of Target and apply_channel, which see 0 Hz
@@ -130,26 +132,9 @@ class Dictionary:
         return apply_channel(self.probe, scn, None, max_delay=window).samples
 
     @cached_property
-    def _bank(self) -> tuple[np.ndarray, np.ndarray]:
-        """(atoms, atom_norms) for every cell, atoms C-ordered."""
-        atoms, norms = self.columns(np.arange(self.n_atoms))
-        return np.ascontiguousarray(atoms), norms
-
-    @property
     def atoms(self) -> np.ndarray:
-        return self._bank[0]
-
-    @property
-    def atom_norms(self) -> np.ndarray:
-        return self._bank[1]
-
-    @property
-    def corr_norms(self) -> np.ndarray:
-        """The norm `correlate` divides each cell's correlation by: the
-        probe's on a whole-sample grid, else the atom's."""
-        if self._lags is None:
-            return self.atom_norms
-        return np.full(self.n_atoms, np.linalg.norm(self.probe.samples))
+        """Every cell's atom, C-ordered."""
+        return np.ascontiguousarray(self.columns(np.arange(self.n_atoms)))
 
     def correlate(self, y: np.ndarray) -> np.ndarray:
         """atoms^H y for an observation y of `length` samples."""
@@ -162,11 +147,11 @@ class Dictionary:
         z = np.fft.fft(y[:, None] * self._phasors.conj(), axis=0)
         p = np.fft.fft(self.probe.samples, self.length)
         c = np.fft.ifft(z * p.conj()[:, None], axis=0)
-        return c[self._lags].reshape(-1) / np.linalg.norm(self.probe.samples)
+        return c[self._lags].reshape(-1) / self.norm
 
-    def columns(self, flat_indices) -> tuple[np.ndarray, np.ndarray]:
-        """(unit-norm atoms, norms) of the given cells, bit for bit the
-        columns of `atoms` and `atom_norms`, without building the others.
+    def columns(self, flat_indices) -> np.ndarray:
+        """The atoms of the given cells, bit for bit those columns of
+        `atoms`, without building the others.
 
         The block is Fortran-ordered, the layout of ``atoms[:, cells]``,
         so least squares and products on it round as they would on that
@@ -180,10 +165,8 @@ class Dictionary:
             for j in np.flatnonzero(i_tau == t):
                 np.multiply(resp, self._phasors[:resp.size, i_nu[j]],
                             out=block[:resp.size, j])
-        norms = np.array([np.linalg.norm(block[:, j])
-                          for j in range(i_tau.size)])
-        block /= norms
-        return block, norms
+        block /= self.norm
+        return block
 
     def cell(self, flat_index: int) -> tuple[float, float]:
         i_tau, i_nu = divmod(flat_index, self.doppler_grid.size)
@@ -237,9 +220,6 @@ def matched_filter_estimate(rx: ReceivedSignal, u: Waveform,
     if dictionary.length > len(rx) + len(u):
         raise errors.GridError("dictionary grid beyond the observation window")
     y = _pad_to(rx.samples, dictionary.length)
-    # the norms the correlations were divided by; the cells kept as
-    # targets get their exact atom norms below
-    norms = dictionary.corr_norms.copy()
     corr = dictionary.correlate(y)                    # unit-norm correlations
     n_tau, n_nu = dictionary.delay_grid.size, dictionary.doppler_grid.size
     surface = np.abs(corr.reshape(n_tau, n_nu)) ** 2
@@ -251,8 +231,8 @@ def matched_filter_estimate(rx: ReceivedSignal, u: Waveform,
         order = np.argsort(surface[peaks])[::-1]
         sel = [int(i_tau) * n_nu + int(i_nu)
                for i_tau, i_nu in np.argwhere(peaks)[order]]
-    atoms, norms[sel] = dictionary.columns(sel)
-    amp = corr / norms                                # physical amplitudes
+    atoms = dictionary.columns(sel)
+    amp = corr / dictionary.norm                      # physical amplitudes
     targets = [Target(complex(amp[flat]), *dictionary.cell(flat))
                for flat in sel]
     y_hat = atoms @ corr[sel] if sel else np.zeros_like(y)
@@ -266,7 +246,7 @@ def matched_filter_estimate(rx: ReceivedSignal, u: Waveform,
     ledger.finalize()
 
     dt = 1.0 / u.sample_rate
-    raw_surface = np.abs((corr * norms).reshape(n_tau, n_nu)) * dt
+    raw_surface = np.abs(corr.reshape(n_tau, n_nu)) * dictionary.norm * dt
     return EstimateReport(targets, y_hat, residual, ledger,
                           diagnostics={"surface": raw_surface})
 
@@ -292,14 +272,13 @@ def omp_estimate(rx: ReceivedSignal, dictionary: Dictionary,
     # the selected atoms, built one per iteration into a Fortran-ordered
     # block: the layout of the copy atoms[:, selected]
     A = np.zeros((dictionary.length, sparsity), np.complex128, order="F")
-    norms = np.empty(sparsity)
     coeffs = np.zeros(0, np.complex128)
     for k in range(sparsity):
         scores = np.abs(dictionary.correlate(residual))
         ledger.flop_count += dictionary.n_atoms * dictionary.length
         scores[selected] = -1.0
         selected.append(int(np.argmax(scores)))
-        A[:, k:k + 1], norms[k:k + 1] = dictionary.columns(selected[-1:])
+        A[:, k:k + 1] = dictionary.columns(selected[-1:])
         A_sel = A[:, :k + 1]
         if np.linalg.cond(A_sel.conj().T @ A_sel) > 1e12:
             raise errors.RankError("selected atoms numerically dependent")
@@ -309,8 +288,8 @@ def omp_estimate(rx: ReceivedSignal, dictionary: Dictionary,
         res_history.append(float(np.linalg.norm(residual) ** 2))
     ledger.finalize()
 
-    targets = [Target(complex(c / n), *dictionary.cell(flat))
-               for flat, c, n in zip(selected, coeffs, norms)]
+    targets = [Target(complex(c / dictionary.norm), *dictionary.cell(flat))
+               for flat, c in zip(selected, coeffs)]
     y_hat = A @ coeffs if selected else np.zeros_like(y)
     return EstimateReport(targets, y_hat, res_history[-1], ledger,
                           diagnostics={"residual_history": res_history,

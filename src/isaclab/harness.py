@@ -311,11 +311,21 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     if cfg.est_kind == "music" and 0 < samples < cfg.delay_bins:
         problems.append(f"[estimator] delay-bins = {cfg.delay_bins} must not "
                         f"exceed the probe length of {samples} samples")
-    # an explicit 'kind = none' and an Eb/N0 ask for opposite things
-    if cfg.noise_kind == "none" and (cfg.ebn0_db is not None
-                                     or cfg.sweep_parameter == "ebn0-db"):
+    # an explicit 'kind = none' and an Eb/N0 ask for opposite things, and
+    # a level is the white noise's, set only when no Eb/N0 sets it
+    ebn0 = cfg.ebn0_db is not None or cfg.sweep_parameter == "ebn0-db"
+    if cfg.noise_kind == "none" and ebn0:
         problems.append("[noise] kind = none conflicts with an ebn0-db "
                         "value or sweep, which adds noise")
+    if cfg.noise_level > 0 and cfg.noise_kind != "white":
+        problems.append(f"[noise] level = {cfg.noise_level!r} needs "
+                        f"kind = white")
+    if cfg.noise_level > 0 and ebn0:
+        problems.append(f"[noise] level = {cfg.noise_level!r} conflicts with "
+                        f"an ebn0-db value or sweep, which sets the level")
+    if cfg.noise_kind == "white" and not (cfg.noise_level > 0 or ebn0):
+        problems.append("[noise] kind = white needs a level > 0 or an "
+                        "ebn0-db value or sweep")
     if cfg.sweep_parameter == "lambda":
         problems += [f"[sweep] value '{v!r}': lambda must lie in [0, 1]"
                      for v in cfg.sweep_values if not _UNIT[0](v)]

@@ -285,11 +285,15 @@ def load_scene(path) -> TargetScene:
         label: <text>                   (optional)
         target: re im tau_s nu_hz       (one per target)
         clutter: density scale tau_lo tau_hi nu_lo nu_hi   (optional)
+
+    Only `target` may repeat.
     """
     targets: list[Target] = []
     clutter = None
     label = ""
-    for lineno, key, rest in errors.key_value_lines(path, "scene-version: 1"):
+    for lineno, key, rest in errors.key_value_lines(
+            path, "scene-version: 1", ("label", "target", "clutter"),
+            repeatable=("target",)):
         try:
             if key == "label":
                 _check_label(rest)
@@ -300,14 +304,12 @@ def load_scene(path) -> TargetScene:
                     raise ValueError("target needs 4 fields (re im tau nu)")
                 re_, im, tau, nu = (float(p) for p in parts)
                 targets.append(Target(complex(re_, im), tau, nu))
-            elif key == "clutter":
+            else:                                       # clutter
                 parts = rest.split()
                 if len(parts) != 6:
                     raise ValueError("clutter needs 6 fields")
                 d, s, t0, t1, n0, n1 = (float(p) for p in parts)
                 clutter = ClutterModel(d, s, (t0, t1), (n0, n1))
-            else:
-                raise ValueError(f"unknown key {key!r}")
         except (ValueError, TypeError) as exc:
             raise errors.ParseError(f"{path}:{lineno}: {exc}") from None
     try:

@@ -716,6 +716,10 @@ def measurement_jacobian_rank(graph: FactorGraph, truth: dict,
     common clock shift in anchor-free delay-only networks). Central
     differences of the whitened observables, one forward-model call per
     factor over all +-step states; an angle's difference is wrapped.
+
+    The rank is counted on J with each column scaled to unit norm, so it
+    does not depend on the columns' units (m, rad, s); a zero column stays
+    zero and counts as unobservable.  The singular values are J's own.
     """
     space = graph.space
     agents = graph.topology.agents
@@ -743,10 +747,13 @@ def measurement_jacobian_rank(graph: FactorGraph, truth: dict,
                 d -= 2 * np.pi / std * np.rint(d * std / (2 * np.pi))
             rows.append(d / (2 * dx))
     jac = np.array(rows).reshape(-1, x0.size)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    tol = max(jac.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > max(tol, 1e-9 * (sv[0] if sv.size else 1.0))))
-    return {"rank": rank, "dim": x0.size, "singular_values": sv}
+    col = np.linalg.norm(jac, axis=0)
+    scaled = np.linalg.svd(jac / np.where(col > 0, col, 1.0),
+                           compute_uv=False)
+    top = scaled[0] if scaled.size else 0.0
+    tol = max(max(jac.shape) * np.finfo(float).eps * top, 1e-9 * top)
+    return {"rank": int(np.sum(scaled > tol)), "dim": x0.size,
+            "singular_values": np.linalg.svd(jac, compute_uv=False)}
 
 
 # ---------------------------------------------------------------------------
@@ -764,17 +771,10 @@ class SyncScenario:
     carrier_freq: float = 1e9
 
 
-def _positive(text: str) -> float:
-    v = float(text)
-    if not (np.isfinite(v) and v > 0):
-        raise ValueError(f"expected a finite value > 0, got {text!r}")
-    return v
-
-
 # scenario key -> (BPConfig field, parser of its value)
 _BP_KEYS = {"bp-particles": ("particle_count", int),
             "bp-iterations": ("max_iterations", int),
-            "bp-tol": ("message_tol", _positive),
+            "bp-tol": ("message_tol", errors.positive),
             "bp-seed": ("seed", int),
             "anneal-start": ("anneal_start", float),
             "anneal-decay": ("anneal_decay", float)}
@@ -790,9 +790,11 @@ def load_sync_scenario(path) -> SyncScenario:
         scene-box: x_lo x_hi y_lo y_hi        (agent position prior support)
         aperture: <id> <anchor|agent> x y orient to cpo   (unique ids)
         measure: all        | measure: <j> <jp>  (one per line)
-        noise: <delay|aoa|phase> <std>        (at least one)
+        noise: <delay|aoa|phase> <std>        (at least one, one each)
         bp-particles/bp-iterations/bp-tol/bp-seed: <value>
         anneal-start/anneal-decay: <value>
+
+    Only `aperture`, `measure` and `noise` may repeat.
     """
     components = ("position",)
     carrier = 1e9
@@ -802,12 +804,16 @@ def load_sync_scenario(path) -> SyncScenario:
     measure_all = False
     noise_kw: dict[str, float] = {}
     bp_kw: dict = {}
-    for lineno, key, rest in errors.key_value_lines(path, "sync-version: 1"):
+    for lineno, key, rest in errors.key_value_lines(
+            path, "sync-version: 1",
+            ("components", "carrier-freq", "scene-box", "aperture",
+             "measure", "noise", *_BP_KEYS),
+            repeatable=("aperture", "measure", "noise")):
         try:
             if key == "components":
                 components = tuple(rest.split())
             elif key == "carrier-freq":
-                carrier = _positive(rest)
+                carrier = errors.positive(rest)
             elif key == "scene-box":
                 box = tuple(float(v) for v in rest.split())
                 if (len(box) != 4 or not np.isfinite(box).all()
@@ -834,14 +840,15 @@ def load_sync_scenario(path) -> SyncScenario:
                 kind, std = rest.split()
                 if kind not in ("delay", "aoa", "phase"):
                     raise ValueError(f"unknown observable {kind}")
+                repeated = f"{kind}_std" in noise_kw
                 noise_kw[f"{kind}_std"] = float(std)
                 MeasurementNoise(**noise_kw)            # check it at its line
-            elif key in _BP_KEYS:
+                if repeated:
+                    raise ValueError(f"a second noise line for {kind}")
+            else:                                       # a _BP_KEYS key
                 name, cast = _BP_KEYS[key]
                 bp_kw[name] = cast(rest)
                 BPConfig(**bp_kw)                       # check it at its line
-            else:
-                raise ValueError(f"unknown key {key!r}")
         except (ValueError, TypeError) as exc:
             raise errors.ParseError(f"{path}:{lineno}: {exc}") from None
     if not apertures:

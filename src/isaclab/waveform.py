@@ -350,6 +350,11 @@ def save_waveform(u: Waveform, basepath) -> tuple[Path, Path]:
     return iq_path, hdr_path
 
 
+def _byte_order(text: str) -> str:
+    if text != "little-endian":
+        raise ValueError(f"the samples are little-endian, not {text!r}")
+
+
 def _band_from_text(text: str) -> tuple[float, float]:
     lo, hi = (float(x) for x in text.split())
     return lo, hi
@@ -371,12 +376,15 @@ def _layout_from_json(text: str) -> ModulationLayout | None:
 def load_waveform(basepath) -> Waveform:
     """Read the pair written by `save_waveform`.  The header follows the
     line grammar of `errors.key_value_lines` after
-    'format: isaclab-waveform v1'; a missing or malformed key raises
-    `ParseError` naming the key, with `path:line`."""
+    'format: isaclab-waveform v1' and holds each key `save_waveform`
+    writes once: a missing, unknown, repeated or malformed key raises
+    `ParseError` naming the key, with `path:line`, and so does a
+    `duration` that is not the `.iq` file's sample count over the rate."""
     base = Path(basepath)
     hdr_path = base.with_suffix(".hdr")
-    hdr = {key: (lineno, val) for lineno, key, val in
-           errors.key_value_lines(hdr_path, "format: isaclab-waveform v1")}
+    hdr = {key: (lineno, val) for lineno, key, val in errors.key_value_lines(
+        hdr_path, "format: isaclab-waveform v1",
+        ("byte-order", "sample-rate", "duration", "band", "layout"))}
 
     def parsed(key, parse):
         if key not in hdr:
@@ -389,13 +397,24 @@ def load_waveform(basepath) -> Waveform:
             raise errors.ParseError(
                 f"{hdr_path}:{lineno}: bad {key!r}: {exc}") from None
 
-    fs = parsed("sample-rate", float)
+    parsed("byte-order", _byte_order)
+    fs = parsed("sample-rate", errors.positive)
     band = parsed("band", _band_from_text)
     layout = parsed("layout", _layout_from_json)
     iq_path = base.with_suffix(".iq")
-    raw = np.fromfile(iq_path, dtype="<f8")
+    try:
+        raw = np.fromfile(iq_path, dtype="<f8")
+    except OSError as exc:
+        raise errors.ParseError(f"{iq_path}: {exc}") from None
     if raw.size % 2:
         raise errors.ParseError(f"{iq_path}: odd number of float64 values")
+
+    def duration(text):
+        n = raw.size // 2
+        if not np.isclose(float(text), n / fs, rtol=1e-12, atol=0):
+            raise ValueError(f"{iq_path.name} holds {n} samples, "
+                             f"{n / fs!r} s at {fs!r} Hz")
+    parsed("duration", duration)
     try:
         return Waveform(raw[0::2] + 1j * raw[1::2], fs, band, layout)
     except ValueError as exc:

@@ -26,11 +26,10 @@ def test_dictionary_atoms_unit_norm_and_cells():
     assert np.allclose(np.linalg.norm(d.atoms, axis=0), 1.0)
     assert d.cell(0) == (0.0, -1e3)
     assert d.cell(5) == (1 / FS, 1e3)
-    # stored norms recover the raw (unnormalized) response scale
+    # the stored norm recovers the raw (unnormalized) response scale
     scn = scene.TargetScene((scene.Target(1.0, 2 / FS, 0.0),))
     resp = scene.apply_channel(u, scn).samples
-    flat = 2 * 3 + 1      # (tau index 2, nu index 1)
-    assert d.atom_norms[flat] == pytest.approx(np.linalg.norm(resp), rel=1e-9)
+    assert d.norm == pytest.approx(np.linalg.norm(resp), rel=1e-9)
 
 
 def test_dictionary_grid_validation():
@@ -44,16 +43,15 @@ def test_dictionary_grid_validation():
 def _per_atom_reference(u, delays, dopplers):
     """The atoms built one at a time: one apply_channel per (tau, nu)."""
     length = len(u) + int(np.ceil(delays.max() * u.sample_rate))
-    atoms, norms = [], []
+    atoms = []
     for tau in delays:
         for nu in dopplers:
             scn = scene.TargetScene((scene.Target(1.0 + 0j, tau, nu),))
             col = np.zeros(length, np.complex128)
             resp = scene.apply_channel(u, scn, max_delay=delays.max()).samples
             col[:resp.size] = resp
-            norms.append(np.linalg.norm(col))
-            atoms.append(col / norms[-1])
-    return np.stack(atoms, axis=1), np.array(norms)
+            atoms.append(col / np.linalg.norm(u.samples))
+    return np.stack(atoms, axis=1)
 
 
 def _ofdm():
@@ -79,10 +77,12 @@ def _psk():
 def test_dictionary_equals_per_atom_channel(probe, delays, dopplers):
     u = probe()
     d = estimators.Dictionary(u, delays, dopplers)
-    atoms, norms = _per_atom_reference(u, delays, dopplers)
-    assert np.array_equal(d.atoms, atoms)
-    assert np.array_equal(d.atom_norms, norms)
+    assert np.array_equal(d.atoms, _per_atom_reference(u, delays, dopplers))
     assert d.atoms.flags.c_contiguous
+    # every atom has the probe's norm: a delay is a unit-modulus phase ramp
+    # over the whole spectrum and a Doppler shift a unit-modulus phasor
+    np.testing.assert_allclose(np.linalg.norm(d.atoms, axis=0), 1.0,
+                               rtol=0, atol=1e-14)
 
 
 def test_dictionary_checks_doppler_and_delay_values():
@@ -151,10 +151,9 @@ def test_dictionary_columns_are_atom_columns(probe, delays, dopplers):
     u = probe()
     d = estimators.Dictionary(u, delays, dopplers)
     cells = [7, 0, d.n_atoms - 1, 8]
-    block, norms = d.columns(cells)
-    assert "_bank" not in vars(d)
+    block = d.columns(cells)
+    assert "atoms" not in vars(d)
     assert np.array_equal(block, d.atoms[:, cells])
-    assert np.array_equal(norms, d.atom_norms[cells])
     assert block.flags.f_contiguous
 
 
@@ -195,7 +194,7 @@ def test_omp_without_atoms_equals_omp_with_atoms():
     for u, grids, rx in _psk_trials(24):
         fresh = estimators.Dictionary(u, *grids)
         fast = estimators.omp_estimate(rx, fresh, 3)
-        assert "_bank" not in vars(fresh)
+        assert "atoms" not in vars(fresh)
         built = estimators.Dictionary(u, *grids)
         assert built.atoms.shape == (built.length, 48 * 12)
         full = estimators.omp_estimate(rx, built, 3)
@@ -214,7 +213,7 @@ def test_omp_trial_builds_only_the_selected_atoms(monkeypatch):
         raise AssertionError("the atom matrix was built")
     calls = []
     channel = estimators.apply_channel
-    monkeypatch.setattr(estimators.Dictionary, "_bank", property(no_atoms))
+    monkeypatch.setattr(estimators.Dictionary, "atoms", property(no_atoms))
     monkeypatch.setattr(estimators, "apply_channel",
                         lambda *args, **kw: calls.append(args)
                         or channel(*args, **kw))
@@ -250,7 +249,7 @@ def test_matched_filter_without_atoms_matches_with_atoms(probe, delays,
     rx = scene.apply_channel(u, scene.TargetScene(targets), noise)
     fresh = estimators.Dictionary(u, delays, dopplers)
     fast = estimators.matched_filter_estimate(rx, u, fresh, -20.0)
-    assert "_bank" not in vars(fresh)
+    assert "atoms" not in vars(fresh)
     built = estimators.Dictionary(u, delays, dopplers)
     assert built.atoms.shape[1] == built.n_atoms
     full = estimators.matched_filter_estimate(rx, u, built, -20.0)
@@ -268,8 +267,8 @@ def test_matched_filter_without_atoms_matches_with_atoms(probe, delays,
     assert len(flat) > 1
     np.testing.assert_allclose(
         [t.amplitude for t in fast.estimated_targets],
-        corr[flat] / built.atom_norms[flat], rtol=1e-12)
-    surface = np.abs(corr * built.atom_norms).reshape(
+        corr[flat] / built.norm, rtol=1e-12)
+    surface = np.abs(corr * built.norm).reshape(
         delays.size, dopplers.size) / FS
     np.testing.assert_allclose(fast.diagnostics["surface"], surface,
                                rtol=1e-12)

@@ -400,6 +400,25 @@ def test_run_experiment_parses_scene_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_simulate_trial_draws_the_scene_clutter(tmp_path):
+    clutter = scene.ClutterModel(300.0, 0.05, (0.0, 7e-6), (-2e3, 2e3))
+    scene.save_scene(scene.TargetScene((scene.Target(1.0, 3e-6, 0.0),),
+                                       clutter, "cluttered"),
+                     tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=1))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    base = scene.load_scene(tmp_path / "scene.txt")
+    rows, record = harness.run_trial(cfg, 0, base)
+    assert harness.run_trial(cfg, 0, base)[0] == rows
+    # the record's truth is the target, then the trial's clutter draw
+    drawn = scene.generate_clutter(
+        clutter, harness.derive_seed(cfg.master_seed, 0, "clutter"))
+    assert len(drawn.targets) > 1
+    assert record["true_targets"] == harness._targets_doc(
+        base.targets + drawn.targets)
+    assert record["scenario"] == "cluttered"
+
+
 _CHIRP_MF = _CHIRP_MUSIC.replace("kind = music", "kind = matched-filter")
 
 
@@ -435,7 +454,18 @@ def _noise_config(tmp_path, noise, sweep=""):
      "kind = none conflicts"),
     ("", "\n[sweep]\nparameter = ebn0-db\nvalues = 0, nan\n",
      "[sweep] value 'nan' is not finite"),
-], ids=["nan", "inf", "none-with-ebn0", "none-with-sweep", "nan-in-sweep"])
+    ("level = 1e-3", "", "level = 0.001 needs kind = white"),
+    ("kind = none\nlevel = 1e-3", "", "level = 0.001 needs kind = white"),
+    ("kind = white\nlevel = 1e-3\nebn0-db = 10", "",
+     "level = 0.001 conflicts with an ebn0-db"),
+    ("kind = white\nlevel = 1e-3",
+     "\n[sweep]\nparameter = ebn0-db\nvalues = 0, 10\n",
+     "level = 0.001 conflicts with an ebn0-db"),
+    ("kind = white", "", "kind = white needs a level > 0"),
+    ("kind = white\nlevel = 0", "", "kind = white needs a level > 0"),
+], ids=["nan", "inf", "none-with-ebn0", "none-with-sweep", "nan-in-sweep",
+        "level-without-kind", "level-with-kind-none", "level-with-ebn0",
+        "level-with-sweep", "white-without-level", "white-at-level-0"])
 def test_noise_config_conflicts_are_validation_errors(tmp_path, capsys,
                                                       noise, sweep, message):
     path = _noise_config(tmp_path, noise, sweep)

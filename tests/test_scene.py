@@ -244,6 +244,19 @@ def test_scene_file_errors(tmp_path):
     assert len(scn) == 0
 
 
+@pytest.mark.parametrize("lines, match", [
+    ("label: a\nlabel: b", r"scene\.txt:3: key 'label' repeats line 2"),
+    ("clutter: 0 0 0 0 0 0\nclutter: 1 0 0 0 0 0",
+     r"scene\.txt:3: key 'clutter' repeats line 2"),
+], ids=["two-labels", "two-clutters"])
+def test_scene_file_repeated_key_is_a_parse_error(tmp_path, lines, match):
+    # a second line of a key that does not repeat would silently win
+    p = tmp_path / "scene.txt"
+    p.write_text(f"scene-version: 1\n{lines}\ntarget: 1 0 0 0\n")
+    with pytest.raises(errors.ParseError, match=match):
+        scene.load_scene(p)
+
+
 @pytest.mark.parametrize("clutter", [
     "inf 0.1 0 5e-06 -100 100",
     "nan 0.1 0 5e-06 -100 100",

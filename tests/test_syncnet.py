@@ -603,6 +603,66 @@ def test_measurement_jacobian_all_components_matches_analytic(orient):
     np.testing.assert_allclose(diag["singular_values"], expect, rtol=1e-6)
 
 
+def _all_component_mesh(delay_std, aoa_std):
+    """4 corner anchors and 2 agents with every state component, delay,
+    AoA and phase measured on the full mesh: its graph and truth."""
+    space = sn.StateSpace(("position", "orientation", "time_offset", "cpo"))
+    anchors = (0, 1, 2, 3)
+    truth = {0: sn.ApertureState(0, [0.0, 0.0]),
+             1: sn.ApertureState(1, [100.0, 0.0]),
+             2: sn.ApertureState(2, [0.0, 100.0]),
+             3: sn.ApertureState(3, [100.0, 100.0]),
+             4: sn.ApertureState(4, [37.0, 61.0], orientation=0.4,
+                                 time_offset=2e-7, cpo=0.3),
+             5: sn.ApertureState(5, [70.0, 30.0], orientation=-1.1,
+                                 time_offset=-2e-7, cpo=-0.7)}
+    top = sn.NetworkTopology.full_mesh(tuple(truth), anchors)
+    noise = sn.MeasurementNoise(delay_std=delay_std, aoa_std=aoa_std,
+                                phase_std=0.05)
+    meas = sn.simulate_measurements(top, truth, noise, seed=0)
+    priors = {j: sn.PointPrior(space.pack(truth[j])) for j in anchors}
+    for j in (4, 5):
+        priors[j] = sn.UniformPrior([0, 0, -np.pi, -1e-6, -np.pi],
+                                    [100, 100, np.pi, 1e-6, np.pi])
+    return sn.build_factor_graph(top, priors, meas, space), truth
+
+
+# the time-offset columns scale as 1 / delay_std and the others do not, so
+# a rank counted across units read 8 and 6 of 10 in the last two cases
+@pytest.mark.parametrize("delay_std, aoa_std", [
+    (1e-10, 0.02), (1e-10, 1.0), (1e-12, 0.02)],
+    ids=["reference", "wide-aoa", "tight-delay"])
+def test_measurement_jacobian_rank_does_not_depend_on_units(delay_std,
+                                                            aoa_std):
+    g, truth = _all_component_mesh(delay_std, aoa_std)
+    diag = sn.measurement_jacobian_rank(g, truth)
+    assert diag["dim"] == 10 and diag["rank"] == 10
+    # the singular values are the unscaled Jacobian's; at a condition
+    # number of 6e10 the central differences hold the smallest to 1e-6
+    expect = np.linalg.svd(_analytic_jacobian(g, truth), compute_uv=False)
+    np.testing.assert_allclose(diag["singular_values"], expect, rtol=1e-5)
+
+
+def test_measurement_jacobian_rank_keeps_a_flat_rotation():
+    # delay only, one anchor: rotating every agent about the anchor keeps
+    # every range, so one direction of the 9 stays unobservable
+    space = sn.StateSpace(("position", "time_offset"))
+    truth = {0: sn.ApertureState(0, [0.0, 0.0]),
+             1: sn.ApertureState(1, [40.0, 10.0], time_offset=1e-8),
+             2: sn.ApertureState(2, [15.0, 60.0], time_offset=-2e-8),
+             3: sn.ApertureState(3, [70.0, 55.0], time_offset=3e-8)}
+    top = sn.NetworkTopology.full_mesh((0, 1, 2, 3), (0,))
+    meas = sn.simulate_measurements(top, truth,
+                                    sn.MeasurementNoise(delay_std=1e-10),
+                                    seed=0)
+    priors = {0: sn.PointPrior(space.pack(truth[0]))}
+    for j in (1, 2, 3):
+        priors[j] = sn.UniformPrior([0, 0, -1e-6], [100, 100, 1e-6])
+    g = sn.build_factor_graph(top, priors, meas, space)
+    diag = sn.measurement_jacobian_rank(g, truth)
+    assert diag["dim"] == 9 and diag["rank"] == 8
+
+
 def test_sync_scenario_file(tmp_path):
     text = """sync-version: 1
 components: position
@@ -661,6 +721,51 @@ anneal-decay: 0.4
     est, beliefs, report = sn.run_sync_scenario(scn, seed=4)
     assert report[3]["position_error_m"] < 1.0
     assert set(est) == {0, 1, 2, 3}
+
+
+_ALL_COMPONENTS = """sync-version: 1
+components: position orientation time_offset
+scene-box: 0 100 0 100
+aperture: 0 anchor 0 0 0 0 0
+aperture: 1 anchor 100 0 0 0 0
+aperture: 2 anchor 0 100 0 0 0
+aperture: 3 anchor 100 100 0 0 0
+aperture: 4 agent 37 61 0.4 2e-7 0
+aperture: 5 agent 70 30 -1.1 -2e-7 0
+measure: all
+noise: delay 1e-10
+noise: aoa 0.02
+bp-particles: 300
+bp-iterations: 20
+anneal-start: 1e6
+anneal-decay: 0.4
+"""
+
+
+def test_sync_cli_estimates_orientation_and_time_offset(tmp_path):
+    # the agents' priors span every angle and +-1 us of clock offset, and
+    # their estimates take the circular mean of the angles
+    (tmp_path / "net.txt").write_text(_ALL_COMPONENTS)
+    (tmp_path / "exp.ini").write_text("[experiment]\nschema-version = 1\n\n"
+                                      "[sync]\nfile = net.txt\n")
+    texts = []
+    for out in ("a", "b"):
+        assert cli.main(["sync", "--config", str(tmp_path / "exp.ini"),
+                         "--out", str(tmp_path / out)]) == 0
+        texts.append((tmp_path / out / "rows.csv").read_text())
+    assert texts[0] == texts[1]
+    rows = {line.split(",")[3]: float(line.split(",")[4])
+            for line in texts[0].splitlines()[1:]}
+    assert rows["position_rms_m"] < 5.0
+    assert rows["to_rms_s"] < 2e-8
+
+
+def test_sync_scenario_measure_lines_are_the_mask(tmp_path):
+    p = tmp_path / "net.txt"
+    p.write_text(_ALL_COMPONENTS.replace(
+        "measure: all\n", "measure: 0 4\nmeasure: 5 1\nmeasure: 4 5\n"))
+    scn = sn.load_sync_scenario(p)
+    assert scn.topology.measurement_mask == ((0, 4), (5, 1), (4, 5))
 
 
 def test_run_sync_scenario_reports_agents_only(tmp_path):
@@ -776,6 +881,12 @@ def test_pair_log_likelihood_restores_numpy_error_state():
     ("anneal-start: 0", r"net\.txt:6: anneal_start must be finite and > 0"),
     ("anneal-decay: nan", r"net\.txt:6: anneal_decay must be finite"),
     ("anneal-decay: -0.5", r"net\.txt:6: anneal_decay must be finite and > 0"),
+    ("colour: red", r"net\.txt:6: unknown key 'colour'"),
+    ("noise: delay 2e-9", r"net\.txt:6: a second noise line for delay"),
+    ("bp-particles: 400\nbp-particles: 500",
+     r"net\.txt:7: key 'bp-particles' repeats line 6"),
+    ("carrier-freq: 1e9\ncarrier-freq: 2e9",
+     r"net\.txt:7: key 'carrier-freq' repeats line 6"),
 ])
 def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
                                                         match):

@@ -217,8 +217,24 @@ def test_waveform_binary_is_interleaved_little_endian(tmp_path):
     (lambda h: h.replace('"kind": "single-carrier-psk"', '"kind": "ofdm"')
      .replace('"active_subcarriers": []', '"active_subcarriers": [5]'),
      r"\.hdr:6: bad 'layout'"),
+    (lambda h: h.replace("byte-order:", "# byte-order:"),
+     r"missing key 'byte-order'"),
+    (lambda h: h.replace("little-endian", "big-endian"),
+     r"\.hdr:2: bad 'byte-order'"),
+    (lambda h: h.replace("sample-rate: 1000000.0", "sample-rate: inf"),
+     r"\.hdr:3: bad 'sample-rate'"),
+    (lambda h: h.replace("sample-rate: 1000000.0", "sample-rate: 0"),
+     r"\.hdr:3: bad 'sample-rate'"),
+    (lambda h: h.replace("duration:", "# duration:"),
+     r"missing key 'duration'"),
+    (lambda h: h.replace("duration: ", "duration: 9"),
+     r"\.hdr:4: bad 'duration': w\.iq holds 4 samples"),
+    (lambda h: h + "colour: red\n", r"\.hdr:7: unknown key 'colour'"),
+    (lambda h: h + "band: -5e5 5e5\n", r"\.hdr:7: key 'band' repeats line 5"),
 ], ids=["missing-band", "bad-rate", "bad-band", "bad-layout", "no-colon",
-        "wrong-format", "bit-out-of-range", "subcarrier-out-of-range"])
+        "wrong-format", "bit-out-of-range", "subcarrier-out-of-range",
+        "missing-byte-order", "big-endian", "infinite-rate", "zero-rate",
+        "missing-duration", "wrong-duration", "unknown-key", "repeated-key"])
 def test_load_waveform_header_errors_carry_context(tmp_path, edit, match):
     u = waveform.generate_psk_frame(np.array([0, 1, 1, 0]), 1, 1e6)
     _, hdr = waveform.save_waveform(u, tmp_path / "w")
@@ -285,6 +301,22 @@ def test_load_waveform_header_comments(tmp_path):
     v = waveform.load_waveform(tmp_path / "w")
     assert v.sample_rate == u.sample_rate
     assert np.array_equal(v.samples, u.samples)
+
+
+@pytest.mark.parametrize("cut, match", [
+    (16, r"\.hdr:4: bad 'duration': w\.iq holds 3 samples"),
+    (None, r"w\.iq: .*No such file"),
+], ids=["one-sample-short", "missing-iq"])
+def test_load_waveform_iq_must_match_its_header(tmp_path, cut, match):
+    # a PSK .iq one sample short would keep the header's 4 data bits
+    u = waveform.generate_psk_frame(np.array([0, 1, 1, 0]), 1, 1e6)
+    iq, _ = waveform.save_waveform(u, tmp_path / "w")
+    if cut is None:
+        iq.unlink()
+    else:
+        iq.write_bytes(iq.read_bytes()[:-cut])
+    with pytest.raises(errors.ParseError, match=match):
+        waveform.load_waveform(tmp_path / "w")
 
 
 def test_load_waveform_odd_iq_length(tmp_path):
