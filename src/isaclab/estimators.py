@@ -160,7 +160,9 @@ class Dictionary:
         i_tau, i_nu = np.divmod(np.asarray(flat_indices, int),
                                 self.doppler_grid.size)
         block = np.zeros((self.length, i_tau.size), np.complex128, order="F")
-        for t in np.unique(i_tau):
+        # the delay cells in ascending order, as np.unique gives them
+        # without importing numpy.ma
+        for t in np.flatnonzero(np.bincount(i_tau)):
             resp = self._response(self.delay_grid[t])
             for j in np.flatnonzero(i_tau == t):
                 np.multiply(resp, self._phasors[:resp.size, i_nu[j]],

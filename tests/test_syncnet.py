@@ -122,8 +122,8 @@ def _graph_with_pairs(apertures, pairs):
 
 
 @pytest.mark.parametrize("apertures, pairs, cyclic", [
-    # a path 0-1-2, a triangle 3-4-5 and aperture 6 on its own
-    (range(7), ((0, 1), (2, 1), (3, 4), (4, 5), (5, 3)), True),
+    # a path 0-1-2 and a triangle 3-4-5
+    (range(6), ((0, 1), (2, 1), (3, 4), (4, 5), (5, 3)), True),
     ((0, 1, 2, 3), ((0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)), False),
     ((0, 1, 2, 3), ((0, 1), (2, 1), (2, 3)), False),
     ((0, 1, 2), ((0, 1), (1, 2), (2, 0)), True),
@@ -131,6 +131,31 @@ def _graph_with_pairs(apertures, pairs):
         "one-way-triangle"])
 def test_has_cycles_graph_shapes(apertures, pairs, cyclic):
     assert _graph_with_pairs(tuple(apertures), pairs).has_cycles() is cyclic
+
+
+@pytest.mark.parametrize("shape", [(1500, 2), (3, 400, 2)])
+def test_pair_length_is_linalg_norm_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    # offsets across scales, with exact zeros and one axis-aligned row
+    diff = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4, size=shape)
+    diff[..., 0, :] = 0.0
+    diff[..., 1, 1] = 0.0
+    assert np.array_equal(sn._length(diff), np.linalg.norm(diff, axis=-1))
+
+
+def test_build_factor_graph_rejects_an_agent_in_no_measured_pair():
+    space = sn.StateSpace(("position",))
+    noise = sn.MeasurementNoise(delay_std=1e-9)
+    top = sn.NetworkTopology((0, 1, 2), (0, 1),
+                             measurement_mask=((0, 1), (1, 0)))
+    assert top.unmeasured == (2,)
+    truth = {j: sn.ApertureState(j, [10.0 * j, 0.0]) for j in range(3)}
+    meas = sn.simulate_measurements(top, truth, noise, seed=0)
+    priors = {0: sn.PointPrior(space.pack(truth[0])),
+              1: sn.PointPrior(space.pack(truth[1])),
+              2: sn.UniformPrior([0.0, 0.0], [50.0, 50.0])}
+    with pytest.raises(errors.TopologyError, match=r"agents \[2\] are in no"):
+        sn.build_factor_graph(top, priors, meas, space)
 
 
 def test_build_factor_graph_validation():
@@ -887,6 +912,8 @@ def test_pair_log_likelihood_restores_numpy_error_state():
      r"net\.txt:7: key 'bp-particles' repeats line 6"),
     ("carrier-freq: 1e9\ncarrier-freq: 2e9",
      r"net\.txt:7: key 'carrier-freq' repeats line 6"),
+    ("measure: 0 1", r"net\.txt:6: 'measure: all' lists every pair"),
+    ("measure: all", r"net\.txt:6: 'measure: all' lists every pair"),
 ])
 def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
                                                         match):
@@ -897,6 +924,29 @@ def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
     with pytest.raises(errors.ParseError, match=match) as exc:
         sn.load_sync_scenario(p)
     assert str(p) in str(exc.value)
+    (tmp_path / "exp.ini").write_text("[experiment]\nschema-version = 1\n\n"
+                                      "[sync]\nfile = net.txt\n")
+    assert cli.main(["sync", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("measures, match", [
+    ("measure: 0 2\nmeasure: 2 0\nmeasure: 0 2",
+     r"net\.txt:8: pair 0 2 is measured twice"),
+    ("measure: 0 2\nmeasure: all", r"net\.txt:7: 'measure: all' lists"),
+    # agent 2 sits in no measured pair, so nothing observes it: the error
+    # names its aperture line
+    ("measure: 0 1\nmeasure: 1 0",
+     r"net\.txt:4: agent 2 is in no measured pair"),
+], ids=["pair-twice", "pair-then-all", "unmeasured-agent"])
+def test_sync_scenario_measure_line_errors(tmp_path, measures, match):
+    p = tmp_path / "net.txt"
+    p.write_text("sync-version: 1\naperture: 0 anchor 0 0 0 0 0\n"
+                 "aperture: 1 anchor 50 0 0 0 0\n"
+                 "aperture: 2 agent 20 30 0 0 0\n"
+                 f"noise: delay 1e-9\n{measures}\n")
+    with pytest.raises(errors.ParseError, match=match):
+        sn.load_sync_scenario(p)
     (tmp_path / "exp.ini").write_text("[experiment]\nschema-version = 1\n\n"
                                       "[sync]\nfile = net.txt\n")
     assert cli.main(["sync", "--config", str(tmp_path / "exp.ini"),
