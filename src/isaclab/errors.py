@@ -88,7 +88,7 @@ class NormalizationError(ToolkitError):
 # --- syncnet ---
 
 class TopologyError(ToolkitError):
-    """Missing priors or dangling measurements in the network."""
+    """Missing priors, unmatched measurements or unanchored agents."""
 
 
 class DegeneracyError(ToolkitError):

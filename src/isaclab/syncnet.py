@@ -8,6 +8,7 @@ produce MAP/MMSE estimates of agent states.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,6 +97,25 @@ class StateSpace:
         return np.zeros(n)
 
 
+def _components(apertures, pairs):
+    """Union-find over the measured pairs, both directions of a pair being
+    one edge: a dict of each aperture's component root, and whether some
+    edge joins two already-connected apertures, which closes a cycle."""
+    parent = {j: j for j in apertures}
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    cycle = False
+    for a, b in {frozenset(pair) for pair in pairs}:
+        ra, rb = root(a), root(b)
+        cycle |= ra == rb
+        parent[ra] = rb
+    return {j: root(j) for j in apertures}, cycle
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
     """Aperture ids split into anchors/agents plus the measured pair mask."""
@@ -124,20 +144,18 @@ class NetworkTopology:
         return tuple(j for j in self.apertures if j not in self.anchors)
 
     @property
-    def unmeasured(self) -> tuple[int, ...]:
-        """Agents in no measured pair, which no observable constrains."""
-        measured = {j for pair in self.measurement_mask for j in pair}
-        return tuple(j for j in self.agents if j not in measured)
-
-    @property
-    def pair_set(self) -> tuple[tuple[int, int], ...]:
-        return tuple((j, jp) for j in self.apertures for jp in self.apertures
-                     if j != jp)
+    def unanchored(self) -> tuple[int, ...]:
+        """Agents that no chain of measured pairs joins to an anchor, so
+        nothing fixes them in the anchors' frame; without anchors, all."""
+        root, _ = _components(self.apertures, self.measurement_mask)
+        fixed = {root[j] for j in self.anchors}
+        return tuple(j for j in self.agents if root[j] not in fixed)
 
     @classmethod
     def full_mesh(cls, apertures, anchors) -> "NetworkTopology":
-        top = cls(tuple(apertures), tuple(anchors))
-        return replace(top, measurement_mask=top.pair_set)
+        aps = sorted(set(apertures))
+        return cls(tuple(aps), tuple(anchors),
+                   tuple(itertools.permutations(aps, 2)))
 
 
 @dataclass(frozen=True)
@@ -178,9 +196,6 @@ class PointPrior:
 
     def sample(self, n, rng):
         return np.tile(self.vec, (n, 1))
-
-    def logpdf(self, x):
-        return np.zeros(x.shape[0])
 
 
 class GaussianPrior:
@@ -329,32 +344,19 @@ class FactorGraph:
         return len(self.priors) + len(self.pair_factors)
 
     def has_cycles(self) -> bool:
-        """Whether the undirected measured-pair graph has a cycle.
-
-        Both directions of a pair are one edge. Union-find over the edges:
-        an edge that joins two already-connected apertures closes a cycle,
-        in whichever connected component it lies.
-        """
-        parent = {j: j for j in self.topology.apertures}
-
-        def root(j):
-            while parent[j] != j:
-                j = parent[j]
-            return j
-
-        for a, b in {frozenset(f.pair) for f in self.pair_factors}:
-            ra, rb = root(a), root(b)
-            if ra == rb:
-                return True
-            parent[ra] = rb
-        return False
+        """Whether the measured pairs, as undirected edges, form a cycle."""
+        return _components(self.topology.apertures,
+                           [f.pair for f in self.pair_factors])[1]
 
 
 def build_factor_graph(topology: NetworkTopology, priors: dict,
                        measurements, space: StateSpace | None = None,
                        carrier_freq: float = 1e9) -> FactorGraph:
     """Graph of |measured pairs| pair factors plus one prior factor per
-    aperture, matching the posterior factorization up to proportionality."""
+    aperture, matching the posterior factorization up to proportionality.
+    Each masked pair needs one measurement, each anchor a point-mass prior
+    and, when there are anchors, each agent a chain of measured pairs to
+    one; an anchor-free graph is kept for `measurement_jacobian_rank`."""
     space = space or StateSpace()
     if set(priors) != set(topology.apertures):
         raise errors.TopologyError(f"priors for apertures {sorted(priors)}, "
@@ -362,24 +364,17 @@ def build_factor_graph(topology: NetworkTopology, priors: dict,
     for j in topology.anchors:
         if not isinstance(priors[j], PointPrior):
             raise errors.TopologyError(f"anchor {j} needs a point-mass prior")
-    if topology.unmeasured:
-        raise errors.TopologyError(f"agents {list(topology.unmeasured)} are "
-                                   f"in no measured pair")
-    mask = set(topology.measurement_mask)
-    seen = set()
-    pair_factors = []
-    for m in measurements:
-        if m.pair not in mask:
-            raise errors.TopologyError(f"measurement for unmasked pair {m.pair}")
-        if m.pair in seen:
-            raise errors.TopologyError(f"duplicate measurement for {m.pair}")
-        seen.add(m.pair)
-        pair_factors.append(PairFactor(m))
-    dangling = mask - seen
-    if dangling:
-        raise errors.TopologyError(f"masked pairs without measurements {dangling}")
-    return FactorGraph(topology, space, dict(priors), pair_factors,
-                       carrier_freq)
+    if topology.anchors and topology.unanchored:
+        raise errors.TopologyError(f"agents {list(topology.unanchored)} are "
+                                   f"in no measured pair chained to an anchor")
+    measurements = list(measurements)
+    pairs = sorted(m.pair for m in measurements)
+    if pairs != sorted(topology.measurement_mask):
+        raise errors.TopologyError(
+            f"measurements for pairs {pairs}, not the masked pairs "
+            f"{sorted(topology.measurement_mask)}")
+    return FactorGraph(topology, space, dict(priors),
+                       [PairFactor(m) for m in measurements], carrier_freq)
 
 
 def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
@@ -812,15 +807,19 @@ def load_sync_scenario(path) -> SyncScenario:
         bp-particles/bp-iterations/bp-tol/bp-seed: <value>
         anneal-start/anneal-decay: <value>
 
-    Only `aperture`, `measure` and `noise` may repeat. Every agent must be
-    in a measured pair.
+    Only `aperture`, `measure` and `noise` may repeat. There must be an
+    anchor, measured pairs chaining every agent to one, and each agent's
+    true state inside its `default_agent_prior`. Each defect is a
+    ParseError at its line, an agent's at its `aperture:` line; a file
+    with no anchor has no one line to blame.
     """
-    components = ("position",)
+    space = StateSpace()
     carrier = 1e9
     box = (0.0, 100.0, 0.0, 100.0)
+    # aperture id -> (its line, whether it is an anchor, its true state)
     apertures: dict[int, tuple] = {}
-    aperture_lines: dict[int, int] = {}
-    measures: list[tuple[int, int]] = []
+    # measured pair -> its line, in file order
+    measures: dict[tuple[int, int], int] = {}
     measure_all = False
     noise_kw: dict[str, float] = {}
     bp_kw: dict = {}
@@ -831,7 +830,7 @@ def load_sync_scenario(path) -> SyncScenario:
             repeatable=("aperture", "measure", "noise")):
         try:
             if key == "components":
-                components = tuple(rest.split())
+                space = StateSpace(rest.split())
             elif key == "carrier-freq":
                 carrier = errors.positive(rest)
             elif key == "scene-box":
@@ -848,9 +847,9 @@ def load_sync_scenario(path) -> SyncScenario:
                 j = int(parts[0])
                 if j in apertures:
                     raise ValueError(f"duplicate aperture id {j}")
-                apertures[j] = (parts[1] == "anchor",
-                                *(float(v) for v in parts[2:]))
-                aperture_lines[j] = lineno
+                v = [float(x) for x in parts[2:]]
+                apertures[j] = (lineno, parts[1] == "anchor",
+                                ApertureState(j, np.array(v[:2]), *v[2:]))
             elif key == "measure":
                 if measure_all or (rest == "all" and measures):
                     raise ValueError("'measure: all' lists every pair, so it "
@@ -859,9 +858,11 @@ def load_sync_scenario(path) -> SyncScenario:
                     measure_all = True
                 else:
                     j, jp = (int(v) for v in rest.split())
+                    if j == jp:
+                        raise ValueError(f"aperture {j} cannot measure itself")
                     if (j, jp) in measures:
                         raise ValueError(f"pair {j} {jp} is measured twice")
-                    measures.append((j, jp))
+                    measures[(j, jp)] = lineno
             elif key == "noise":
                 kind, std = rest.split()
                 if kind not in ("delay", "aoa", "phase"):
@@ -882,26 +883,33 @@ def load_sync_scenario(path) -> SyncScenario:
     if not noise_kw:
         raise errors.ParseError(
             f"{path}: no 'noise:' line, so nothing is observed")
-    anchors = tuple(j for j, a in apertures.items() if a[0])
+    for (j, jp), lineno in measures.items():
+        if not {j, jp} <= apertures.keys():
+            raise errors.ParseError(f"{path}:{lineno}: pair {j} {jp} names "
+                                    f"an undeclared aperture")
+    anchors = tuple(j for j, a in apertures.items() if a[1])
+    if not anchors:
+        raise errors.ParseError(f"{path}: no anchor fixes the agents' frame")
     if len(anchors) == len(apertures):
         raise errors.ParseError(
             f"{path}: every aperture is an anchor, so nothing is estimated")
-    states = {j: ApertureState(j, np.array(a[1:3]), orientation=a[3],
-                               time_offset=a[4], cpo=a[5])
-              for j, a in apertures.items()}
-    try:
-        topo = NetworkTopology(tuple(apertures), anchors)
-        topo = replace(topo, measurement_mask=(
-            topo.pair_set if measure_all else tuple(measures)))
-        scenario = SyncScenario(StateSpace(components), topo, states, box,
-                                MeasurementNoise(**noise_kw),
-                                BPConfig(**bp_kw), carrier)
-    except (ValueError, errors.TopologyError) as exc:
-        raise errors.ParseError(f"{path}: {exc}") from None
-    if topo.unmeasured:
-        j = topo.unmeasured[0]
-        raise errors.ParseError(f"{path}:{aperture_lines[j]}: agent {j} is in "
-                                f"no measured pair, so nothing observes it")
+    topo = (NetworkTopology.full_mesh(apertures, anchors) if measure_all
+            else NetworkTopology(tuple(apertures), anchors, tuple(measures)))
+    states = {j: a[2] for j, a in apertures.items()}
+    scenario = SyncScenario(space, topo, states, box,
+                            MeasurementNoise(**noise_kw), BPConfig(**bp_kw),
+                            carrier)
+    priors, unanchored = default_agent_prior(scenario), topo.unanchored
+    for j in topo.agents:
+        x, prior = space.pack(states[j]), priors[j]
+        at = f"{path}:{apertures[j][0]}: agent {j}"
+        if j in unanchored:
+            raise errors.ParseError(f"{at} is in no measured pair chained to "
+                                    f"an anchor, so nothing fixes it")
+        if not np.isfinite(prior.logpdf(x[None]))[0]:
+            raise errors.ParseError(
+                f"{at}'s true state {x.tolist()} lies outside its prior, "
+                f"uniform from {prior.lo.tolist()} to {prior.hi.tolist()}")
     return scenario
 
 
@@ -909,25 +917,16 @@ def default_agent_prior(scenario: SyncScenario) -> dict:
     """Priors: anchors point-mass at truth; agents uniform over the scene
     box in position, uniform on [-pi, pi) in angle and uniform on +-1 us
     in time offset."""
-    space = scenario.space
-    priors = {}
-    for j in scenario.topology.apertures:
-        if j in scenario.topology.anchors:
-            priors[j] = PointPrior(space.pack(scenario.true_states[j]))
-            continue
-        lo = np.empty(space.dim)
-        hi = np.empty(space.dim)
-        for c in space.components:
-            sl = space.slices[c]
-            if c == "position":
-                lo[sl] = [scenario.scene_box[0], scenario.scene_box[2]]
-                hi[sl] = [scenario.scene_box[1], scenario.scene_box[3]]
-            elif c in _CIRCULAR:
-                lo[sl], hi[sl] = -np.pi, np.pi
-            else:                           # time_offset
-                lo[sl], hi[sl] = -1e-6, 1e-6
-        priors[j] = UniformPrior(lo, hi)
-    return priors
+    space, box, top = scenario.space, scenario.scene_box, scenario.topology
+    support = {"position": ([box[0], box[2]], [box[1], box[3]]),
+               "orientation": (-np.pi, np.pi), "cpo": (-np.pi, np.pi),
+               "time_offset": (-1e-6, 1e-6)}
+    lo, hi = np.empty(space.dim), np.empty(space.dim)
+    for c in space.components:
+        lo[space.slices[c]], hi[space.slices[c]] = support[c]
+    return {j: PointPrior(space.pack(scenario.true_states[j]))
+            if j in top.anchors else UniformPrior(lo, hi)
+            for j in top.apertures}
 
 
 def run_sync_scenario(scenario: SyncScenario, seed: int | None = None):

@@ -388,6 +388,20 @@ def test_cli_input_errors_found_in_trials_exit_2(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, ini, message", [
+    ("sweep", _config_text(trials=1), "[sweep] needs parameter and values"),
+    ("sync", "[experiment]\nschema-version = 1\n\n[metrics]\n"
+             "list = position_rms_m\n", "[sync] file is required"),
+], ids=["sweep-without-sweep", "sync-without-file"])
+def test_cli_command_without_its_section_exits_2(tmp_path, capsys, command,
+                                                 ini, message):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(ini)
+    assert cli.main([command, "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_experiment_parses_scene_once(tmp_path, monkeypatch):
     _write_scene(tmp_path / "scene.txt")
     (tmp_path / "exp.ini").write_text(_config_text(trials=3))

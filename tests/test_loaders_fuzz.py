@@ -1,7 +1,8 @@
 """Property tests of the file loaders: a mutated scene, sync-scenario or
 waveform-header file either loads or raises a ParseError that names the
-file, and a mutated INI config loads or raises a ParseError naming the
-file or a ValidationError."""
+file, a sync scenario that loads can be estimated, and a mutated INI
+config loads or raises a ParseError naming the file or a
+ValidationError."""
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ def files(tmp_path_factory):
     for path, valid, load in cases.values():
         path.write_bytes(valid)
         load(path)
+    _assert_estimable(syncnet.load_sync_scenario(d / "net.txt"))
     return cases
 
 
@@ -69,9 +71,24 @@ def test_mutated_files_load_or_raise_parse_error(files, kind, edits):
     path, valid, load = files[kind]
     path.write_bytes(_mutate(valid, edits))
     try:
-        load(path)
+        loaded = load(path)
     except errors.ParseError as exc:
         assert str(path) in str(exc)
+        return
+    if kind == "sync":
+        _assert_estimable(loaded)
+
+
+def _assert_estimable(scn):
+    """A loaded sync scenario can be estimated: an anchor fixes the frame,
+    measured pairs chain every agent to one, and each agent's prior holds
+    its true state."""
+    top = scn.topology
+    assert top.anchors and top.unanchored == ()
+    priors = syncnet.default_agent_prior(scn)
+    for j in top.agents:
+        x = scn.space.pack(scn.true_states[j])[None]
+        assert np.isfinite(priors[j].logpdf(x)).all()
 
 
 _INI = b"""[experiment]

@@ -148,7 +148,7 @@ def test_build_factor_graph_rejects_an_agent_in_no_measured_pair():
     noise = sn.MeasurementNoise(delay_std=1e-9)
     top = sn.NetworkTopology((0, 1, 2), (0, 1),
                              measurement_mask=((0, 1), (1, 0)))
-    assert top.unmeasured == (2,)
+    assert top.unanchored == (2,)
     truth = {j: sn.ApertureState(j, [10.0 * j, 0.0]) for j in range(3)}
     meas = sn.simulate_measurements(top, truth, noise, seed=0)
     priors = {0: sn.PointPrior(space.pack(truth[0])),
@@ -156,6 +156,34 @@ def test_build_factor_graph_rejects_an_agent_in_no_measured_pair():
               2: sn.UniformPrior([0.0, 0.0], [50.0, 50.0])}
     with pytest.raises(errors.TopologyError, match=r"agents \[2\] are in no"):
         sn.build_factor_graph(top, priors, meas, space)
+
+
+def test_build_factor_graph_rejects_an_island_of_agents():
+    # agents 2 and 3 measure each other but no anchor: their pair fixes
+    # their distance, not where they are
+    space = sn.StateSpace(("position",))
+    noise = sn.MeasurementNoise(delay_std=1e-9)
+    top = sn.NetworkTopology((0, 1, 2, 3), (0, 1), measurement_mask=(
+        (0, 1), (1, 0), (2, 3), (3, 2)))
+    assert top.unanchored == (2, 3)
+    truth = {j: sn.ApertureState(j, [10.0 * j, 5.0]) for j in range(4)}
+    meas = sn.simulate_measurements(top, truth, noise, seed=0)
+    priors = {j: sn.PointPrior(space.pack(truth[j])) for j in (0, 1)}
+    priors.update({j: sn.UniformPrior([0.0, 0.0], [50.0, 50.0])
+                   for j in (2, 3)})
+    with pytest.raises(errors.TopologyError,
+                       match=r"agents \[2, 3\] are in no measured pair "
+                             r"chained to an anchor"):
+        sn.build_factor_graph(top, priors, meas, space)
+
+
+def test_full_mesh_mask_is_the_nested_loop_order():
+    ids = (5, 0, 3, 0, 9)
+    top = sn.NetworkTopology.full_mesh(ids, (3,))
+    aps = sorted(set(ids))
+    assert top.measurement_mask == tuple(
+        (j, jp) for j in aps for jp in aps if j != jp)
+    assert top.unanchored == ()
 
 
 def test_build_factor_graph_validation():
@@ -914,6 +942,8 @@ def test_pair_log_likelihood_restores_numpy_error_state():
      r"net\.txt:7: key 'carrier-freq' repeats line 6"),
     ("measure: 0 1", r"net\.txt:6: 'measure: all' lists every pair"),
     ("measure: all", r"net\.txt:6: 'measure: all' lists every pair"),
+    ("a line without a separator", r"net\.txt:6: expected 'key: value'"),
+    ("noise: range 1", r"net\.txt:6: unknown observable range"),
 ])
 def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
                                                         match):
@@ -923,34 +953,80 @@ def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
                  f"noise: delay 1e-9\n{line}\n")
     with pytest.raises(errors.ParseError, match=match) as exc:
         sn.load_sync_scenario(p)
-    assert str(p) in str(exc.value)
+    # every case is reported at its own line, the last one it adds
+    lineno = 6 + line.count("\n")
+    assert str(exc.value).startswith(f"{p}:{lineno}: ")
     (tmp_path / "exp.ini").write_text("[experiment]\nschema-version = 1\n\n"
                                       "[sync]\nfile = net.txt\n")
     assert cli.main(["sync", "--config", str(tmp_path / "exp.ini"),
                      "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize("measures, match", [
-    ("measure: 0 2\nmeasure: 2 0\nmeasure: 0 2",
+def _assert_sync_input_error(tmp_path, match):
+    """net.txt in tmp_path raises a ParseError matching `match`, and the
+    sync command on it exits 2."""
+    with pytest.raises(errors.ParseError, match=match):
+        sn.load_sync_scenario(tmp_path / "net.txt")
+    (tmp_path / "exp.ini").write_text("[experiment]\nschema-version = 1\n\n"
+                                      "[sync]\nfile = net.txt\n")
+    assert cli.main(["sync", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("role, measures, match", [
+    ("anchor", "measure: 0 2\nmeasure: 2 0\nmeasure: 0 2",
      r"net\.txt:8: pair 0 2 is measured twice"),
-    ("measure: 0 2\nmeasure: all", r"net\.txt:7: 'measure: all' lists"),
+    ("anchor", "measure: 0 2\nmeasure: all",
+     r"net\.txt:7: 'measure: all' lists"),
     # agent 2 sits in no measured pair, so nothing observes it: the error
     # names its aperture line
-    ("measure: 0 1\nmeasure: 1 0",
+    ("anchor", "measure: 0 1\nmeasure: 1 0",
      r"net\.txt:4: agent 2 is in no measured pair"),
-], ids=["pair-twice", "pair-then-all", "unmeasured-agent"])
-def test_sync_scenario_measure_line_errors(tmp_path, measures, match):
-    p = tmp_path / "net.txt"
-    p.write_text("sync-version: 1\naperture: 0 anchor 0 0 0 0 0\n"
-                 "aperture: 1 anchor 50 0 0 0 0\n"
-                 "aperture: 2 agent 20 30 0 0 0\n"
-                 f"noise: delay 1e-9\n{measures}\n")
-    with pytest.raises(errors.ParseError, match=match):
-        sn.load_sync_scenario(p)
-    (tmp_path / "exp.ini").write_text("[experiment]\nschema-version = 1\n\n"
-                                      "[sync]\nfile = net.txt\n")
-    assert cli.main(["sync", "--config", str(tmp_path / "exp.ini"),
-                     "--out", str(tmp_path / "out")]) == 2
+    # without an anchor nothing fixes the frame, and no one line is at fault
+    ("agent", "measure: all", r"net\.txt: no anchor fixes"),
+    # agents 2 and 3 measure only each other, so they are fixed only up to
+    # a rigid motion of their pair
+    ("anchor", "aperture: 3 agent 30 40 0 0 0\nmeasure: 0 1\n"
+               "measure: 2 3\nmeasure: 3 2",
+     r"net\.txt:4: agent 2 is in no measured pair chained to an anchor"),
+    ("anchor", "measure: 0 2\nmeasure: 1 7",
+     r"net\.txt:7: pair 1 7 names an undeclared aperture"),
+    ("anchor", "measure: 2 2",
+     r"net\.txt:6: aperture 2 cannot measure itself"),
+], ids=["pair-twice", "pair-then-all", "unmeasured-agent", "no-anchor",
+        "island-of-agents", "undeclared-aperture", "self-pair"])
+def test_sync_scenario_measure_line_errors(tmp_path, role, measures, match):
+    (tmp_path / "net.txt").write_text(
+        f"sync-version: 1\naperture: 0 {role} 0 0 0 0 0\n"
+        f"aperture: 1 {role} 50 0 0 0 0\naperture: 2 agent 20 30 0 0 0\n"
+        f"noise: delay 1e-9\n{measures}\n")
+    _assert_sync_input_error(tmp_path, match)
+
+
+# the true state must lie inside the support of the agent's prior, or BP,
+# whose particles never leave it, pins the estimate to the support's edge;
+# scene-box comes after the agent's line, so the check waits for the file
+@pytest.mark.parametrize("components, agent, match", [
+    ("position", "3 agent 150 50 0 0 0",
+     r"net\.txt:6: agent 3's true state \[150\.0, 50\.0\] lies outside "
+     r"its prior"),
+    ("position time_offset", "3 agent 40 50 0 -2e-6 0",
+     r"net\.txt:6: agent 3's true state \[40\.0, 50\.0, -2e-06\] lies "
+     r"outside its prior, uniform from \[0\.0, 0\.0, -1e-06\]"),
+], ids=["outside-scene-box", "time-offset-beyond-1us"])
+def test_sync_scenario_true_state_outside_its_prior(tmp_path, components,
+                                                    agent, match):
+    (tmp_path / "net.txt").write_text(
+        f"sync-version: 1\ncomponents: {components}\n"
+        "aperture: 0 anchor 0 0 0 0 0\naperture: 1 anchor 100 0 0 0 0\n"
+        f"aperture: 2 anchor 0 100 0 0 0\naperture: {agent}\n"
+        "scene-box: 0 100 0 100\nmeasure: all\nnoise: delay 1e-9\n")
+    _assert_sync_input_error(tmp_path, match)
+
+
+def test_sync_scenario_without_apertures_is_parse_error(tmp_path):
+    (tmp_path / "net.txt").write_text("sync-version: 1\nnoise: delay 1e-9\n")
+    _assert_sync_input_error(tmp_path, r"net\.txt: no apertures declared")
 
 
 def test_sync_scenario_without_noise_is_parse_error(tmp_path):
