@@ -48,6 +48,9 @@ class ApertureState:
     def __post_init__(self):
         object.__setattr__(self, "position",
                            np.asarray(self.position, float))
+        if not np.isfinite(np.append(self.position, [
+                self.orientation, self.time_offset, self.cpo])).all():
+            raise ValueError(f"aperture {self.id}'s state must be finite")
         object.__setattr__(self, "orientation", wrap_angle(self.orientation))
         object.__setattr__(self, "cpo", wrap_angle(self.cpo))
 
@@ -56,10 +59,12 @@ class StateSpace:
     """Active state components and their packing into flat vectors."""
 
     def __init__(self, components=("position",)):
-        unknown = set(components) - set(_COMPONENT_DIMS)
+        self.components = tuple(components)
+        unknown = set(self.components) - set(_COMPONENT_DIMS)
         if unknown:
             raise ValueError(f"unknown state components {unknown}")
-        self.components = tuple(components)
+        if len(set(self.components)) < len(self.components):
+            raise ValueError(f"repeated state component in {self.components}")
         self.slices = {}
         off = 0
         for c in self.components:
@@ -241,22 +246,6 @@ def _length(diff):
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _delay(dist, to_tx, to_rx):
-    """Propagation delay plus the clock-offset difference TO_rx - TO_tx."""
-    return dist / SPEED_OF_LIGHT + (to_rx - to_tx)
-
-
-def _aoa(diff, orient_rx):
-    """Bearing of the transmitter in the receiver frame."""
-    return wrap_angle(np.arctan2(diff[..., 1], diff[..., 0]) - orient_rx)
-
-
-def _phase(dist, cpo_tx, cpo_rx, carrier_freq):
-    """Wrapped carrier phase of the geometric delay plus the CPO difference."""
-    return wrap_angle(2 * np.pi * carrier_freq * dist / SPEED_OF_LIGHT
-                      + (cpo_rx - cpo_tx))
-
-
 # the pair observables, in the order they are computed, drawn and summed
 _OBSERVABLES = ("delay", "aoa", "phase")
 _ANGULAR = {"aoa", "phase"}
@@ -276,13 +265,18 @@ def _observables(which, x_tx, x_rx, space: StateSpace, carrier_freq):
     dist = _length(diff)
     out = []
     if "delay" in which:
-        out.append(_delay(dist, space.get(x_tx, "time_offset"),
-                          space.get(x_rx, "time_offset")))
+        # propagation delay plus the clock-offset difference TO_rx - TO_tx
+        out.append(dist / SPEED_OF_LIGHT + (space.get(x_rx, "time_offset")
+                                            - space.get(x_tx, "time_offset")))
     if "aoa" in which:
-        out.append(_aoa(diff, space.get(x_rx, "orientation")))
+        # bearing of the transmitter in the receiver frame
+        out.append(wrap_angle(np.arctan2(diff[..., 1], diff[..., 0])
+                              - space.get(x_rx, "orientation")))
     if "phase" in which:
-        out.append(_phase(dist, space.get(x_tx, "cpo"),
-                          space.get(x_rx, "cpo"), carrier_freq))
+        # wrapped carrier phase of the geometric delay plus the CPO difference
+        out.append(wrap_angle(2 * np.pi * carrier_freq * dist / SPEED_OF_LIGHT
+                              + (space.get(x_rx, "cpo")
+                                 - space.get(x_tx, "cpo"))))
     return out
 
 
@@ -777,7 +771,8 @@ class SyncScenario:
     space: StateSpace
     topology: NetworkTopology
     true_states: dict
-    scene_box: tuple[float, float, float, float]
+    # aperture id -> its prior, as `build_factor_graph` takes them
+    priors: dict
     noise: MeasurementNoise
     config: BPConfig
     carrier_freq: float = 1e9
@@ -787,7 +782,6 @@ class SyncScenario:
 _BP_KEYS = {"bp-particles": ("particle_count", int),
             "bp-iterations": ("max_iterations", int),
             "bp-tol": ("message_tol", errors.positive),
-            "bp-seed": ("seed", int),
             "anneal-start": ("anneal_start", float),
             "anneal-decay": ("anneal_decay", float)}
 
@@ -804,14 +798,15 @@ def load_sync_scenario(path) -> SyncScenario:
         measure: all        | measure: <j> <jp>  (unique pairs; `all`
                                               stands alone)
         noise: <delay|aoa|phase> <std>        (at least one, one each)
-        bp-particles/bp-iterations/bp-tol/bp-seed: <value>
+        bp-particles/bp-iterations/bp-tol: <value>
         anneal-start/anneal-decay: <value>
 
     Only `aperture`, `measure` and `noise` may repeat. There must be an
     anchor, measured pairs chaining every agent to one, and each agent's
-    true state inside its `default_agent_prior`. Each defect is a
-    ParseError at its line, an agent's at its `aperture:` line; a file
-    with no anchor has no one line to blame.
+    true state inside its prior: uniform over the scene box, every angle
+    and +-1 us of time offset (an anchor's is a point mass at its state).
+    Each defect is a ParseError at its line, an agent's at its `aperture:`
+    line; a file with no anchor has no one line to blame.
     """
     space = StateSpace()
     carrier = 1e9
@@ -896,54 +891,44 @@ def load_sync_scenario(path) -> SyncScenario:
     topo = (NetworkTopology.full_mesh(apertures, anchors) if measure_all
             else NetworkTopology(tuple(apertures), anchors, tuple(measures)))
     states = {j: a[2] for j, a in apertures.items()}
-    scenario = SyncScenario(space, topo, states, box,
-                            MeasurementNoise(**noise_kw), BPConfig(**bp_kw),
-                            carrier)
-    priors, unanchored = default_agent_prior(scenario), topo.unanchored
-    for j in topo.agents:
-        x, prior = space.pack(states[j]), priors[j]
-        at = f"{path}:{apertures[j][0]}: agent {j}"
-        if j in unanchored:
-            raise errors.ParseError(f"{at} is in no measured pair chained to "
-                                    f"an anchor, so nothing fixes it")
-        if not np.isfinite(prior.logpdf(x[None]))[0]:
-            raise errors.ParseError(
-                f"{at}'s true state {x.tolist()} lies outside its prior, "
-                f"uniform from {prior.lo.tolist()} to {prior.hi.tolist()}")
-    return scenario
-
-
-def default_agent_prior(scenario: SyncScenario) -> dict:
-    """Priors: anchors point-mass at truth; agents uniform over the scene
-    box in position, uniform on [-pi, pi) in angle and uniform on +-1 us
-    in time offset."""
-    space, box, top = scenario.space, scenario.scene_box, scenario.topology
     support = {"position": ([box[0], box[2]], [box[1], box[3]]),
                "orientation": (-np.pi, np.pi), "cpo": (-np.pi, np.pi),
                "time_offset": (-1e-6, 1e-6)}
     lo, hi = np.empty(space.dim), np.empty(space.dim)
     for c in space.components:
         lo[space.slices[c]], hi[space.slices[c]] = support[c]
-    return {j: PointPrior(space.pack(scenario.true_states[j]))
-            if j in top.anchors else UniformPrior(lo, hi)
-            for j in top.apertures}
+    agent_prior, unanchored = UniformPrior(lo, hi), topo.unanchored
+    priors = {j: PointPrior(space.pack(states[j])) if j in anchors
+              else agent_prior for j in topo.apertures}
+    for j in topo.agents:
+        x = space.pack(states[j])
+        at = f"{path}:{apertures[j][0]}: agent {j}"
+        if j in unanchored:
+            raise errors.ParseError(f"{at} is in no measured pair chained to "
+                                    f"an anchor, so nothing fixes it")
+        if not np.isfinite(agent_prior.logpdf(x[None]))[0]:
+            raise errors.ParseError(
+                f"{at}'s true state {x.tolist()} lies outside its prior, "
+                f"uniform from {lo.tolist()} to {hi.tolist()}")
+    return SyncScenario(space, topo, states, priors,
+                        MeasurementNoise(**noise_kw), BPConfig(**bp_kw),
+                        carrier)
 
 
-def run_sync_scenario(scenario: SyncScenario, seed: int | None = None):
-    """Simulate measurements, run BP, and report errors.
+def run_sync_scenario(scenario: SyncScenario, seed: int):
+    """Simulate measurements, run BP, and report errors; `seed` draws both
+    the measurement noise and BP's particles.
 
     Returns (estimates dict, `BPResult`, error report).  Anchors are
     estimated by their known states, so the report covers the agents only.
     """
-    cfg = scenario.config if seed is None else replace(scenario.config, seed=seed)
-    meas_seed = cfg.seed
     measurements = simulate_measurements(scenario.topology,
                                          scenario.true_states, scenario.noise,
-                                         meas_seed, scenario.carrier_freq)
-    graph = build_factor_graph(scenario.topology,
-                               default_agent_prior(scenario), measurements,
-                               scenario.space, scenario.carrier_freq)
-    beliefs = run_loopy_bp(graph, cfg)
+                                         seed, scenario.carrier_freq)
+    graph = build_factor_graph(scenario.topology, scenario.priors,
+                               measurements, scenario.space,
+                               scenario.carrier_freq)
+    beliefs = run_loopy_bp(graph, replace(scenario.config, seed=seed))
     truth = scenario.true_states
     agents = {j: estimate_mmse(beliefs[j], scenario.space, j)
               for j in scenario.topology.agents}

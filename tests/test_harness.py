@@ -392,7 +392,9 @@ def test_cli_input_errors_found_in_trials_exit_2(tmp_path, capsys,
     ("sweep", _config_text(trials=1), "[sweep] needs parameter and values"),
     ("sync", "[experiment]\nschema-version = 1\n\n[metrics]\n"
              "list = position_rms_m\n", "[sync] file is required"),
-], ids=["sweep-without-sweep", "sync-without-file"])
+    ("sync", "[experiment]\nschema-version = 1\n", "[sync] file is required"),
+], ids=["sweep-without-sweep", "sync-without-file",
+        "sync-without-file-or-metrics"])
 def test_cli_command_without_its_section_exits_2(tmp_path, capsys, command,
                                                  ini, message):
     _write_scene(tmp_path / "scene.txt")

@@ -81,14 +81,17 @@ def test_mutated_files_load_or_raise_parse_error(files, kind, edits):
 
 def _assert_estimable(scn):
     """A loaded sync scenario can be estimated: an anchor fixes the frame,
-    measured pairs chain every agent to one, and each agent's prior holds
-    its true state."""
+    measured pairs chain every agent to one, every true state is finite,
+    and each agent's prior holds its true state."""
     top = scn.topology
     assert top.anchors and top.unanchored == ()
-    priors = syncnet.default_agent_prior(scn)
+    full = syncnet.StateSpace(("position", "orientation", "time_offset",
+                               "cpo"))
+    for j in top.apertures:
+        assert np.isfinite(full.pack(scn.true_states[j])).all()
     for j in top.agents:
         x = scn.space.pack(scn.true_states[j])[None]
-        assert np.isfinite(priors[j].logpdf(x)).all()
+        assert np.isfinite(scn.priors[j].logpdf(x)).all()
 
 
 _INI = b"""[experiment]

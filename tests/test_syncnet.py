@@ -728,7 +728,6 @@ measure: all
 noise: delay 1e-9
 bp-particles: 500
 bp-iterations: 30
-bp-seed: 9
 anneal-start: 1e4
 """
     p = tmp_path / "net.txt"
@@ -848,64 +847,6 @@ anneal-start: 1e4
         == pytest.approx(np.sqrt(np.mean(np.square(errs))), rel=1e-12)
 
 
-def test_bp_tree_matches_grid_marginal():
-    """Tree graph (anchor - agent chain): the BP belief histogram matches
-    direct grid marginalization of the joint posterior."""
-    space = sn.StateSpace(("position",))
-    top = sn.NetworkTopology((0, 1), (0,), measurement_mask=((0, 1), (1, 0)))
-    truth = {0: sn.ApertureState(0, [0.0, 0.0]),
-             1: sn.ApertureState(1, [8.0, 5.0])}
-    noise = sn.MeasurementNoise(delay_std=4e-9)   # ~1.2 m ranging std
-    meas = sn.simulate_measurements(top, truth, noise, seed=11)
-    prior_mean = np.array([7.0, 6.0])
-    prior_std = np.array([3.0, 3.0])
-    priors = {0: sn.PointPrior(space.pack(truth[0])),
-              1: sn.GaussianPrior(prior_mean, prior_std)}
-    g = sn.build_factor_graph(top, priors, meas, space)
-    assert not g.has_cycles()
-
-    beliefs = sn.run_loopy_bp(g, sn.BPConfig(particle_count=5000, seed=2,
-                                             max_iterations=12))
-    parts = beliefs[1].particles
-    w = beliefs[1].weights
-
-    lo, hi = prior_mean - 12.0, prior_mean + 12.0
-    edges_x = np.linspace(lo[0], hi[0], 11)
-    edges_y = np.linspace(lo[1], hi[1], 11)
-    hist_bp, _, _ = np.histogram2d(parts[:, 0], parts[:, 1],
-                                   bins=(edges_x, edges_y), weights=w)
-    hist_bp /= hist_bp.sum()
-
-    # dense-grid direct marginal of the exact posterior
-    nx = 240
-    gx = np.linspace(lo[0], hi[0], nx)
-    gy = np.linspace(lo[1], hi[1], nx)
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    logp = priors[1].logpdf(pts)
-    for f in g.pair_factors:
-        j, jp = f.pair
-        if j == 0:
-            logp += sn.pair_log_likelihood(f.measurement,
-                                           space.pack(truth[0]), pts,
-                                           space, g.carrier_freq)
-        else:
-            logp += sn.pair_log_likelihood(f.measurement, pts,
-                                           space.pack(truth[0]),
-                                           space, g.carrier_freq)
-    dens = np.exp(logp - logp.max()).reshape(nx, nx)
-    ix = np.clip(np.searchsorted(edges_x, gx) - 1, 0, 9)
-    iy = np.clip(np.searchsorted(edges_y, gy) - 1, 0, 9)
-    hist_exact = np.zeros((10, 10))
-    for a in range(nx):
-        for b in range(nx):
-            hist_exact[ix[a], iy[b]] += dens[a, b]
-    hist_exact /= hist_exact.sum()
-
-    tv = 0.5 * np.abs(hist_bp - hist_exact).sum()
-    assert tv < 0.05
-
-
 def test_pair_log_likelihood_restores_numpy_error_state():
     noise = sn.MeasurementNoise(aoa_std=0.1)
     # a delay observation without its std cannot be scored
@@ -920,6 +861,10 @@ def test_pair_log_likelihood_restores_numpy_error_state():
 @pytest.mark.parametrize("line, match", [
     ("components: position velocity", "unknown state components"),
     ("components: position cfo", "unknown state components"),
+    ("components: position position",
+     r"net\.txt:6: repeated state component in \('position', 'position'\)"),
+    # the trial's seed draws BP's particles, so the file names none
+    ("bp-seed: 9", r"net\.txt:6: unknown key 'bp-seed'"),
     ("bp-particles: 50", "particle_count"),
     ("noise: aoa -1", "aoa_std"),
     ("scene-box: 50 0 0 50", "scene-box"),
@@ -1021,6 +966,23 @@ def test_sync_scenario_true_state_outside_its_prior(tmp_path, components,
         "aperture: 0 anchor 0 0 0 0 0\naperture: 1 anchor 100 0 0 0 0\n"
         f"aperture: 2 anchor 0 100 0 0 0\naperture: {agent}\n"
         "scene-box: 0 100 0 100\nmeasure: all\nnoise: delay 1e-9\n")
+    _assert_sync_input_error(tmp_path, match)
+
+
+# a non-finite value that no prior check reads, an anchor's or an agent's
+# unestimated component, would reach BP and underflow every weight there
+@pytest.mark.parametrize("anchor, agent, match", [
+    ("nan 0 0 0 0", "20 30 0 0 0",
+     r"net\.txt:2: aperture 0's state must be finite"),
+    ("0 0 0 0 0", "20 30 0 inf 0",
+     r"net\.txt:4: aperture 2's state must be finite"),
+], ids=["anchor-nan-position", "agent-inf-time-offset"])
+def test_sync_scenario_non_finite_state_is_parse_error(tmp_path, anchor,
+                                                       agent, match):
+    (tmp_path / "net.txt").write_text(
+        f"sync-version: 1\naperture: 0 anchor {anchor}\n"
+        f"aperture: 1 anchor 50 0 0 0 0\naperture: 2 agent {agent}\n"
+        "measure: all\nnoise: delay 1e-9\n")
     _assert_sync_input_error(tmp_path, match)
 
 
