@@ -394,7 +394,7 @@ def _build_waveform(cfg: ExperimentConfig, rng) -> waveform.Waveform:
             n_subcarriers=cfg.subcarriers, n_symbols=cfg.symbols,
             active_subcarriers=active, data_bits=bits)
         return waveform.generate_ofdm(layout, cfg.sample_rate, cfg.cp)
-    raise errors.ValidationError(["simulate needs a [waveform] section"])
+    raise errors.ValidationError(["a [waveform] section is required"])
 
 
 def _noise_model(cfg: ExperimentConfig, u, seed: int):

@@ -249,6 +249,8 @@ def _length(diff):
 # the pair observables, in the order they are computed, drawn and summed
 _OBSERVABLES = ("delay", "aoa", "phase")
 _ANGULAR = {"aoa", "phase"}
+# the observable that reads each component but position, which all read
+_READ_BY = {"time_offset": "delay", "orientation": "aoa", "cpo": "phase"}
 
 
 def _held(obj, suffix=""):
@@ -470,6 +472,15 @@ def _weighted_std(x: np.ndarray, w: np.ndarray, circular: bool) -> float:
     return float(np.sqrt(max(np.sum(w * (x - mu) ** 2), 0.0)))
 
 
+def _belief_mean(x, w, circular_mask):
+    """Weighted particle mean; circular mean on wrapped coordinates."""
+    mean = np.sum(x * w[:, None], axis=0)
+    for k in np.nonzero(circular_mask)[0]:
+        mean[k] = np.arctan2(np.sum(w * np.sin(x[:, k])),
+                             np.sum(w * np.cos(x[:, k])))
+    return mean
+
+
 def _silverman_bandwidth(particles, weights, circular_mask) -> np.ndarray:
     n, d = particles.shape
     factor = n ** (-1.0 / (d + 4))
@@ -584,8 +595,7 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
     # the prior (the initial sampler) and becomes the kernel mixture over
     # the parents of each resample
     logq: dict[int, np.ndarray] = {
-        m: priors[m].logpdf(beliefs[m].particles).astype(float)
-        for m in top.agents}
+        m: priors[m].logpdf(beliefs[m].particles) for m in top.agents}
 
     factors_of = {m: [f for f in graph.pair_factors if m in f.pair]
                   for m in top.agents}
@@ -597,7 +607,7 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
         new_logw = {}
         for m in top.agents:
             parts = beliefs[m].particles
-            lw = priors[m].logpdf(parts).astype(float)
+            lw = priors[m].logpdf(parts)
             for f in factors_of[m]:
                 j, jp = f.pair
                 other = jp if m == j else j
@@ -612,6 +622,7 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
             new_logw[m] = lw
 
         converged = scale == 1.0 and it > 0
+        cm = space.circular_mask
         for m in top.agents:
             lw = new_logw[m]
             if prev_logw[m] is not None:
@@ -623,23 +634,21 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
             if not finite.any():
                 raise errors.DegeneracyError(
                     f"all particle weights underflowed for agent {m}")
-            # the largest finite term is exp(0) = 1, so the sum is >= 1
-            w = np.exp(lw_is - lw_is[finite].max())
-            w_sum = w.sum()
-            if not np.isfinite(w_sum):
-                raise errors.DegeneracyError(
-                    f"particle weights of agent {m} sum to {w_sum}")
-            w /= w_sum
-            bel = Belief(beliefs[m].particles, w, iteration=it + 1)
+            # the largest finite term is exp(0) = 1, so the sum is >= 1;
+            # Belief normalises it
+            bel = Belief(beliefs[m].particles,
+                         np.exp(lw_is - lw_is[finite].max()), iteration=it + 1)
+            w = bel.weights
 
-            mean = np.sum(bel.particles * w[:, None], axis=0)
-            if it > 0 and np.max(np.abs(mean - prev_means[m])) \
-                    > config.message_tol:
+            # the mean estimate_mmse reports; its angles' steps are wrapped
+            mean = _belief_mean(bel.particles, w, cm)
+            step = mean - prev_means.get(m, mean)
+            step[cm] = wrap_angle(step[cm])
+            if np.max(np.abs(step)) > config.message_tol:
                 converged = False
             prev_means[m] = mean
 
             if bel.ess < RESAMPLE_THRESHOLD * n:
-                cm = space.circular_mask
                 old_parts = bel.particles
                 idx = _systematic_resample(w, rng)
                 parts = old_parts[idx]
@@ -670,13 +679,8 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
 def estimate_mmse(belief: Belief, space: StateSpace,
                   node_id: int = -1) -> ApertureState:
     """Weighted particle mean; circular mean on wrapped coordinates."""
-    w = belief.weights
-    x = belief.particles
-    mean = np.sum(x * w[:, None], axis=0)
-    for k in np.nonzero(space.circular_mask)[0]:
-        mean[k] = np.arctan2(np.sum(w * np.sin(x[:, k])),
-                             np.sum(w * np.cos(x[:, k])))
-    return space.unpack(mean, node_id)
+    return space.unpack(_belief_mean(belief.particles, belief.weights,
+                                     space.circular_mask), node_id)
 
 
 def estimate_map(belief: Belief, space: StateSpace,
@@ -801,12 +805,14 @@ def load_sync_scenario(path) -> SyncScenario:
         bp-particles/bp-iterations/bp-tol: <value>
         anneal-start/anneal-decay: <value>
 
-    Only `aperture`, `measure` and `noise` may repeat. There must be an
-    anchor, measured pairs chaining every agent to one, and each agent's
-    true state inside its prior: uniform over the scene box, every angle
-    and +-1 us of time offset (an anchor's is a point mass at its state).
-    Each defect is a ParseError at its line, an agent's at its `aperture:`
-    line; a file with no anchor has no one line to blame.
+    Only `aperture`, `measure` and `noise` may repeat. An enabled
+    observable must read each declared component: time_offset needs delay,
+    orientation aoa, and cpo phase. There must be an anchor, measured pairs
+    chaining every agent to one, and each agent's true state inside its
+    prior: uniform over the scene box, every angle and +-1 us of time
+    offset (an anchor's is a point mass at its state). Each defect is a
+    ParseError at its line, an agent's at its `aperture:` line; a file
+    with no anchor has no one line to blame.
     """
     space = StateSpace()
     carrier = 1e9
@@ -825,7 +831,7 @@ def load_sync_scenario(path) -> SyncScenario:
             repeatable=("aperture", "measure", "noise")):
         try:
             if key == "components":
-                space = StateSpace(rest.split())
+                space, components_at = StateSpace(rest.split()), lineno
             elif key == "carrier-freq":
                 carrier = errors.positive(rest)
             elif key == "scene-box":
@@ -878,6 +884,11 @@ def load_sync_scenario(path) -> SyncScenario:
     if not noise_kw:
         raise errors.ParseError(
             f"{path}: no 'noise:' line, so nothing is observed")
+    for c in space.components:
+        if c in _READ_BY and f"{_READ_BY[c]}_std" not in noise_kw:
+            raise errors.ParseError(
+                f"{path}:{components_at}: no observable reads component {c}; "
+                f"it needs a 'noise: {_READ_BY[c]}' line")
     for (j, jp), lineno in measures.items():
         if not {j, jp} <= apertures.keys():
             raise errors.ParseError(f"{path}:{lineno}: pair {j} {jp} names "

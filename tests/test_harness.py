@@ -393,8 +393,10 @@ def test_cli_input_errors_found_in_trials_exit_2(tmp_path, capsys,
     ("sync", "[experiment]\nschema-version = 1\n\n[metrics]\n"
              "list = position_rms_m\n", "[sync] file is required"),
     ("sync", "[experiment]\nschema-version = 1\n", "[sync] file is required"),
+    ("ambiguity", _config_text(trials=1, probe=""),
+     "a [waveform] section is required"),
 ], ids=["sweep-without-sweep", "sync-without-file",
-        "sync-without-file-or-metrics"])
+        "sync-without-file-or-metrics", "ambiguity-without-waveform"])
 def test_cli_command_without_its_section_exits_2(tmp_path, capsys, command,
                                                  ini, message):
     _write_scene(tmp_path / "scene.txt")

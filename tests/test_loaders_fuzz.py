@@ -26,6 +26,7 @@ aperture: 1 anchor 50 0 0 0 0
 aperture: 2 agent 20 30 0 0 0
 measure: all
 noise: delay 1e-9
+noise: aoa 0.02
 bp-particles: 500
 bp-tol: 1e-4
 """
@@ -80,9 +81,16 @@ def test_mutated_files_load_or_raise_parse_error(files, kind, edits):
 
 
 def _assert_estimable(scn):
-    """A loaded sync scenario can be estimated: an anchor fixes the frame,
-    measured pairs chain every agent to one, every true state is finite,
-    and each agent's prior holds its true state."""
+    """A loaded sync scenario can be estimated: an enabled observable
+    reads every declared component, an anchor fixes the frame, measured
+    pairs chain every agent to one, every true state is finite, and each
+    agent's prior holds its true state."""
+    noise = scn.noise
+    read = {"position"} | {c for c, std in (("time_offset", noise.delay_std),
+                                            ("orientation", noise.aoa_std),
+                                            ("cpo", noise.phase_std))
+                           if std is not None}
+    assert set(scn.space.components) <= read
     top = scn.topology
     assert top.anchors and top.unanchored == ()
     full = syncnet.StateSpace(("position", "orientation", "time_offset",

@@ -449,6 +449,48 @@ def test_bp_result_says_whether_it_converged(cap, converged):
     assert result[0].iteration == 0
 
 
+def test_belief_mean_is_circular_on_a_belief_straddling_pi():
+    # half the angles sit just below pi and half just above -pi, where
+    # their arithmetic mean would read 0
+    x = np.array([[1.0, 2.0, 3.1], [3.0, 4.0, -3.1],
+                  [5.0, 6.0, 3.12], [7.0, 8.0, -3.12]])
+    w = np.full(4, 0.25)
+    space = sn.StateSpace(("position", "orientation"))
+    mean = sn._belief_mean(x, w, space.circular_mask)
+    assert mean[:2].tolist() == [4.0, 5.0]
+    assert abs(sn.wrap_angle(mean[2] - np.pi)) < 1e-12
+    # estimate_mmse reports that same mean
+    est = sn.estimate_mmse(sn.Belief(x, w), space)
+    assert est.position.tolist() == [4.0, 5.0]
+    assert est.orientation == sn.wrap_angle(mean[2])
+
+
+def test_bp_convergence_wraps_the_belief_mean_step(monkeypatch):
+    # BP tests convergence on the mean estimate_mmse reports; one whose
+    # angle steps across +-pi by 2e-6 rad each iteration has settled
+    calls = []
+
+    def stepping_mean(x, w, circular_mask):
+        calls.append(circular_mask.tolist())
+        return np.array([37.0, 61.0, (np.pi - 1e-6) * (-1) ** len(calls)])
+
+    monkeypatch.setattr(sn, "_belief_mean", stepping_mean)
+    space = sn.StateSpace(("position", "orientation"))
+    truth = {j: sn.ApertureState(j, xy) for j, xy in enumerate(
+        ([0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]))}
+    truth[4] = sn.ApertureState(4, [37.0, 61.0], orientation=np.pi - 1e-3)
+    top = sn.NetworkTopology.full_mesh(tuple(truth), (0, 1, 2, 3))
+    meas = sn.simulate_measurements(
+        top, truth, sn.MeasurementNoise(delay_std=1e-9, aoa_std=0.02), seed=0)
+    priors = {j: sn.PointPrior(space.pack(truth[j])) for j in range(4)}
+    priors[4] = sn.UniformPrior([0, 0, -np.pi], [100, 100, np.pi])
+    result = sn.run_loopy_bp(
+        sn.build_factor_graph(top, priors, meas, space),
+        sn.BPConfig(particle_count=100, max_iterations=5, anneal_start=1.0))
+    assert result.converged and result.iterations == 2
+    assert calls == [[False, False, True]] * 2
+
+
 def test_kde_log_density_peak_memory():
     # at 1500 centres with two circular dims an n×n×k wrapped-difference
     # tensor alone would be 34 MiB
@@ -858,6 +900,11 @@ def test_pair_log_likelihood_restores_numpy_error_state():
     assert np.geterr() == before
 
 
+# line 5 of each case's file enables delay noise, except where this says
+# otherwise
+_LINE5_NOISE = {"components: position time_offset": "aoa 0.02"}
+
+
 @pytest.mark.parametrize("line, match", [
     ("components: position velocity", "unknown state components"),
     ("components: position cfo", "unknown state components"),
@@ -889,13 +936,23 @@ def test_pair_log_likelihood_restores_numpy_error_state():
     ("measure: all", r"net\.txt:6: 'measure: all' lists every pair"),
     ("a line without a separator", r"net\.txt:6: expected 'key: value'"),
     ("noise: range 1", r"net\.txt:6: unknown observable range"),
+    # a declared component that no enabled observable reads
+    ("components: position time_offset",
+     r"net\.txt:6: no observable reads component time_offset; it needs a "
+     r"'noise: delay' line"),
+    ("components: position orientation",
+     r"net\.txt:6: no observable reads component orientation; it needs a "
+     r"'noise: aoa' line"),
+    ("components: position time_offset cpo",
+     r"net\.txt:6: no observable reads component cpo; it needs a "
+     r"'noise: phase' line"),
 ])
 def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
                                                         match):
     p = tmp_path / "net.txt"
     p.write_text("sync-version: 1\naperture: 0 anchor 0 0 0 0 0\n"
                  "aperture: 1 agent 5 5 0 0 0\nmeasure: all\n"
-                 f"noise: delay 1e-9\n{line}\n")
+                 f"noise: {_LINE5_NOISE.get(line, 'delay 1e-9')}\n{line}\n")
     with pytest.raises(errors.ParseError, match=match) as exc:
         sn.load_sync_scenario(p)
     # every case is reported at its own line, the last one it adds
