@@ -1,4 +1,5 @@
-"""Cooperative positioning of one agent from four anchors via particle BP.
+"""Cooperative positioning of one agent from four anchors: particle BP finds
+the basin, and a Gauss-Newton fit finishes from its MMSE estimate.
 
 Run:  python3 demos/network_sync.py
 """
@@ -32,8 +33,10 @@ beliefs = sn.run_loopy_bp(graph, config)
 
 b = beliefs[4]
 mmse = sn.estimate_mmse(b, space, 4)
-mapest = sn.estimate_map(b, space, 4)
+fit = sn.gauss_newton(graph, {**{j: truth[j] for j in anchors}, 4: mmse})
+gn = fit.states[4]
 err = np.linalg.norm(mmse.position - truth[4].position)
+gn_err = np.linalg.norm(gn.position - truth[4].position)
 status = (f"converged after {beliefs.iterations} iterations"
           if beliefs.converged else
           f"stopped at the cap of {config.max_iterations} without converging")
@@ -41,7 +44,9 @@ print(f"BP {status}, ESS {b.ess:.0f}/{config.particle_count}")
 print(f"truth     : ({truth[4].position[0]:.3f}, {truth[4].position[1]:.3f})")
 print(f"mmse est  : ({mmse.position[0]:.3f}, {mmse.position[1]:.3f})"
       f"   error {err:.3f} m")
-print(f"map  est  : ({mapest.position[0]:.3f}, {mapest.position[1]:.3f})")
+print(f"gn   est  : ({gn.position[0]:.3f}, {gn.position[1]:.3f})"
+      f"   error {gn_err:.3f} m after {fit.steps} steps, cost per degree "
+      f"of freedom {fit.cost_per_dof:.2f}")
 
 spread = np.sqrt(np.sum(b.weights[:, None]
                         * (b.particles - b.particles.mean(0)) ** 2))
@@ -49,5 +54,5 @@ print(f"posterior spread        : {spread:.3f} m")
 print(f"range-noise floor       : {3e-10 * sn.SPEED_OF_LIGHT:.3f} m")
 
 # anchors are known, so the network RMS covers the agent only
-report = sn.sync_error_report({4: mmse}, {4: truth[4]})
+report = sn.sync_error_report({4: gn}, {4: truth[4]})
 print(f"rms position error      : {report['rms']['position_rms_m']:.3f} m")

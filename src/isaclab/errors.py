@@ -145,6 +145,11 @@ def key_value_lines(path, header: str, keys, repeatable=(),
     return lines[1:]
 
 
+def csv_quoted(text: str) -> bool:
+    """Whether a CSV field holding `text` needs quotes (',', '"', a break)."""
+    return any(c in text for c in ',"') or "".join(text.splitlines()) != text
+
+
 def positive(text: str) -> float:
     """A line's value that must be a finite number > 0."""
     v = float(text)

@@ -264,7 +264,7 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         if not (cfg.base_dir / name).exists():
             problems.append(f"[{section}] file {name!r} does not exist")
         # the stem names the scenario in rows.csv, unless a scene label does
-        if scene.csv_quoted(Path(name).stem):
+        if errors.csv_quoted(Path(name).stem):
             problems.append(f"[{section}] file {name!r}: its stem names the "
                             f"scenario, and rows.csv cannot hold a ',', "
                             f"'\"' or line break unquoted")
@@ -543,14 +543,16 @@ def run_sync_trial(cfg: ExperimentConfig, trial: int,
                    scenario: syncnet.SyncScenario,
                    ) -> tuple[list[ResultRow], dict]:
     """One sync trial on the parsed `[sync]` file: measurements -> particle
-    BP -> record (each agent's position error, the network RMS) -> rows.
-    A BP that stops at its iteration cap without converging is reported
-    on stderr; the rows are the same either way."""
+    BP -> Gauss-Newton -> record (each agent's position error, the network
+    RMS) -> rows. A fit that fails its check (`syncnet.GNFit.converged`)
+    is reported on stderr; the rows are the same either way."""
     seed = derive_seed(cfg.master_seed, trial, "sync")
-    _, beliefs, report = syncnet.run_sync_scenario(scenario, seed=seed)
-    if not beliefs.converged:
-        print(f"trial {trial}: BP stopped at bp-iterations "
-              f"{beliefs.iterations} without converging", file=sys.stderr)
+    _, result, report = syncnet.run_sync_scenario(scenario, seed=seed)
+    if not result.converged:
+        print(f"trial {trial}: the Gauss-Newton fit failed its check: "
+              f"step {result.fit.step:.2g} (limit {syncnet.GN_STEP_TOL:g}), "
+              f"cost/dof {result.fit.cost_per_dof:.3g} (limit "
+              f"{syncnet.GN_MAX_COST_PER_DOF:g})", file=sys.stderr)
     record = _sync_record(cfg, trial, seed, report)
     return metric_rows(record, cfg), record
 
@@ -672,7 +674,7 @@ def recompute_metrics(report_dir: Path, cfg: ExperimentConfig) -> list[ResultRow
             raise errors.ParseError(f"{f}: {exc}") from None
         if not isinstance(rec, dict):
             raise errors.ParseError(f"{f}: a trial record is a JSON object")
-        if scene.csv_quoted(str(rec.get("scenario", ""))):
+        if errors.csv_quoted(str(rec.get("scenario", ""))):
             raise errors.ParseError(f"{f}: scenario {rec['scenario']!r} "
                                     f"would need quotes in rows.csv")
         rows += metric_rows(rec, cfg, source=str(f))

@@ -64,16 +64,10 @@ class ClutterModel:
                 * (self.doppler_span[1] - self.doppler_span[0]))
 
 
-def csv_quoted(text: str) -> bool:
-    """Whether a CSV field holding `text` would need quotes: it holds a
-    comma, a double quote or a line break."""
-    return any(c in text for c in ',"') or "".join(text.splitlines()) != text
-
-
 def _check_label(label: str) -> None:
     """A label is a scenario name: rows.csv must hold it unquoted, and a
     scene file's `label:` line must read it back unchanged."""
-    if csv_quoted(label) or "#" in label or label != label.strip():
+    if errors.csv_quoted(label) or "#" in label or label != label.strip():
         raise ValueError(f"label {label!r} must hold no ',', '\"', '#' or "
                          f"line break, and no surrounding whitespace")
 

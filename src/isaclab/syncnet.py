@@ -2,8 +2,8 @@
 
 Simulates pairwise bidirectional measurements between networked apertures,
 builds the factor graph of the joint posterior (pair likelihoods times
-per-node priors), and runs particle-based loopy belief propagation to
-produce MAP/MMSE estimates of agent states.
+per-node priors), finds its basin by particle loopy belief propagation, and
+fits all agent states jointly there by damped Gauss-Newton.
 """
 
 from __future__ import annotations
@@ -292,7 +292,8 @@ def simulate_measurements(topology: NetworkTopology, true_states: dict,
     wrapped carrier phase of the geometric delay plus the CPO difference.
     Every component of the true states is read. Only the observables the
     noise model enables are computed, and their noise is drawn in the order
-    delay, AOA, phase. Deterministic given the seed.
+    delay, AOA, phase. Deterministic given the seed, an int or a
+    np.random.SeedSequence.
     """
     missing = set(topology.apertures) - set(true_states)
     if missing:
@@ -373,25 +374,72 @@ def build_factor_graph(topology: NetworkTopology, priors: dict,
                        [PairFactor(m) for m in measurements], carrier_freq)
 
 
+def _residuals(meas: PairMeasurement, x_tx, x_rx, space: StateSpace,
+               carrier_freq: float) -> list:
+    """The whitened residuals (z - h(x)) / std of the observables `meas`
+    holds, in `_OBSERVABLES` order, for packed state arrays that broadcast
+    by row; an angle's residual is wrapped before it is whitened."""
+    which = _held(meas)
+    out = []
+    for k, clean in zip(which, _observables(which, x_tx, x_rx, space,
+                                            carrier_freq)):
+        r = getattr(meas, k) - clean
+        out.append((wrap_angle(r) if k in _ANGULAR else r)
+                   / getattr(meas.noise, f"{k}_std"))
+    return out
+
+
 def pair_log_likelihood(meas: PairMeasurement, x_tx: np.ndarray,
                         x_rx: np.ndarray, space: StateSpace,
                         carrier_freq: float,
                         noise_scale: float = 1.0) -> np.ndarray:
-    """log f(z | theta_tx, theta_rx) for particle arrays (row-broadcastable).
-
-    Only the observables the measurement holds are computed.
-    """
-    which = _held(meas)
+    """log f(z | theta_tx, theta_rx) for particle arrays (row-broadcastable):
+    -1/2 the sum of squares of the whitened residuals, each std scaled by
+    `noise_scale`."""
     lw = np.zeros(max(len(np.atleast_2d(x_tx)), len(np.atleast_2d(x_rx))))
     # an overflowing residual legitimately drives the log-weight to -inf
     with np.errstate(over="ignore"):
-        for k, clean in zip(which, _observables(which, x_tx, x_rx, space,
-                                                carrier_freq)):
-            r = getattr(meas, k) - clean
-            r = wrap_angle(r) if k in _ANGULAR else r
-            s = getattr(meas.noise, f"{k}_std") * noise_scale
-            lw += -0.5 * (r / s) ** 2
+        for r in _residuals(meas, x_tx, x_rx, space, carrier_freq):
+            lw -= 0.5 * (r / noise_scale) ** 2
     return lw
+
+
+def _linearize(graph: FactorGraph, states: dict):
+    """Every pair observable's whitened residual, in factor order, at
+    `states` (aperture id -> ApertureState, anchors included), and its
+    central difference d(h / std) / dx over the agents' packed states in
+    topology order, each x stepped by 1e-6 * max(|x|, 1), angles wrapped."""
+    space, agents, d = graph.space, graph.topology.agents, graph.space.dim
+    x0 = np.concatenate([space.pack(states[m]) for m in agents])
+    dx = 1e-6 * np.maximum(np.abs(x0), 1.0)
+    # row 0 is x0, row 1 + k is x0 + dx[k] e_k and row 1 + x0.size + k is
+    # x0 - dx[k] e_k, their angles wrapped as every state's are
+    x = np.concatenate([x0[None], x0 + np.diag(dx), x0 - np.diag(dx)])
+    circ = np.tile(space.circular_mask, len(agents))
+    x[:, circ] = wrap_angle(x[:, circ])
+    at = {j: space.pack(s) for j, s in states.items()}
+    at.update((m, x[:, i * d:(i + 1) * d]) for i, m in enumerate(agents))
+    r = np.array(np.broadcast_arrays(*(
+        v for f in graph.pair_factors for v in _residuals(
+            f.measurement, at[f.pair[0]], at[f.pair[1]], space,
+            graph.carrier_freq)))).reshape(-1, len(x))
+    # h / std rises by what the residual falls; an angle's difference is
+    # wrapped by its whitened period 2 pi / std
+    diff = r[:, 1 + x0.size:] - r[:, 1:1 + x0.size]
+    held = [(f.measurement.noise, k) for f in graph.pair_factors
+            for k in _held(f.measurement)]
+    for row, (noise, k) in zip(diff, held):
+        if k in _ANGULAR:
+            period = 2 * np.pi / getattr(noise, f"{k}_std")
+            row -= period * np.rint(row / period)
+    return r[:, 0], diff / (2 * dx)
+
+
+def measurement_jacobian(graph: FactorGraph, states: dict) -> np.ndarray:
+    """The whitened observable Jacobian at `states` (see `_linearize`): a
+    row per observable of each pair factor, a column per component of each
+    agent's packed state. inv(JᵀJ) at the truth is the agents' CRLB."""
+    return _linearize(graph, states)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +458,7 @@ class BPConfig:
     particle_count: int = 1000
     max_iterations: int = 50
     message_tol: float = 1e-4
-    seed: int = 0
+    seed: int = 0                       # or a np.random.SeedSequence
     # likelihood tempering: stds scaled by anneal_start * anneal_decay^iter
     # (floored at 1) to avoid weight underflow under tight likelihoods
     anneal_start: float = 1.0
@@ -453,23 +501,14 @@ class BPResult(dict):
     """What `run_loopy_bp` returns: a dict of aperture id to its `Belief`,
     anchors included, that also says whether BP `converged` (the belief
     means settled after annealing ended) and after how many `iterations`
-    it stopped."""
+    it stopped. `run_sync_scenario` stores its Gauss-Newton `fit` here and
+    replaces `converged` by the fit's."""
 
     def __init__(self, beliefs: dict, converged: bool, iterations: int):
         super().__init__(beliefs)
         self.converged = converged
         self.iterations = iterations
-
-
-def _weighted_std(x: np.ndarray, w: np.ndarray, circular: bool) -> float:
-    if circular:
-        cbar = np.sum(w * np.cos(x))
-        sbar = np.sum(w * np.sin(x))
-        r = np.hypot(cbar, sbar)
-        r = min(r, 1.0 - 1e-15)
-        return float(np.sqrt(-2.0 * np.log(max(r, 1e-15))))
-    mu = np.sum(w * x)
-    return float(np.sqrt(max(np.sum(w * (x - mu) ** 2), 0.0)))
+        self.fit: GNFit | None = None
 
 
 def _belief_mean(x, w, circular_mask):
@@ -482,13 +521,13 @@ def _belief_mean(x, w, circular_mask):
 
 
 def _silverman_bandwidth(particles, weights, circular_mask) -> np.ndarray:
+    """Silverman's rule on each dim's weighted (an angle's circular) std."""
     n, d = particles.shape
-    factor = n ** (-1.0 / (d + 4))
-    h = np.empty(d)
-    for k in range(d):
-        s = _weighted_std(particles[:, k], weights, circular_mask[k])
-        h[k] = max(s, 1e-12) * factor
-    return h
+    std = np.sqrt(weights @ (particles - weights @ particles) ** 2)
+    c = particles[:, circular_mask]
+    r = np.hypot(weights @ np.cos(c), weights @ np.sin(c))
+    std[circular_mask] = np.sqrt(-2 * np.log(np.clip(r, 1e-15, 1 - 1e-15)))
+    return np.maximum(std, 1e-12) * n ** (-1.0 / (d + 4))
 
 
 def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
@@ -501,78 +540,17 @@ def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
     return np.searchsorted(cum, positions)
 
 
-# bytes of the one exponent block `_kde_log_density` reuses for every row
-# block. Budgets from 256 KiB to 2 MiB timed within run-to-run noise of
-# each other on a host with a 4 MiB L2; 768 KiB is a middle value
-_KDE_BLOCK_BYTES = 768 * 1024
-# the log-weight of a zero-weight centre: finite, so no -inf meets a 0 in
-# the product, and far below exp's range, so its term is exactly 0
-_LOG_ZERO_WEIGHT = -1e300
-
-
-def _kde_log_density(x_eval, centers, weights, h, circular_mask):
-    """log of the weighted Gaussian-mixture density at each evaluation
-    point: BP's resample proposal, the mixture over the drawn parents, and
-    `estimate_map`'s smoothed belief.
-
-    Linear dims use the expanded quadratic form with no difference tensor.
-    Both point sets are first centred on the weighted mean of the centres
-    and scaled by h: h shrinks to millimetres while coordinates are tens of
-    metres, and the uncentred |x/h|² ≈ 1e9 would cancel catastrophically.
-    The operands are augmented, ``a = [x, 1, ½|x|²]`` and
-    ``b = [c, log w − ½|c|², −1]``, so one product ``a·bᵀ`` is the whole
-    exponent ``x·c + log w − ½|c|² − ½|x|²``. A zero weight's log w is
-    ``_LOG_ZERO_WEIGHT``, not −inf, so no −inf enters the product; the
-    centre stays in the row sums, which keeps their summation order.
-
-    The evaluation points go through in row blocks of about
-    ``_KDE_BLOCK_BYTES`` of exponents, in one reused buffer: product, row
-    maximum, shift, exp and sum all run while the block is in cache, and
-    no n_eval × n_centres array is formed. Circular dims subtract
-    ``½(wrap(Δ)/h)²`` per block and per dim. log w is folded in before the
-    row maximum, so the largest term of every row is exp(0) and no row
-    underflows.
-    """
-    lin = ~circular_mask
-    mu = weights @ centers[:, lin]
-    xe = (x_eval[:, lin] - mu) / h[lin]
-    ce = (centers[:, lin] - mu) / h[lin]
-    with np.errstate(divide="ignore"):
-        log_w = np.maximum(np.log(weights), _LOG_ZERO_WEIGHT)
-    a = np.column_stack([xe, np.ones(len(xe)), 0.5 * np.sum(xe * xe, axis=1)])
-    b = np.column_stack([ce, log_w - 0.5 * np.sum(ce * ce, axis=1),
-                         np.full(len(ce), -1.0)])
-    xc, cc = x_eval[:, circular_mask], centers[:, circular_mask]
-    half_inv_h2 = 0.5 / h[circular_mask] ** 2
-    n_eval, n_c = x_eval.shape[0], centers.shape[0]
-    rows = max(1, _KDE_BLOCK_BYTES // (8 * n_c))
-    buf = np.empty((min(rows, n_eval), n_c))
-    out = np.empty(n_eval)
-    log_norm = float(np.sum(np.log(h)) + 0.5 * h.size * np.log(2 * np.pi))
-    for start in range(0, n_eval, rows):
-        sl = slice(start, min(start + rows, n_eval))
-        q = buf[:sl.stop - start]
-        np.matmul(a[sl], b.T, out=q)
-        for k in range(xc.shape[1]):
-            q -= half_inv_h2[k] * wrap_angle(xc[sl, k, None] - cc[:, k]) ** 2
-        peak = q.max(axis=1)
-        q -= peak[:, None]
-        np.exp(q, out=q)
-        out[sl] = np.log(q.sum(axis=1)) + peak - log_norm
-    return out
-
-
 def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
     """Synchronous (flooding) particle BP over the factor graph.
 
     Messages into an agent pair each of its particles with a particle
     resampled from the neighbor belief, weights are the damped product of
-    prior and incoming messages, and beliefs are resampled with kernel
-    jitter when the effective sample size drops below
-    RESAMPLE_THRESHOLD * n. The jittered particles follow the Gaussian
-    mixture over the parents the resampling drew, each weighted by how
-    often it was drawn (the deterministic-mixture proposal), and later
-    weights divide by that density. An anchor's belief is its one known
+    prior and incoming messages, and beliefs are resampled with Gaussian
+    jitter of Silverman bandwidth when the effective sample size drops
+    below RESAMPLE_THRESHOLD * n. A jittered particle's proposal density
+    is its parent's weight, so later weights are the incremental ratio of
+    an SMC sampler (Del Moral, Doucet & Jasra, JRSS-B 2006) with no kernel
+    density evaluated. An anchor's belief is its one known
     state, shape (1, d), drawn from its point-mass prior; it never
     changes, and a message from it reads that state as is, with no
     resampling.
@@ -591,9 +569,8 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
         k = 1 if j in top.anchors else n
         beliefs[j] = Belief(priors[j].sample(k, rng), np.full(k, 1.0 / k))
 
-    # importance proposal density of each agent's particle set; starts as
-    # the prior (the initial sampler) and becomes the kernel mixture over
-    # the parents of each resample
+    # the proposal log-density of each agent's particles: the prior, then
+    # after each resample their parents' log-weights
     logq: dict[int, np.ndarray] = {
         m: priors[m].logpdf(beliefs[m].particles) for m in top.agents}
 
@@ -649,20 +626,14 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
             prev_means[m] = mean
 
             if bel.ess < RESAMPLE_THRESHOLD * n:
-                old_parts = bel.particles
                 idx = _systematic_resample(w, rng)
-                parts = old_parts[idx]
-                h = _silverman_bandwidth(old_parts, w, cm)
-                parts += h * rng.standard_normal(parts.shape)
+                parts = bel.particles[idx]
+                parts += _silverman_bandwidth(bel.particles, w, cm) \
+                    * rng.standard_normal(parts.shape)
                 parts[:, cm] = wrap_angle(parts[:, cm])
-                # the new particles follow the kernel mixture over the
-                # parents they were drawn from, each weighted by its share
-                # of the draws; record it as the proposal so later weights
-                # stay importance-corrected
-                counts = np.bincount(idx)
-                parents = np.flatnonzero(counts)
-                logq[m] = _kde_log_density(parts, old_parts[parents],
-                                           counts[parents] / n, h, cm)
+                # the SMC-sampler weight with the forward kernel as the
+                # backward one: later weights are incremental ratios
+                logq[m] = lw[idx]
                 bel = Belief(parts, np.full(n, 1.0 / n), iteration=it + 1)
                 prev_logw[m] = None
             beliefs[m] = bel
@@ -681,16 +652,6 @@ def estimate_mmse(belief: Belief, space: StateSpace,
     """Weighted particle mean; circular mean on wrapped coordinates."""
     return space.unpack(_belief_mean(belief.particles, belief.weights,
                                      space.circular_mask), node_id)
-
-
-def estimate_map(belief: Belief, space: StateSpace,
-                 node_id: int = -1) -> ApertureState:
-    """Highest-density particle after Gaussian kernel smoothing with the
-    Silverman bandwidth rule (circular dims use wrapped differences)."""
-    x = belief.particles
-    h = _silverman_bandwidth(x, belief.weights, space.circular_mask)
-    dens = _kde_log_density(x, x, belief.weights, h, space.circular_mask)
-    return space.unpack(x[int(np.argmax(dens))].copy(), node_id)
 
 
 def sync_error_report(estimates: dict, truth: dict) -> dict:
@@ -717,53 +678,79 @@ def sync_error_report(estimates: dict, truth: dict) -> dict:
     return rows
 
 
-def measurement_jacobian_rank(graph: FactorGraph, truth: dict,
-                              step: float = 1e-6) -> dict:
-    """Numeric rank of the stacked observable Jacobian w.r.t. agent states.
-
-    Reports identifiability diagnostics instead of asserting anchor-count
-    thresholds: rank deficiency signals unobservable directions (e.g. the
-    common clock shift in anchor-free delay-only networks). Central
-    differences of the whitened observables, one forward-model call per
-    factor over all +-step states; an angle's difference is wrapped.
-
-    The rank is counted on J with each column scaled to unit norm, so it
-    does not depend on the columns' units (m, rad, s); a zero column stays
-    zero and counts as unobservable.  The singular values are J's own.
-    """
-    space = graph.space
-    agents = graph.topology.agents
-    x0 = np.concatenate([space.pack(truth[m]) for m in agents])
-    dx = step * np.maximum(np.abs(x0), 1.0)
-    # row k is x0 + dx[k] e_k and row x0.size + k is x0 - dx[k] e_k, their
-    # angles wrapped as every state's are
-    x = np.concatenate([x0 + np.diag(dx), x0 - np.diag(dx)])
-    circ = np.tile(space.circular_mask, len(agents))
-    x[:, circ] = wrap_angle(x[:, circ])
-    states = {j: np.broadcast_to(space.pack(s), (len(x), space.dim))
-              for j, s in truth.items()}
-    for i, m in enumerate(agents):
-        states[m] = x[:, i * space.dim:(i + 1) * space.dim]
-    rows = []
-    for f in graph.pair_factors:
-        meas = f.measurement
-        which = _held(meas)
-        for k, clean in zip(which, _observables(
-                which, states[f.pair[0]], states[f.pair[1]], space,
-                graph.carrier_freq)):
-            std = getattr(meas.noise, f"{k}_std")
-            d = clean[:x0.size] / std - clean[x0.size:] / std
-            if k in _ANGULAR:
-                d -= 2 * np.pi / std * np.rint(d * std / (2 * np.pi))
-            rows.append(d / (2 * dx))
-    jac = np.array(rows).reshape(-1, x0.size)
+def measurement_jacobian_rank(graph: FactorGraph, truth: dict) -> dict:
+    """Numeric rank of `measurement_jacobian` at the truth, counted on
+    unit-norm columns so units do not matter: a deficiency is an
+    unobservable direction, such as an anchor-free network's common clock
+    shift. The singular values are J's own."""
+    jac = measurement_jacobian(graph, truth)
     col = np.linalg.norm(jac, axis=0)
     scaled = np.linalg.svd(jac / np.where(col > 0, col, 1.0),
                            compute_uv=False)
     top = scaled[0] if scaled.size else 0.0
     tol = max(max(jac.shape) * np.finfo(float).eps * top, 1e-9 * top)
-    return {"rank": int(np.sum(scaled > tol)), "dim": x0.size,
+    return {"rank": int(np.sum(scaled > tol)), "dim": jac.shape[1],
             "singular_values": np.linalg.svd(jac, compute_uv=False)}
+
+
+# Gauss-Newton stops after GN_MAX_STEPS steps, or at a step that no damping
+# in _GN_DAMPING makes lower the cost. Its fit has converged when its
+# undamped step would move the whitened residuals by under GN_STEP_TOL
+# stds, and its cost per degree of freedom (about 1 in the right mode) is
+# under GN_MAX_COST_PER_DOF
+GN_MAX_STEPS = 10
+_GN_DAMPING = (0.0, 1.0, 1e2, 1e4)
+GN_STEP_TOL = 1e-3
+GN_MAX_COST_PER_DOF = 100.0
+
+
+@dataclass(frozen=True)
+class GNFit:
+    """A `gauss_newton` fit; `step` is its undamped step's whitened size."""
+
+    states: dict
+    step: float
+    cost_per_dof: float
+    steps: int
+
+    @property
+    def converged(self) -> bool:
+        return (self.step < GN_STEP_TOL
+                and self.cost_per_dof < GN_MAX_COST_PER_DOF)
+
+
+def gauss_newton(graph: FactorGraph, states: dict) -> GNFit:
+    """Damped Gauss-Newton (Levenberg-Marquardt; Moré 1978) on the whitened
+    residuals of every pair observable, over all agents jointly, from
+    `states` (aperture id -> ApertureState; anchors stay), solved on J's
+    unit-norm columns. A fit that makes no progress keeps `states`."""
+    space, agents, d = graph.space, graph.topology.agents, graph.space.dim
+    r, jac = _linearize(graph, states)
+    steps = 0
+    while True:
+        col = np.linalg.norm(jac, axis=0)
+        col[col == 0] = 1.0
+        dz = np.linalg.lstsq(jac / col, r, rcond=None)[0]
+        step = float(np.linalg.norm(jac @ (dz / col)))
+        if step < GN_STEP_TOL or steps == GN_MAX_STEPS:
+            break
+        x = np.concatenate([space.pack(states[m]) for m in agents])
+        for damping in _GN_DAMPING:
+            if damping:
+                dz = np.linalg.lstsq(
+                    np.vstack([jac / col, np.sqrt(damping) * np.eye(x.size)]),
+                    np.append(r, np.zeros(x.size)), rcond=None)[0]
+            # unpacking wraps the angles
+            trial = {**states, **{m: space.unpack((x + dz / col)[
+                i * d:(i + 1) * d], m) for i, m in enumerate(agents)}}
+            r_try, jac_try = _linearize(graph, trial)
+            if r_try @ r_try < r @ r:
+                break
+        else:
+            break
+        states, r, jac, steps = trial, r_try, jac_try, steps + 1
+    return GNFit(states, step, float(r @ r) / max(r.size - jac.shape[1], 1),
+                 steps)
 
 
 # ---------------------------------------------------------------------------
@@ -927,22 +914,34 @@ def load_sync_scenario(path) -> SyncScenario:
 
 
 def run_sync_scenario(scenario: SyncScenario, seed: int):
-    """Simulate measurements, run BP, and report errors; `seed` draws both
-    the measurement noise and BP's particles.
-
-    Returns (estimates dict, `BPResult`, error report).  Anchors are
-    estimated by their known states, so the report covers the agents only.
-    """
+    """Simulate measurements, run BP to the first iteration at anneal scale
+    1 (or its cap; `message_tol` cannot act before it), fit from BP's MMSE
+    estimates by `gauss_newton`, and report the agents' errors, `to_rms_s`
+    None if no clock is estimated. One `seed` child draws the noise and
+    the other BP's particles. Returns (estimates dict, `BPResult` holding
+    the `fit` and its `converged`, error report)."""
+    noise_seed, bp_seed = np.random.SeedSequence(seed).spawn(2)
     measurements = simulate_measurements(scenario.topology,
                                          scenario.true_states, scenario.noise,
-                                         seed, scenario.carrier_freq)
+                                         noise_seed, scenario.carrier_freq)
     graph = build_factor_graph(scenario.topology, scenario.priors,
                                measurements, scenario.space,
                                scenario.carrier_freq)
-    beliefs = run_loopy_bp(graph, replace(scenario.config, seed=seed))
-    truth = scenario.true_states
-    agents = {j: estimate_mmse(beliefs[j], scenario.space, j)
-              for j in scenario.topology.agents}
-    report = sync_error_report(agents, {j: truth[j] for j in agents})
-    estimates = {**{j: truth[j] for j in scenario.topology.anchors}, **agents}
-    return estimates, beliefs, report
+    # no floor: on files without anneal keys, handing off after BP's first
+    # iteration gave the same fits as after its second to twelfth
+    cfg = scenario.config
+    handoff = next((it + 1 for it in range(cfg.max_iterations)
+                    if cfg.anneal_start * cfg.anneal_decay ** it <= 1),
+                   cfg.max_iterations)
+    result = run_loopy_bp(graph, replace(cfg, seed=bp_seed,
+                                         max_iterations=handoff))
+    truth, agents = scenario.true_states, scenario.topology.agents
+    result.fit = gauss_newton(graph, {
+        **{j: truth[j] for j in scenario.topology.anchors},
+        **{j: estimate_mmse(result[j], scenario.space, j) for j in agents}})
+    result.converged = result.fit.converged
+    report = sync_error_report({j: result.fit.states[j] for j in agents},
+                               {j: truth[j] for j in agents})
+    if "time_offset" not in scenario.space.slices:
+        report["rms"]["to_rms_s"] = None        # no clock was estimated
+    return result.fit.states, result, report

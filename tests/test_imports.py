@@ -89,7 +89,8 @@ def executed(tmp_path_factory):
 def test_sync_executes_no_sensing_module(executed):
     ran, _ = executed["sync"]
     assert {"harness", "syncnet"} <= ran
-    assert ran.isdisjoint({"estimators", "metrics", "unified"})
+    assert ran.isdisjoint({"estimators", "metrics", "unified", "scene",
+                           "waveform"})
 
 
 def test_simulate_executes_no_syncnet(executed):
