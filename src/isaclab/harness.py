@@ -154,8 +154,7 @@ class ExperimentConfig:
     sample_rate: float = _setting(1e6, "waveform", "sample-rate", float,
                                   _POSITIVE)
     oversampling: int = _setting(1, "waveform", "oversampling", int, _ge(1))
-    bandwidth: float = _setting(1e5, "waveform", "bandwidth", float,
-                                _POSITIVE)
+    bandwidth: float = _setting(1e5, "waveform", "bandwidth", float, _POSITIVE)
     duration: float = _setting(1e-3, "waveform", "duration", float, _POSITIVE)
     subcarriers: int = _setting(64, "waveform", "subcarriers", int, _ge(2))
     symbols: int = _setting(4, "waveform", "symbols", int, _ge(1))
@@ -545,14 +544,19 @@ def run_sync_trial(cfg: ExperimentConfig, trial: int,
     """One sync trial on the parsed `[sync]` file: measurements -> particle
     BP -> Gauss-Newton -> record (each agent's position error, the network
     RMS) -> rows. A fit that fails its check (`syncnet.GNFit.converged`)
-    is reported on stderr; the rows are the same either way."""
+    is reported on stderr, with BP's cap if BP stopped at it before its
+    anneal reached scale 1; the rows are the same either way."""
     seed = derive_seed(cfg.master_seed, trial, "sync")
     _, result, report = syncnet.run_sync_scenario(scenario, seed=seed)
     if not result.converged:
+        bp = scenario.config
+        capped = bp.anneal_start * bp.anneal_decay ** (result.iterations - 1)
         print(f"trial {trial}: the Gauss-Newton fit failed its check: "
               f"step {result.fit.step:.2g} (limit {syncnet.GN_STEP_TOL:g}), "
               f"cost/dof {result.fit.cost_per_dof:.3g} (limit "
-              f"{syncnet.GN_MAX_COST_PER_DOF:g})", file=sys.stderr)
+              f"{syncnet.GN_MAX_COST_PER_DOF:g})" + (capped > 1) * (
+                  f"; BP stopped at bp-iterations {result.iterations} "
+                  f"before its anneal reached scale 1"), file=sys.stderr)
     record = _sync_record(cfg, trial, seed, report)
     return metric_rows(record, cfg), record
 

@@ -46,8 +46,7 @@ class ApertureState:
     cpo: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "position",
-                           np.asarray(self.position, float))
+        object.__setattr__(self, "position", np.asarray(self.position, float))
         if not np.isfinite(np.append(self.position, [
                 self.orientation, self.time_offset, self.cpo])).all():
             raise ValueError(f"aperture {self.id}'s state must be finite")
@@ -671,10 +670,8 @@ def sync_error_report(estimates: dict, truth: dict) -> dict:
         rows[j] = row
         pos_sq.append(pos_err ** 2)
         to_sq.append(row["to_error_s"] ** 2)
-    rows["rms"] = {
-        "position_rms_m": float(np.sqrt(np.mean(pos_sq))),
-        "to_rms_s": float(np.sqrt(np.mean(to_sq))),
-    }
+    rows["rms"] = {"position_rms_m": float(np.sqrt(np.mean(pos_sq))),
+                   "to_rms_s": float(np.sqrt(np.mean(to_sq)))}
     return rows
 
 
@@ -685,8 +682,7 @@ def measurement_jacobian_rank(graph: FactorGraph, truth: dict) -> dict:
     shift. The singular values are J's own."""
     jac = measurement_jacobian(graph, truth)
     col = np.linalg.norm(jac, axis=0)
-    scaled = np.linalg.svd(jac / np.where(col > 0, col, 1.0),
-                           compute_uv=False)
+    scaled = np.linalg.svd(jac / np.where(col > 0, col, 1.0), compute_uv=False)
     top = scaled[0] if scaled.size else 0.0
     tol = max(max(jac.shape) * np.finfo(float).eps * top, 1e-9 * top)
     return {"rank": int(np.sum(scaled > tol)), "dim": jac.shape[1],

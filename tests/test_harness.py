@@ -906,6 +906,29 @@ def test_sync_reports_a_failed_fit_on_stderr(tmp_path, capsys, monkeypatch):
     assert out.read_bytes() == rows
 
 
+def test_sync_reports_bp_stopped_at_its_cap_on_stderr(tmp_path, capsys,
+                                                     monkeypatch):
+    ini = _sync_config(tmp_path, trials=2)
+    # no cost passes a limit of 0, so every fit fails its check
+    monkeypatch.setattr(syncnet, "GN_MAX_COST_PER_DOF", 0.0)
+    note = "; BP stopped at bp-iterations 15 before its anneal reached scale 1"
+    # _SYNC_NET reaches anneal scale 1 at its 15th and last iteration, and a
+    # faster anneal before it; a slower one is still at scale 440 there, so
+    # BP stops at its cap and the line says so
+    for extra, capped in (("", False), ("anneal-decay: 0.3\n", False),
+                          ("anneal-decay: 0.8\n", True)):
+        (tmp_path / "net.txt").write_text(_SYNC_NET + extra)
+        assert cli.main(["sync", "--config", ini,
+                         "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == ["trial 0", "trial 1"]
+        assert all(line.startswith(f"trial {t}: the Gauss-Newton fit failed")
+                   and line.endswith(note) == capped
+                   for t, line in enumerate(err))
+        assert len((tmp_path / "out" / "rows.csv").read_text()
+                   .splitlines()) == 1 + 2 * 3
+
+
 def test_sync_metric_list_selects_rows(tmp_path):
     ini = _sync_config(tmp_path, metrics="position_rms_m")
     assert cli.main(["sync", "--config", ini,
