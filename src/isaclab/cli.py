@@ -28,8 +28,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="override the master seed")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--workers", type=int, default=None,
-                        help="accepted and checked (>= 1) for existing "
-                             "configs; trials run in order on one thread")
+                        help="processes that run shares of the trials "
+                             "(>= 1; forked, at most one per trial and per "
+                             "available CPU); rows are the same at any value")
         sp.add_argument("--format", choices=("csv", "summary", "both"),
                         default="csv", help="report format")
 

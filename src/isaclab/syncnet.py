@@ -768,7 +768,6 @@ class SyncScenario:
 # scenario key -> (BPConfig field, parser of its value)
 _BP_KEYS = {"bp-particles": ("particle_count", int),
             "bp-iterations": ("max_iterations", int),
-            "bp-tol": ("message_tol", errors.positive),
             "anneal-start": ("anneal_start", float),
             "anneal-decay": ("anneal_decay", float)}
 
@@ -785,7 +784,7 @@ def load_sync_scenario(path) -> SyncScenario:
         measure: all        | measure: <j> <jp>  (unique pairs; `all`
                                               stands alone)
         noise: <delay|aoa|phase> <std>        (at least one, one each)
-        bp-particles/bp-iterations/bp-tol: <value>
+        bp-particles/bp-iterations: <value>
         anneal-start/anneal-decay: <value>
 
     Only `aperture`, `measure` and `noise` may repeat. An enabled

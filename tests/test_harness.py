@@ -1,5 +1,9 @@
 import json
+import os
+import signal
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -865,12 +869,192 @@ def test_trials_run_on_the_calling_thread(tmp_path, monkeypatch):
     _write_scene(tmp_path / "scene.txt")
     (tmp_path / "exp.ini").write_text(_config_text(trials=3))
     assert cli.main(["simulate", "--config", str(tmp_path / "exp.ini"),
-                     "--workers", "2", "--out", str(tmp_path / "sim")]) == 0
+                     "--workers", "1", "--out", str(tmp_path / "sim")]) == 0
     (tmp_path / "sync").mkdir()
     ini = _sync_config(tmp_path / "sync", trials=2)
-    assert cli.main(["sync", "--config", ini, "--workers", "2",
+    assert cli.main(["sync", "--config", ini, "--workers", "1",
                      "--out", str(tmp_path / "sync" / "out")]) == 0
     assert threads == 5 * [threading.get_ident()]
+
+
+def _cpus(monkeypatch, n):
+    """Let `_processes` see `n` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _log_trials(monkeypatch, log):
+    """Append `<pid> <trial>` to `log` at each simulate trial, from
+    whichever process runs it."""
+    def logged(cfg, t, base, _run=harness.run_trial):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {t}\n")
+        return _run(cfg, t, base)
+    monkeypatch.setattr(harness, "run_trial", logged)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_shares_run_each_trial_once(tmp_path, monkeypatch):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=6))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    serial = harness.run_experiment(cfg)
+    _cpus(monkeypatch, 2)
+    _log_trials(monkeypatch, tmp_path / "log")
+    cfg.workers = 2
+    assert harness.run_experiment(cfg) == serial
+    _no_child_left()
+    ran = [line.split() for line in (tmp_path / "log").read_text()
+           .splitlines()]
+    assert sorted(int(t) for _, t in ran) == list(range(6))
+    by_pid = {}
+    for pid, t in ran:
+        by_pid.setdefault(int(pid), []).append(int(t))
+    # this process runs share 0, one child the other share
+    assert by_pid.pop(os.getpid()) == [0, 1, 2]
+    assert list(by_pid.values()) == [[3, 4, 5]]
+
+
+def test_rows_and_records_identical_at_any_worker_count(tmp_path,
+                                                        monkeypatch):
+    # room for 5 processes, so 5 workers give 5 shares of 7 trials
+    _cpus(monkeypatch, 8)
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(
+        trials=7, experiment="store-reports = true"))
+    sweep = "\n[sweep]\nparameter = ebn0-db\nvalues = 0, 20\n"
+    (tmp_path / "sweep.ini").write_text(_config_text(
+        trials=7, extra=sweep, metrics=_ALL_METRICS).replace(
+        "kind = white\nlevel = 1e-10\n", ""))
+    outputs = {}
+    for workers in ("1", "2", "5"):
+        for command, ini in (("simulate", "exp.ini"), ("sweep", "sweep.ini")):
+            out = tmp_path / command / workers
+            assert cli.main([command, "--config", str(tmp_path / ini),
+                             "--workers", workers, "--out", str(out)]) == 0
+            outputs[command, workers] = {
+                p.relative_to(out): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+    _no_child_left()
+    assert len(outputs["simulate", "1"]) == 1 + 7
+    assert list(outputs["sweep", "1"]) == [Path("rows.csv")]
+    for command in ("simulate", "sweep"):
+        assert outputs[command, "1"] == outputs[command, "2"] \
+            == outputs[command, "5"]
+
+
+@pytest.mark.parametrize("failing, kind, code", [
+    ({4, 5}, errors.ParseError, 2),
+    ({2, 4}, ValueError, 3),
+], ids=["in-a-child", "in-this-process"])
+def test_a_failing_trial_fails_alike_at_any_worker_count(
+        tmp_path, capsys, monkeypatch, failing, kind, code):
+    _cpus(monkeypatch, 2)
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=6))
+
+    def failing_trial(cfg, t, base, _run=harness.run_trial):
+        if t in failing:
+            raise kind(f"trial {t} fails")
+        return _run(cfg, t, base)
+
+    monkeypatch.setattr(harness, "run_trial", failing_trial)
+    seen = []
+    for workers in ("1", "2"):
+        seen.append(cli.main(["simulate", "--config",
+                              str(tmp_path / "exp.ini"), "--workers",
+                              workers, "--out", str(tmp_path / workers)]))
+        seen.append(capsys.readouterr().err)
+        _no_child_left()
+    # shares 0-2 and 3-5: the lowest failing trial raises, as in order
+    assert seen[:2] == [code, f"{'input' if code == 2 else 'runtime'} "
+                              f"error: trial {min(failing)} fails\n"]
+    assert seen[2:] == seen[:2]
+    assert not (tmp_path / "2" / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("kind", [ValueError, KeyboardInterrupt])
+def test_an_error_here_ends_and_reaps_the_children(tmp_path, monkeypatch,
+                                                   kind):
+    _cpus(monkeypatch, 2)
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=4))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    cfg.workers = 2
+    parent = os.getpid()
+
+    def slow_child(cfg, t, base):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise kind("stop")
+
+    monkeypatch.setattr(harness, "run_trial", slow_child)
+    t0 = time.perf_counter()
+    with pytest.raises(kind, match="stop"):
+        harness.run_experiment(cfg)
+    # the child was stopped, not waited for through its share
+    assert time.perf_counter() - t0 < 20
+    _no_child_left()
+
+
+def test_a_child_that_dies_leaves_its_share_to_this_process(tmp_path,
+                                                            monkeypatch):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=4))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    serial = harness.run_experiment(cfg)
+    _cpus(monkeypatch, 2)
+    _log_trials(monkeypatch, tmp_path / "log")
+    parent = os.getpid()
+
+    def killed_in_child(cfg, t, base, _run=harness.run_trial):
+        if os.getpid() != parent and t == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _run(cfg, t, base)
+
+    monkeypatch.setattr(harness, "run_trial", killed_in_child)
+    cfg.workers = 2
+    assert harness.run_experiment(cfg) == serial
+    _no_child_left()
+    # the child ran trial 2 and was killed at trial 3, so this process ran
+    # its own share and then the child's whole share
+    ran = [tuple(map(int, line.split())) for line in
+           (tmp_path / "log").read_text().splitlines()]
+    assert [t for pid, t in ran if pid == parent] == [0, 1, 2, 3]
+    assert [t for pid, t in ran if pid != parent] == [2]
+
+
+def test_processes_never_exceed_the_cpus(tmp_path, monkeypatch):
+    forks = []
+
+    def counted(_fork=os.fork):
+        pid = _fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=8))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    rows = harness.run_experiment(cfg)
+    cfg.workers = 100
+    for cpus, trials, processes in ((3, 8, 3), (3, 2, 2), (1, 8, 1)):
+        _cpus(monkeypatch, cpus)
+        cfg.trials = trials
+        forks.clear()
+        assert harness._processes(cfg) == processes
+        assert harness.run_experiment(cfg) == rows[:len(rows) * trials // 8]
+        assert len(forks) == processes - 1
+        _no_child_left()
+    # without os.fork, one process runs every trial
+    monkeypatch.delattr(os, "fork")
+    assert harness._processes(cfg) == 1
+    assert harness.run_experiment(cfg) == rows
 
 
 @pytest.mark.parametrize("stem", ["a,b", 'say "hi"'], ids=["comma", "quote"])
@@ -904,6 +1088,22 @@ def test_sync_reports_a_failed_fit_on_stderr(tmp_path, capsys, monkeypatch):
     assert all("the Gauss-Newton fit failed its check" in line
                and "(limit 0)" in line for line in err)
     assert out.read_bytes() == rows
+
+
+def test_sync_stderr_lines_come_whole_from_every_share(tmp_path, capfd,
+                                                       monkeypatch):
+    _cpus(monkeypatch, 2)
+    ini = _sync_config(tmp_path, trials=4)
+    monkeypatch.setattr(syncnet, "GN_MAX_COST_PER_DOF", 0.0)
+    assert cli.main(["sync", "--config", ini, "--workers", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+    _no_child_left()
+    # a child writes trials 2 and 3, so their lines may come first
+    err = sorted(capfd.readouterr().err.splitlines())
+    assert [line.split(":")[0] for line in err] \
+        == [f"trial {t}" for t in range(4)]
+    assert all("the Gauss-Newton fit failed its check" in line
+               and line.endswith("(limit 0)") for line in err)
 
 
 def test_sync_reports_bp_stopped_at_its_cap_on_stderr(tmp_path, capsys,

@@ -28,7 +28,6 @@ measure: all
 noise: delay 1e-9
 noise: aoa 0.02
 bp-particles: 500
-bp-tol: 1e-4
 """
 
 # fragments at the edges of the grammar: separators, comments, line breaks,

@@ -856,13 +856,14 @@ _LINE5_NOISE = {"components: position time_offset": "aoa 0.02"}
      r"net\.txt:6: repeated state component in \('position', 'position'\)"),
     # the trial's seed draws BP's particles, so the file names none
     ("bp-seed: 9", r"net\.txt:6: unknown key 'bp-seed'"),
+    # BP stops at the anneal's end, before its tolerance could act
+    ("bp-tol: nan", r"net\.txt:6: unknown key 'bp-tol'"),
     ("bp-particles: 50", "particle_count"),
     ("noise: aoa -1", "aoa_std"),
     ("scene-box: 50 0 0 50", "scene-box"),
     ("scene-box: 0 inf 0 50", r"net\.txt:6: scene-box"),
     ("carrier-freq: nan", r"net\.txt:6: expected a finite value > 0"),
     ("carrier-freq: -1", r"net\.txt:6: expected a finite value > 0"),
-    ("bp-tol: nan", r"net\.txt:6: expected a finite value > 0"),
     ("aperture: 1 anchor 9 9 0 0 0", r"net\.txt:6: duplicate aperture id 1"),
     ("noise: delay nan", r"net\.txt:6: delay_std must be > 0"),
     ("anneal-start: nan", r"net\.txt:6: anneal_start must be finite"),
