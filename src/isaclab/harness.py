@@ -554,12 +554,15 @@ def run_sync_trial(cfg: ExperimentConfig, trial: int,
     if not result.converged:
         bp = scenario.config
         capped = bp.anneal_start * bp.anneal_decay ** (result.iterations - 1)
-        print(f"trial {trial}: the Gauss-Newton fit failed its check: "
-              f"step {result.fit.step:.2g} (limit {syncnet.GN_STEP_TOL:g}), "
-              f"cost/dof {result.fit.cost_per_dof:.3g} (limit "
-              f"{syncnet.GN_MAX_COST_PER_DOF:g})" + (capped > 1) * (
-                  f"; BP stopped at bp-iterations {result.iterations} "
-                  f"before its anneal reached scale 1"), file=sys.stderr)
+        # one write, not print's two: a line and its newline written apart
+        # can interleave with another process's line
+        sys.stderr.write(
+            f"trial {trial}: the Gauss-Newton fit failed its check: "
+            f"step {result.fit.step:.2g} (limit {syncnet.GN_STEP_TOL:g}), "
+            f"cost/dof {result.fit.cost_per_dof:.3g} (limit "
+            f"{syncnet.GN_MAX_COST_PER_DOF:g})" + (capped > 1) * (
+                f"; BP stopped at bp-iterations {result.iterations} "
+                f"before its anneal reached scale 1") + "\n")
     record = _sync_record(cfg, trial, seed, report)
     return metric_rows(record, cfg), record
 
@@ -653,14 +656,24 @@ def _processes(cfg: ExperimentConfig) -> int:
     return min(cfg.workers, cfg.trials, cpus)
 
 
-def _fork_share(trial, share: range) -> tuple[int, int]:
+def _fork_share(trial, share: range) -> tuple[int, int] | None:
     """Run `share` in a forked child; returns the child's pid and the read
     end of the pipe that brings back, pickled, the results of the share's
-    trials in order up to the first that raised. Fork, not spawn: the
-    child has the loaded modules and `trial`'s closure at no cost, which a
-    fresh interpreter would import (~0.2 s) or pickle."""
-    r, w = os.pipe()
-    pid = os.fork()
+    trials in order up to the first that raised, or None where no child
+    could be started (no pipe, or `fork` failed under a process or memory
+    limit). Fork, not spawn: the child has the loaded modules and `trial`'s
+    closure at no cost, which a fresh interpreter would import (~0.2 s) or
+    pickle."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
     if pid == 0:
         # the child writes only to the pipe and stderr, never returns into
         # the caller's stack, and exits 0 only once it has sent its list
@@ -686,33 +699,38 @@ def _fork_share(trial, share: range) -> tuple[int, int]:
 
 def _run_forked(trial, trials: int, processes: int) -> list:
     """Every trial's result, in order, from `processes` contiguous shares.
-    This process runs share 0 and a forked child each other share. Once
-    every child is reaped, a trial that a child did not bring back (it
-    raised there, or the child died) runs here, in order, so the first
-    that raises does so as in a serial loop."""
+    This process runs share 0 and a forked child each other share; with
+    one process nothing is forked. Once every child is reaped, a trial
+    that no child brought back (it raised there, the child died, or no
+    child could be started) runs here, in order, so the first that raises
+    does so as in a serial loop."""
     shares = [range(trials * i // processes, trials * (i + 1) // processes)
               for i in range(processes)]
+    got = [[] for _ in shares]
     # a child must not write out again what this process has buffered
     sys.stdout.flush()
     sys.stderr.flush()
     children, sent, status = [], [], []
     try:
-        for share in shares[1:]:
-            children.append(_fork_share(trial, share))
-        got = [[trial(t) for t in shares[0]]]
-        for _, r in children:
+        for i in range(1, processes):
+            child = _fork_share(trial, shares[i])
+            if child is not None:
+                children.append((i, *child))
+        got[0] = [trial(t) for t in shares[0]]
+        for _, _, r in children:
             with open(r, "rb", closefd=False) as pipe:
                 sent.append(pipe.read())
     except BaseException:
-        for pid, _ in children:
+        for _, pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, r in children:
+        for _, pid, r in children:
             os.close(r)
             status.append(os.waitpid(pid, 0)[1])
-    got += [pickle.loads(data) if code == 0 else []
-            for data, code in zip(sent, status)]
+    for (i, _, _), data, code in zip(children, sent, status):
+        if code == 0:
+            got[i] = pickle.loads(data)
     return [result for share, done in zip(shares, got)
             for result in done + [trial(t) for t in share[len(done):]]]
 
@@ -720,18 +738,14 @@ def _run_forked(trial, trials: int, processes: int) -> list:
 def _run_trials(cfg: ExperimentConfig, trial, store_dir: Path | None,
                 ) -> list[ResultRow]:
     """The one trial driver: `trial(t)` returns trial t's rows and record.
-    With one process (`_processes`) the trials run in order on the calling
-    thread; with more, `_run_forked` splits them into contiguous shares,
-    one per process. A trial's result depends only on (config, seed, t),
+    `_run_forked` splits the trials into contiguous shares, one per
+    process (`_processes`); with one process they all run in order on the
+    calling thread. A trial's result depends only on (config, seed, t),
     so the rows and records are the same at any `cfg.workers`; a trial's
     stderr line is written whole, but shares may write theirs in another
     order. Each record is stored as ``report_<trial>.json`` under
     `store_dir`, from this process, and the rows come back sorted."""
-    processes = _processes(cfg)
-    if processes == 1:
-        results = [trial(t) for t in range(cfg.trials)]
-    else:
-        results = _run_forked(trial, cfg.trials, processes)
+    results = _run_forked(trial, cfg.trials, _processes(cfg))
     if store_dir is not None:
         store_dir.mkdir(parents=True, exist_ok=True)
         for _, doc in results:

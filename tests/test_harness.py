@@ -1028,6 +1028,43 @@ def test_a_child_that_dies_leaves_its_share_to_this_process(tmp_path,
     assert [t for pid, t in ran if pid != parent] == [2]
 
 
+def test_a_share_no_child_could_start_runs_in_this_process(tmp_path,
+                                                           monkeypatch):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(trials=6))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    serial = harness.run_experiment(cfg)
+    _cpus(monkeypatch, 3)
+    _log_trials(monkeypatch, tmp_path / "log")
+    pipes, forks = [], []
+
+    def pipe(_pipe=os.pipe):
+        pipes.extend(_pipe())
+        return pipes[-2], pipes[-1]
+
+    def first_fork_fails(_fork=os.fork):
+        forks.append(None)
+        if len(forks) == 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return _fork()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", first_fork_fails)
+    cfg.workers = 3
+    assert harness.run_experiment(cfg) == serial
+    _no_child_left()
+    # shares 0-1, 2-3 and 4-5: no child ran 2-3, so this process ran them
+    ran = [tuple(map(int, line.split())) for line in
+           (tmp_path / "log").read_text().splitlines()]
+    assert [t for pid, t in ran if pid == os.getpid()] == [0, 1, 2, 3]
+    assert [t for pid, t in ran if pid != os.getpid()] == [4, 5]
+    # the failed fork's pipe is closed, as is the child's
+    assert len(pipes) == 4
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
 def test_processes_never_exceed_the_cpus(tmp_path, monkeypatch):
     forks = []
 
