@@ -55,4 +55,4 @@ print(f"range-noise floor       : {3e-10 * sn.SPEED_OF_LIGHT:.3f} m")
 
 # anchors are known, so the network RMS covers the agent only
 report = sn.sync_error_report({4: gn}, {4: truth[4]})
-print(f"rms position error      : {report['rms']['position_rms_m']:.3f} m")
+print(f"rms position error      : {report['position_rms_m']:.3f} m")

@@ -352,6 +352,14 @@ class ResultRow:
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
+        for name in ("scenario", "estimator", "metric"):
+            text = getattr(self, name)
+            if not isinstance(text, str) or errors.csv_quoted(text):
+                raise ValueError(f"{name} {text!r} would need quotes")
+        if type(self.trial) is not int or type(self.seed) is not int:
+            raise ValueError(f"trial {self.trial!r}, seed {self.seed!r}: not ints")
+        if not np.isfinite(self.value):
+            raise ValueError(f"{self.metric} is {self.value!r}, not finite")
 
     def csv(self) -> str:
         return (f"{self.trial},{self.scenario},{self.estimator},"
@@ -550,18 +558,17 @@ def run_sync_trial(cfg: ExperimentConfig, trial: int,
     is reported on stderr, with BP's cap if BP stopped at it before its
     anneal reached scale 1; the rows are the same either way."""
     seed = derive_seed(cfg.master_seed, trial, "sync")
-    _, result, report = syncnet.run_sync_scenario(scenario, seed=seed)
-    if not result.converged:
-        bp = scenario.config
-        capped = bp.anneal_start * bp.anneal_decay ** (result.iterations - 1)
+    fit, bp, report = syncnet.run_sync_scenario(scenario, seed=seed)
+    if not fit.converged:
+        capped = scenario.config.scale(bp.iterations - 1) > 1
         # one write, not print's two: a line and its newline written apart
         # can interleave with another process's line
         sys.stderr.write(
             f"trial {trial}: the Gauss-Newton fit failed its check: "
-            f"step {result.fit.step:.2g} (limit {syncnet.GN_STEP_TOL:g}), "
-            f"cost/dof {result.fit.cost_per_dof:.3g} (limit "
-            f"{syncnet.GN_MAX_COST_PER_DOF:g})" + (capped > 1) * (
-                f"; BP stopped at bp-iterations {result.iterations} "
+            f"step {fit.step:.2g} (limit {syncnet.GN_STEP_TOL:g}), "
+            f"cost/dof {fit.cost_per_dof:.3g} (limit "
+            f"{syncnet.GN_MAX_COST_PER_DOF:g})" + capped * (
+                f"; BP stopped at bp-iterations {bp.iterations} "
                 f"before its anneal reached scale 1") + "\n")
     record = _sync_record(cfg, trial, seed, report)
     return metric_rows(record, cfg), record
@@ -569,12 +576,9 @@ def run_sync_trial(cfg: ExperimentConfig, trial: int,
 
 def _sync_record(cfg: ExperimentConfig, trial: int, seed: int,
                  report: dict) -> dict:
-    """The record of one sync trial from its `syncnet.sync_error_report`."""
-    report = dict(report)
+    """The record of one sync trial around its `syncnet.sync_error_report`."""
     return {"trial": trial, "seed": seed, "estimator": "bp",
-            "scenario": Path(cfg.sync_file).stem, **report.pop("rms"),
-            "agent_position_error": [[j, row["position_error_m"]]
-                                     for j, row in sorted(report.items())]}
+            "scenario": Path(cfg.sync_file).stem, **report}
 
 
 def _metric_value(name: str, rec: dict, cfg: ExperimentConfig):
@@ -765,7 +769,8 @@ def run_experiment(cfg: ExperimentConfig, store_dir: Path | None = None,
 
 def recompute_metrics(report_dir: Path, cfg: ExperimentConfig) -> list[ResultRow]:
     """Recompute metric rows from stored per-trial records, through the same
-    ``metric_rows`` as ``run_experiment`` and ``run_sync``."""
+    ``metric_rows`` as ``run_experiment`` and ``run_sync``; a record no metric
+    reads, or whose rows `ResultRow` rejects, is a ParseError naming it."""
     rows = []
     files = sorted(Path(report_dir).glob("report_*.json"))
     if not files:
@@ -773,14 +778,14 @@ def recompute_metrics(report_dir: Path, cfg: ExperimentConfig) -> list[ResultRow
     for f in files:
         try:
             rec = json.loads(f.read_text(encoding="utf-8"))
-        except ValueError as exc:
+            if not isinstance(rec, dict):
+                raise ValueError("a trial record is a JSON object")
+            rows += metric_rows(rec, cfg, source=str(f))
+        except errors.ValidationError:
+            raise
+        except (ValueError, TypeError, IndexError, AttributeError,
+                ArithmeticError, errors.ToolkitError) as exc:
             raise errors.ParseError(f"{f}: {exc}") from None
-        if not isinstance(rec, dict):
-            raise errors.ParseError(f"{f}: a trial record is a JSON object")
-        if errors.csv_quoted(str(rec.get("scenario", ""))):
-            raise errors.ParseError(f"{f}: scenario {rec['scenario']!r} "
-                                    f"would need quotes in rows.csv")
-        rows += metric_rows(rec, cfg, source=str(f))
     return _sort_rows(rows)
 
 

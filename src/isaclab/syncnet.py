@@ -450,16 +450,16 @@ def measurement_jacobian(graph: FactorGraph, states: dict) -> np.ndarray:
 DAMPING = 0.5
 # a belief is resampled when its ESS falls below RESAMPLE_THRESHOLD * n
 RESAMPLE_THRESHOLD = 0.5
+# BP converges once, at anneal scale 1, no belief mean moves by MESSAGE_TOL
+MESSAGE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
 class BPConfig:
     particle_count: int = 1000
     max_iterations: int = 50
-    message_tol: float = 1e-4
     seed: int = 0                       # or a np.random.SeedSequence
-    # likelihood tempering: stds scaled by anneal_start * anneal_decay^iter
-    # (floored at 1) to avoid weight underflow under tight likelihoods
+    # likelihood tempering (`scale`) against weight underflow
     anneal_start: float = 1.0
     anneal_decay: float = 0.5
 
@@ -472,6 +472,10 @@ class BPConfig:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
+
+    def scale(self, it: int) -> float:
+        """Iteration `it`'s anneal scale (from 0): every noise std's factor."""
+        return max(1.0, self.anneal_start * self.anneal_decay ** it)
 
 
 @dataclass
@@ -500,14 +504,12 @@ class BPResult(dict):
     """What `run_loopy_bp` returns: a dict of aperture id to its `Belief`,
     anchors included, that also says whether BP `converged` (the belief
     means settled after annealing ended) and after how many `iterations`
-    it stopped. `run_sync_scenario` stores its Gauss-Newton `fit` here and
-    replaces `converged` by the fit's."""
+    it stopped."""
 
     def __init__(self, beliefs: dict, converged: bool, iterations: int):
         super().__init__(beliefs)
         self.converged = converged
         self.iterations = iterations
-        self.fit: GNFit | None = None
 
 
 def _belief_mean(x, w, circular_mask):
@@ -579,7 +581,7 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
     prev_means: dict[int, np.ndarray] = {}
 
     for it in range(config.max_iterations):
-        scale = max(1.0, config.anneal_start * config.anneal_decay ** it)
+        scale = config.scale(it)
         new_logw = {}
         for m in top.agents:
             parts = beliefs[m].particles
@@ -620,7 +622,7 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
             mean = _belief_mean(bel.particles, w, cm)
             step = mean - prev_means.get(m, mean)
             step[cm] = wrap_angle(step[cm])
-            if np.max(np.abs(step)) > config.message_tol:
+            if np.max(np.abs(step)) > MESSAGE_TOL:
                 converged = False
             prev_means[m] = mean
 
@@ -654,25 +656,19 @@ def estimate_mmse(belief: Belief, space: StateSpace,
 
 
 def sync_error_report(estimates: dict, truth: dict) -> dict:
-    """Per-aperture position error (m) and signed time-offset error (s),
-    plus their network RMS under ``"rms"``. Orientation and CPO errors are
-    not reported."""
+    """A sync record's error fields: `agent_position_error`, each aperture's
+    position error (m) as ``[id, error]`` pairs, their RMS `position_rms_m`
+    and the time-offset errors' RMS `to_rms_s` (s); no angle error."""
     if set(estimates) != set(truth):
         raise errors.IdMismatch(
             f"estimate ids {sorted(estimates)} != truth ids {sorted(truth)}")
-    rows = {}
-    pos_sq, to_sq = [], []
-    for j in sorted(estimates):
-        e, t = estimates[j], truth[j]
-        pos_err = float(np.linalg.norm(e.position - t.position))
-        row = {"position_error_m": pos_err,
-               "to_error_s": e.time_offset - t.time_offset}
-        rows[j] = row
-        pos_sq.append(pos_err ** 2)
-        to_sq.append(row["to_error_s"] ** 2)
-    rows["rms"] = {"position_rms_m": float(np.sqrt(np.mean(pos_sq))),
-                   "to_rms_s": float(np.sqrt(np.mean(to_sq)))}
-    return rows
+    ids = sorted(estimates)
+    pos = [float(np.linalg.norm(estimates[j].position - truth[j].position))
+           for j in ids]
+    to = [estimates[j].time_offset - truth[j].time_offset for j in ids]
+    return {"agent_position_error": [[j, e] for j, e in zip(ids, pos)],
+            "position_rms_m": float(np.sqrt(np.mean([e ** 2 for e in pos]))),
+            "to_rms_s": float(np.sqrt(np.mean([e ** 2 for e in to])))}
 
 
 def measurement_jacobian_rank(graph: FactorGraph, truth: dict) -> dict:
@@ -910,11 +906,11 @@ def load_sync_scenario(path) -> SyncScenario:
 
 def run_sync_scenario(scenario: SyncScenario, seed: int):
     """Simulate measurements, run BP to the first iteration at anneal scale
-    1 (or its cap; `message_tol` cannot act before it), fit from BP's MMSE
-    estimates by `gauss_newton`, and report the agents' errors, `to_rms_s`
-    None if no clock is estimated. One `seed` child draws the noise and
-    the other BP's particles. Returns (estimates dict, `BPResult` holding
-    the `fit` and its `converged`, error report)."""
+    1 (or its cap; its convergence test cannot fire before it), fit from
+    BP's MMSE estimates by `gauss_newton`, and report the agents' errors,
+    `to_rms_s` None if no clock is estimated. One `seed` child draws the
+    noise and the other BP's particles. Returns the `GNFit` (its states
+    are the estimates), BP's own `BPResult` and the `sync_error_report`."""
     noise_seed, bp_seed = np.random.SeedSequence(seed).spawn(2)
     measurements = simulate_measurements(scenario.topology,
                                          scenario.true_states, scenario.noise,
@@ -926,17 +922,15 @@ def run_sync_scenario(scenario: SyncScenario, seed: int):
     # iteration gave the same fits as after its second to twelfth
     cfg = scenario.config
     handoff = next((it + 1 for it in range(cfg.max_iterations)
-                    if cfg.anneal_start * cfg.anneal_decay ** it <= 1),
-                   cfg.max_iterations)
-    result = run_loopy_bp(graph, replace(cfg, seed=bp_seed,
-                                         max_iterations=handoff))
+                    if cfg.scale(it) == 1), cfg.max_iterations)
+    bp = run_loopy_bp(graph, replace(cfg, seed=bp_seed,
+                                     max_iterations=handoff))
     truth, agents = scenario.true_states, scenario.topology.agents
-    result.fit = gauss_newton(graph, {
+    fit = gauss_newton(graph, {
         **{j: truth[j] for j in scenario.topology.anchors},
-        **{j: estimate_mmse(result[j], scenario.space, j) for j in agents}})
-    result.converged = result.fit.converged
-    report = sync_error_report({j: result.fit.states[j] for j in agents},
+        **{j: estimate_mmse(bp[j], scenario.space, j) for j in agents}})
+    report = sync_error_report({j: fit.states[j] for j in agents},
                                {j: truth[j] for j in agents})
     if "time_offset" not in scenario.space.slices:
-        report["rms"]["to_rms_s"] = None        # no clock was estimated
-    return result.fit.states, result, report
+        report["to_rms_s"] = None               # no clock was estimated
+    return fit, bp, report

@@ -232,22 +232,45 @@ def test_recompute_missing_input_is_validation_error(tmp_path, capsys):
     assert "papr" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda rec: [rec], "a trial record is a JSON object"),
-    (lambda rec: {**rec, "scenario": "a,b"}, "scenario 'a,b'"),
-], ids=["not-an-object", "comma-scenario"])
+@pytest.mark.parametrize("sync, field, value, message", [
+    (False, None, None, "a trial record is a JSON object"),
+    (False, "scenario", "a,b", "scenario 'a,b' would need quotes"),
+    (False, "cost_vector", {"flops": "x"}, "'<' not supported"),
+    (False, "tx_bits", 5, "too many indices"),
+    (False, "estimated_targets", [[1, 2]], "list index out of range"),
+    (False, "true_targets", None, "'NoneType' object is not iterable"),
+    (True, "position_rms_m", [1, 2], "float() argument must be"),
+    (True, "agent_position_error", [[4]], "not enough values to unpack"),
+    (True, "estimator", "b,p", "estimator 'b,p' would need quotes"),
+    (True, "trial", "x", "trial 'x', seed"),
+    (True, "position_rms_m", float("nan"), "position_rms_m is nan"),
+], ids=["not-an-object", "comma-scenario", "text-cost", "scalar-bits",
+        "short-target", "null-targets", "list-rms", "short-agent-error",
+        "comma-estimator", "text-trial", "nan-rms"])
 def test_recompute_rejects_a_record_rows_csv_cannot_hold(tmp_path, capsys,
-                                                         edit, message):
-    _write_scene(tmp_path / "scene.txt")
-    (tmp_path / "exp.ini").write_text(_config_text(trials=1, metrics="ber"))
-    harness.run_experiment(harness.load_config(tmp_path / "exp.ini"),
-                           store_dir=tmp_path / "reports")
+                                                         sync, field, value,
+                                                         message):
+    # a stored record is outside input: each defect is an input error that
+    # names the file, exit 2 and no rows.csv, never a traceback or a row
+    if sync:
+        ini = _sync_config(tmp_path)
+        harness.run_sync(harness.load_config(ini),
+                         store_dir=tmp_path / "reports")
+    else:
+        _write_scene(tmp_path / "scene.txt")
+        ini = str(tmp_path / "exp.ini")
+        (tmp_path / "exp.ini").write_text(_config_text(
+            trials=1, metrics="ber, w_cost, delay_rmse"))
+        harness.run_experiment(harness.load_config(ini),
+                               store_dir=tmp_path / "reports")
     stored = tmp_path / "reports" / "report_00000.json"
-    stored.write_text(json.dumps(edit(json.loads(stored.read_text()))))
-    assert cli.main(["metrics", "--config", str(tmp_path / "exp.ini"),
+    rec = json.loads(stored.read_text())
+    stored.write_text(json.dumps({**rec, field: value} if field else [rec]))
+    assert cli.main(["metrics", "--config", ini,
                      "--reports", str(tmp_path / "reports"),
                      "--out", str(tmp_path / "re")]) == 2
-    assert f"report_00000.json: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"input error: {stored}: {message}")
     assert not (tmp_path / "re").exists()
 
 

@@ -347,6 +347,19 @@ def _mesh_graph():
     return sn.build_factor_graph(top, priors, meas, space)
 
 
+@pytest.mark.parametrize("start, decay, it, scale", [
+    (1.0, 0.5, 0, 1.0),                     # no tempering
+    (0.5, 0.5, 0, 1.0),                     # never below 1
+    (1e6, 0.4, 0, 1e6),
+    (1e6, 0.4, 15, 1e6 * 0.4 ** 15),        # 1.07 at BP's 16th iteration
+    (1e6, 0.4, 16, 1.0),                    # 0.43, floored: the 17th, where
+                                            # run_sync_scenario hands off
+])
+def test_bp_config_scale(start, decay, it, scale):
+    assert sn.BPConfig(anneal_start=start, anneal_decay=decay).scale(it) \
+        == scale
+
+
 @pytest.mark.parametrize("cap,converged", [(50, True), (2, False)])
 def test_bp_result_says_whether_it_converged(cap, converged):
     cfg = sn.BPConfig(particle_count=1500, max_iterations=cap, seed=0,
@@ -449,9 +462,10 @@ def test_sync_error_report():
     est = {1: sn.ApertureState(1, [3.0, 4.0], time_offset=2e-9)}
     truth = {1: sn.ApertureState(1, [0.0, 0.0], time_offset=0.0)}
     rep = sn.sync_error_report(est, truth)
-    assert rep[1]["position_error_m"] == pytest.approx(5.0)
-    assert rep[1]["to_error_s"] == pytest.approx(2e-9)
-    assert rep["rms"]["position_rms_m"] == pytest.approx(5.0)
+    # the fields of a sync record, as it stores them
+    assert rep == {"agent_position_error": [[1, pytest.approx(5.0)]],
+                   "position_rms_m": pytest.approx(5.0),
+                   "to_rms_s": pytest.approx(2e-9)}
     with pytest.raises(errors.IdMismatch):
         sn.sync_error_report(est, {2: truth[1]})
 
@@ -683,9 +697,10 @@ anneal-decay: 0.4
     p = tmp_path / "net.txt"
     p.write_text(text)
     scn = sn.load_sync_scenario(p)
-    est, beliefs, report = sn.run_sync_scenario(scn, seed=4)
-    assert report[3]["position_error_m"] < 1.0
-    assert set(est) == {0, 1, 2, 3}
+    fit, _, report = sn.run_sync_scenario(scn, seed=4)
+    [[agent, err]] = report["agent_position_error"]
+    assert agent == 3 and err < 1.0
+    assert set(fit.states) == {0, 1, 2, 3}
 
 
 # three nearly collinear anchors, so each agent's reflection across their
@@ -715,16 +730,39 @@ def test_a_fit_in_the_wrong_mode_fails_the_cost_check(tmp_path, seed, cap,
     # default handoff, at the first iteration at scale 1 (17), does not
     (tmp_path / "m.sync").write_text(_MIRROR + f"bp-iterations: {cap}\n")
     scn = sn.load_sync_scenario(tmp_path / "m.sync")
-    _, result, report = sn.run_sync_scenario(scn, seed)
-    assert result.iterations == min(cap, 17)
-    assert result.fit.step < sn.GN_STEP_TOL
-    worst = max(report[j]["position_error_m"] for j in (4, 5))
+    fit, bp, report = sn.run_sync_scenario(scn, seed)
+    assert bp.iterations == min(cap, 17)
+    assert fit.step < sn.GN_STEP_TOL
+    worst = max(err for _, err in report["agent_position_error"])
     if wrong:
         assert worst > 10.0
-        assert result.fit.cost_per_dof > sn.GN_MAX_COST_PER_DOF
+        assert fit.cost_per_dof > sn.GN_MAX_COST_PER_DOF
     else:
-        assert worst < 0.01 and result.fit.cost_per_dof < 3.0
-    assert result.converged is not wrong
+        assert worst < 0.01 and fit.cost_per_dof < 3.0
+    assert fit.converged is not wrong
+
+
+def test_run_sync_scenario_returns_bps_result_untouched(tmp_path,
+                                                        monkeypatch):
+    # cut at 8 iterations, BP fails its own check while the fit passes its;
+    # each verdict stays with its own result
+    returned = []
+
+    def spy(graph, config, run=sn.run_loopy_bp):
+        result = run(graph, config)
+        returned.append((result, dict(vars(result)), dict(result)))
+        return result
+
+    monkeypatch.setattr(sn, "run_loopy_bp", spy)
+    (tmp_path / "m.sync").write_text(_MIRROR + "bp-iterations: 8\n")
+    fit, bp, _ = sn.run_sync_scenario(
+        sn.load_sync_scenario(tmp_path / "m.sync"), 0)
+    [(result, attributes, beliefs)] = returned
+    assert bp is result and not hasattr(bp, "fit")
+    assert vars(bp) == attributes == {"converged": False, "iterations": 8}
+    assert dict(bp).keys() == beliefs.keys()
+    assert all(bp[j] is beliefs[j] for j in beliefs)
+    assert fit.converged
 
 
 def test_fit_error_is_at_the_crlb_on_criterion_8b_mesh(tmp_path):
@@ -748,8 +786,9 @@ anneal-start: 1e6
 anneal-decay: 0.4
 """)
     scn = sn.load_sync_scenario(tmp_path / "m.sync")
-    sq = [sn.run_sync_scenario(scn, seed)[2][4]["position_error_m"] ** 2
-          for seed in range(20)]
+    # one agent, 4: its error is the record's only [id, error] pair
+    sq = [sn.run_sync_scenario(scn, seed)[2]["agent_position_error"][0][1]
+          ** 2 for seed in range(20)]
     # J at the truth does not depend on the measured values
     g = sn.build_factor_graph(scn.topology, scn.priors,
                               sn.simulate_measurements(scn.topology,
@@ -823,14 +862,14 @@ bp-iterations: 15
 anneal-start: 1e4
 """)
     scn = sn.load_sync_scenario(p)
-    est, _, report = sn.run_sync_scenario(scn, seed=2)
-    # anchors are estimated by their known states, so they are not scored
-    assert set(report) == {3, 4, "rms"}
-    errs = [np.linalg.norm(est[j].position - scn.true_states[j].position)
+    fit, _, report = sn.run_sync_scenario(scn, seed=2)
+    errs = [np.linalg.norm(fit.states[j].position - scn.true_states[j].position)
             for j in (3, 4)]
-    assert [report[j]["position_error_m"] for j in (3, 4)] == errs
-    assert report["rms"]["position_rms_m"] \
+    # anchors are estimated by their known states, so they are not scored
+    assert report["agent_position_error"] == [[3, errs[0]], [4, errs[1]]]
+    assert report["position_rms_m"] \
         == pytest.approx(np.sqrt(np.mean(np.square(errs))), rel=1e-12)
+    assert report["to_rms_s"] is None           # no clock is estimated
 
 
 def test_pair_log_likelihood_restores_numpy_error_state():
