@@ -54,10 +54,6 @@ def main(argv=None) -> int:
         cfg = harness.load_config(args.config, {"master_seed": args.seed,
                                                 "workers": args.workers})
         out_dir = Path(args.out) if args.out else cfg.base_dir / cfg.output_dir
-        if args.command == "sync" and cfg.sync_file is None:
-            raise errors.ValidationError(["[sync] file is required"])
-        if args.command != "ambiguity" and not cfg.metric_list:
-            raise errors.ValidationError(["[metrics] list is empty"])
         if args.command == "ambiguity":
             lines = harness.ambiguity_rows(cfg, args.doppler_span,
                                            args.doppler_bins)

@@ -19,13 +19,14 @@ _MASK64 = (1 << 64) - 1
 
 CSV_HEADER = "trial,scenario,estimator,metric,value,units,seed"
 
-_KNOWN_METRICS = {
-    "papr": "ratio", "ber": "ratio", "ser": "ratio",
-    "delay_rmse": "s", "doppler_rmse": "Hz",
-    "residual_energy": "energy", "r_squared": "ratio",
-    "w_cost": "ratio", "estimator_j": "score",
-    "agent_position_error": "m", "position_rms_m": "m", "to_rms_s": "s",
-}
+# each metric's unit, under the kind of trial record that holds it
+_SENSING_METRICS = {"papr": "ratio", "ber": "ratio", "ser": "ratio",
+                    "delay_rmse": "s", "doppler_rmse": "Hz",
+                    "residual_energy": "energy", "r_squared": "ratio",
+                    "w_cost": "ratio", "estimator_j": "score"}
+_SYNC_METRICS = {"agent_position_error": "m", "position_rms_m": "m",
+                 "to_rms_s": "s"}
+_KNOWN_METRICS = _SENSING_METRICS | _SYNC_METRICS
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +253,7 @@ def load_config(path, overrides=None) -> ExperimentConfig:
 
     # a [sync] file without a [metrics] list lists every sync metric
     if cfg.sync_file is not None and not parser.has_option("metrics", "list"):
-        cfg.metric_list = ("agent_position_error", "position_rms_m",
-                           "to_rms_s")
+        cfg.metric_list = tuple(_SYNC_METRICS)
     # checks across keys
     if "experiment" not in parser:
         problems.append("missing [experiment] section")
@@ -351,6 +351,9 @@ class ResultRow:
     seed: int
 
     def __post_init__(self):
+        # float() would read "0.5" and True as numbers
+        if isinstance(self.value, (str, bool)):
+            raise ValueError(f"{self.metric} is {self.value!r}, not a number")
         object.__setattr__(self, "value", float(self.value))
         for name in ("scenario", "estimator", "metric"):
             text = getattr(self, name)
@@ -570,15 +573,9 @@ def run_sync_trial(cfg: ExperimentConfig, trial: int,
             f"{syncnet.GN_MAX_COST_PER_DOF:g})" + capped * (
                 f"; BP stopped at bp-iterations {bp.iterations} "
                 f"before its anneal reached scale 1") + "\n")
-    record = _sync_record(cfg, trial, seed, report)
+    record = {"trial": trial, "seed": seed, "estimator": "bp",
+              "scenario": Path(cfg.sync_file).stem, **report}
     return metric_rows(record, cfg), record
-
-
-def _sync_record(cfg: ExperimentConfig, trial: int, seed: int,
-                 report: dict) -> dict:
-    """The record of one sync trial around its `syncnet.sync_error_report`."""
-    return {"trial": trial, "seed": seed, "estimator": "bp",
-            "scenario": Path(cfg.sync_file).stem, **report}
 
 
 def _metric_value(name: str, rec: dict, cfg: ExperimentConfig):
@@ -630,6 +627,9 @@ def metric_rows(rec: dict, cfg: ExperimentConfig, source="trial record",
     for name in cfg.metric_list:
         try:
             if name == "agent_position_error":
+                for j, _ in rec[name]:  # an id names a row: no float or bool
+                    if type(j) is not int:
+                        raise ValueError(f"agent id {j!r} is not an int")
                 values = [(f"agent{j}_position_error", err)
                           for j, err in rec[name]]
             else:
@@ -758,9 +758,20 @@ def _run_trials(cfg: ExperimentConfig, trial, store_dir: Path | None,
     return _sort_rows(r for rows, _ in results for r in rows)
 
 
+def _check_metrics(cfg: ExperimentConfig, held: dict) -> None:
+    """The one check of `[metrics] list`, before any trial runs or record is
+    read: not empty, and each name one that `held`, the command's, lists."""
+    problems = [f"[metrics] list names {name!r}, which this command's records "
+                f"never hold; they hold {', '.join(held)}"
+                for name in cfg.metric_list if name not in held]
+    if problems or not cfg.metric_list:
+        raise errors.ValidationError(problems or ["[metrics] list is empty"])
+
+
 def run_experiment(cfg: ExperimentConfig, store_dir: Path | None = None,
                    ) -> list[ResultRow]:
     """Monte Carlo simulate trials; the scene file is parsed once."""
+    _check_metrics(cfg, _SENSING_METRICS)
     base = None if cfg.scene_file is None else \
         scene.load_scene(cfg.base_dir / cfg.scene_file)
     # run_trial is looked up at call time, so a rebound one is used
@@ -771,6 +782,7 @@ def recompute_metrics(report_dir: Path, cfg: ExperimentConfig) -> list[ResultRow
     """Recompute metric rows from stored per-trial records, through the same
     ``metric_rows`` as ``run_experiment`` and ``run_sync``; a record no metric
     reads, or whose rows `ResultRow` rejects, is a ParseError naming it."""
+    _check_metrics(cfg, _KNOWN_METRICS)     # a record of either kind
     rows = []
     files = sorted(Path(report_dir).glob("report_*.json"))
     if not files:
@@ -808,12 +820,8 @@ def run_sync(cfg: ExperimentConfig, store_dir: Path | None = None,
     """Syncnet scenario trials; the sync file is parsed once."""
     if cfg.sync_file is None:
         raise errors.ValidationError(["[sync] file is required"])
+    _check_metrics(cfg, _SYNC_METRICS)
     scenario = syncnet.load_sync_scenario(cfg.base_dir / cfg.sync_file)
-    # a listed metric that no sync record holds exits before any BP runs: the
-    # truth scored against itself gives a record with every key of a trial's
-    truth = {j: scenario.true_states[j] for j in scenario.topology.agents}
-    metric_rows(_sync_record(cfg, 0, 0,
-                             syncnet.sync_error_report(truth, truth)), cfg)
     return _run_trials(cfg, lambda t: run_sync_trial(cfg, t, scenario),
                        store_dir)
 

@@ -244,9 +244,15 @@ def test_recompute_missing_input_is_validation_error(tmp_path, capsys):
     (True, "estimator", "b,p", "estimator 'b,p' would need quotes"),
     (True, "trial", "x", "trial 'x', seed"),
     (True, "position_rms_m", float("nan"), "position_rms_m is nan"),
+    (True, "agent_position_error", [[4.5, 0.1]], "agent id 4.5 is not an int"),
+    (True, "agent_position_error", [[3, 0.1], [True, 0.2]],
+     "agent id True is not an int"),
+    (True, "position_rms_m", "0.5", "position_rms_m is '0.5', not a number"),
+    (True, "to_rms_s", False, "to_rms_s is False, not a number"),
 ], ids=["not-an-object", "comma-scenario", "text-cost", "scalar-bits",
         "short-target", "null-targets", "list-rms", "short-agent-error",
-        "comma-estimator", "text-trial", "nan-rms"])
+        "comma-estimator", "text-trial", "nan-rms", "float-agent-id",
+        "bool-agent-id", "text-rms", "bool-rms"])
 def test_recompute_rejects_a_record_rows_csv_cannot_hold(tmp_path, capsys,
                                                          sync, field, value,
                                                          message):
@@ -1198,16 +1204,50 @@ def test_sync_metric_list_selects_rows(tmp_path):
         == [["position_rms_m", "m"]]
 
 
-def test_sync_with_simulate_metric_exits_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command, metric, held", [
+    ("sync", "ber", "agent_position_error, position_rms_m, to_rms_s"),
+    ("simulate", "position_rms_m", _ALL_METRICS),
+    ("sweep", "position_rms_m", _ALL_METRICS),
+], ids=["sync-ber", "simulate-position-rms", "sweep-position-rms"])
+def test_sync_with_simulate_metric_exits_2(tmp_path, capsys, monkeypatch,
+                                           command, metric, held):
+    # a metric the command's records never hold exits before any trial
+    # runs, and before a sync scenario is parsed
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the metric check")
+
     def no_bp(*args, **kwargs):
         raise AssertionError("particle BP ran before the metric check")
 
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the scenario was parsed before the metric check")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
     monkeypatch.setattr(syncnet, "run_sync_scenario", no_bp)
-    ini = _sync_config(tmp_path, metrics="ber")
-    assert cli.main(["sync", "--config", ini,
+    monkeypatch.setattr(syncnet, "load_sync_scenario", no_parse)
+    if command == "sync":
+        ini = _sync_config(tmp_path, metrics=metric)
+    else:
+        _write_scene(tmp_path / "scene.txt")
+        (tmp_path / "exp.ini").write_text(_config_text(
+            metrics=metric, extra="\n[sweep]\nparameter = lambda\n"
+                                  "values = 0.5\n"))
+        ini = str(tmp_path / "exp.ini")
+    assert cli.main([command, "--config", ini,
                      "--out", str(tmp_path / "out")]) == 2
-    assert "'ber' needs 'tx_bits'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"validation errors:\n  - [metrics] list names {metric!r}, which "
+        f"this command's records never hold; they hold {held}\n")
     assert not (tmp_path / "out" / "rows.csv").exists()
+
+
+def test_run_experiment_rejects_an_empty_metric_list(tmp_path):
+    # the check is the library's, so a caller without the CLI gets it too
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(metrics=""))
+    with pytest.raises(errors.ValidationError,
+                       match=r"\[metrics\] list is empty"):
+        harness.run_experiment(harness.load_config(tmp_path / "exp.ini"))
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "metrics", "sync"])
