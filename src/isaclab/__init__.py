@@ -2,9 +2,9 @@
 
 Modules:
     scene       delay-Doppler targets, clutter, noise, channel application
-    waveform    PSK/OFDM/chirp generation, spectra, waveform files
+    waveform    PSK/OFDM/chirp generation, spectra
     estimators  matched filter, OMP, MUSIC, demodulation, cost accounting
-    metrics     MSE/CRLB, BER, mutual information, ambiguity, model-order
+    metrics     CRLB, BER, mutual information, ambiguity, model-order
     unified     combined sensing + communication scores
     syncnet     distributed aperture synchronization via particle BP
     harness     config-driven experiment runner

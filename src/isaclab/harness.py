@@ -569,10 +569,9 @@ def run_sync_trial(cfg: ExperimentConfig, trial: int,
         sys.stderr.write(
             f"trial {trial}: the Gauss-Newton fit failed its check: "
             f"step {fit.step:.2g} (limit {syncnet.GN_STEP_TOL:g}), "
-            f"cost/dof {fit.cost_per_dof:.3g} (limit "
-            f"{syncnet.GN_MAX_COST_PER_DOF:g})" + capped * (
-                f"; BP stopped at bp-iterations {bp.iterations} "
-                f"before its anneal reached scale 1") + "\n")
+            f"cost/dof {fit.cost_per_dof:.3g} (limit {fit.cost_limit:.3g})"
+            + capped * (f"; BP stopped at bp-iterations {bp.iterations} "
+                        f"before its anneal reached scale 1") + "\n")
     record = {"trial": trial, "seed": seed, "estimator": "bp",
               "scenario": Path(cfg.sync_file).stem, **report}
     return metric_rows(record, cfg), record

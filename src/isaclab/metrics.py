@@ -88,24 +88,6 @@ class CommReport:
 # estimation error metrics
 # ---------------------------------------------------------------------------
 
-def mse_sample(truth: ParameterVector, estimates) -> tuple[np.ndarray, float]:
-    """Sample-mean MSE matrix (1/N) sum (theta-that)(theta-that)^H and trace."""
-    estimates = list(estimates)
-    if not estimates:
-        raise ValueError("need at least one estimate")
-    for est in estimates:
-        if est.layout != truth.layout:
-            raise errors.LayoutMismatch(
-                f"estimate layout {est.layout} != truth layout {truth.layout}")
-    d = truth.values.size
-    acc = np.zeros((d, d))
-    for est in estimates:
-        e = truth.values - est.values
-        acc += np.outer(e, e)
-    acc /= len(estimates)
-    return acc, float(np.trace(acc))
-
-
 def crlb_numeric(log_likelihood, draw_data, theta0: ParameterVector,
                  mc_trials: int = 1000, step: float = 1e-5,
                  seed: int = 0) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from math import erfc, sqrt
 
 import numpy as np
 
@@ -688,12 +689,25 @@ def measurement_jacobian_rank(graph: FactorGraph, truth: dict) -> dict:
 # Gauss-Newton stops after GN_MAX_STEPS steps, or at a step that no damping
 # in _GN_DAMPING makes lower the cost. Its fit has converged when its
 # undamped step would move the whitened residuals by under GN_STEP_TOL
-# stds, and its cost per degree of freedom (about 1 in the right mode) is
-# under GN_MAX_COST_PER_DOF
+# stds, and its cost per degree of freedom is under `gn_cost_limit`: in the
+# right mode the cost is chi-square, which exceeds the limit with
+# probability GN_TAIL_PROB
 GN_MAX_STEPS = 10
 _GN_DAMPING = (0.0, 1.0, 1e2, 1e4)
 GN_STEP_TOL = 1e-3
-GN_MAX_COST_PER_DOF = 100.0
+GN_TAIL_PROB = 1e-6
+
+
+def gn_cost_limit(dof: int) -> float:
+    """Chi-square's upper GN_TAIL_PROB quantile over `dof`, per degree of
+    freedom, by Wilson-Hilferty (PNAS 1931): (X / dof)^(1/3) is nearly
+    normal with mean 1 - v and variance v, v = 2 / (9 dof)."""
+    lo, hi = 0.0, 40.0          # the normal quantile z, by bisection
+    for _ in range(60):
+        z = (lo + hi) / 2
+        lo, hi = (z, hi) if erfc(z / sqrt(2)) / 2 > GN_TAIL_PROB else (lo, z)
+    v = 2 / (9 * dof)
+    return (1 - v + z * sqrt(v)) ** 3
 
 
 @dataclass(frozen=True)
@@ -703,12 +717,12 @@ class GNFit:
     states: dict
     step: float
     cost_per_dof: float
+    cost_limit: float
     steps: int
 
     @property
     def converged(self) -> bool:
-        return (self.step < GN_STEP_TOL
-                and self.cost_per_dof < GN_MAX_COST_PER_DOF)
+        return self.step < GN_STEP_TOL and self.cost_per_dof < self.cost_limit
 
 
 def gauss_newton(graph: FactorGraph, states: dict) -> GNFit:
@@ -741,8 +755,8 @@ def gauss_newton(graph: FactorGraph, states: dict) -> GNFit:
         else:
             break
         states, r, jac, steps = trial, r_try, jac_try, steps + 1
-    return GNFit(states, step, float(r @ r) / max(r.size - jac.shape[1], 1),
-                 steps)
+    dof = max(r.size - jac.shape[1], 1)
+    return GNFit(states, step, float(r @ r) / dof, gn_cost_limit(dof), steps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,10 +94,6 @@ class Waveform:
         """Continuous-convention energy: sum |u|^2 / fs."""
         return float(np.sum(np.abs(self.samples) ** 2) / self.sample_rate)
 
-    @property
-    def power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
-
 
 @dataclass(frozen=True)
 class SpectrumProfile:
@@ -107,19 +101,6 @@ class SpectrumProfile:
 
     freqs: np.ndarray      # Hz, ascending
     psd: np.ndarray        # W/Hz, nonnegative
-
-
-@dataclass(frozen=True)
-class InformativenessReport:
-    occupied_bins: tuple[int, ...]
-    required_bins: tuple[int, ...]
-    gap_list: tuple[int, ...]
-    bin_freqs: np.ndarray
-    threshold_db: float
-
-    @property
-    def is_informative(self) -> bool:
-        return len(self.gap_list) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,148 +255,3 @@ def energy_spectral_density(u: Waveform) -> SpectrumProfile:
     """|u(f)|^2 with the continuous-transform scaling (integrates to energy)."""
     prof = spectrum_profile(u)
     return SpectrumProfile(prof.freqs, prof.psd * u.duration)
-
-
-def _spectral_support(u: Waveform):
-    """(freqs, energy-per-bin) on the natural grid of the waveform.
-
-    OFDM frames are analyzed on the subcarrier grid after CP removal, so
-    inactive subcarriers show their exact (zero) allocation instead of
-    window leakage.  Everything else uses the periodogram grid.
-    """
-    lay = u.layout
-    if lay is not None and lay.kind == "ofdm":
-        energy = (np.abs(ofdm_grid(u.samples, lay)) ** 2).sum(axis=1)
-        freqs = np.fft.fftfreq(lay.n_subcarriers, 1.0 / u.sample_rate)
-        order = np.argsort(freqs)
-        return freqs[order], energy[order], np.arange(lay.n_subcarriers)[order]
-    prof = spectrum_profile(u)
-    return prof.freqs, prof.psd.copy(), np.arange(prof.freqs.size)
-
-
-def informativeness_check(u: Waveform, dictionary, threshold_db: float = -40.0,
-                          ) -> InformativenessReport:
-    """Spectral-support coverage of the bins a dictionary distinguishes on.
-
-    A delay-Doppler dictionary separates its hypotheses on the frequency
-    support of its band; any bin inside that band carrying signal energy
-    below `threshold_db` (relative to the strongest in-band bin) is a gap,
-    i.e. a spectral region over which two candidate responses could differ
-    while the probe carries no energy to tell them apart.
-    """
-    freqs, energy, labels = _spectral_support(u)
-    lo, hi = dictionary.band
-    required = np.nonzero((freqs >= lo) & (freqs <= hi))[0]
-    if required.size == 0 or not energy[required].any():
-        return InformativenessReport((), tuple(int(labels[i]) for i in required),
-                                     tuple(int(labels[i]) for i in required),
-                                     freqs, threshold_db)
-    ref = energy[required].max()
-    thresh = ref * 10.0 ** (threshold_db / 10.0)
-    occ = required[energy[required] >= thresh]
-    gap = required[energy[required] < thresh]
-    as_labels = lambda idx: tuple(sorted(int(labels[i]) for i in idx))
-    return InformativenessReport(as_labels(occ), as_labels(required),
-                                 as_labels(gap), freqs, threshold_db)
-
-
-# ---------------------------------------------------------------------------
-# export / import
-# ---------------------------------------------------------------------------
-
-def save_waveform(u: Waveform, basepath) -> tuple[Path, Path]:
-    """Write `<base>.iq` (interleaved little-endian float64 re,im) plus a
-    `<base>.hdr` text sidecar describing rate, duration, band and layout."""
-    base = Path(basepath)
-    iq_path = base.with_suffix(".iq")
-    hdr_path = base.with_suffix(".hdr")
-    inter = np.empty(2 * len(u), np.float64)
-    inter[0::2] = u.samples.real
-    inter[1::2] = u.samples.imag
-    inter.astype("<f8").tofile(iq_path)
-    lay = u.layout
-    lay_doc = None if lay is None else {
-        **vars(lay),
-        "pilot_mask": None if lay.pilot_mask is None
-        else lay.pilot_mask.astype(int).tolist(),
-        "active_subcarriers": list(lay.active_subcarriers),
-        "data_bits": lay.data_bits.tolist()}
-    with open(hdr_path, "w", encoding="utf-8") as f:
-        f.write("format: isaclab-waveform v1\n")
-        f.write("byte-order: little-endian\n")
-        f.write(f"sample-rate: {u.sample_rate!r}\n")
-        f.write(f"duration: {u.duration!r}\n")
-        f.write(f"band: {u.band[0]!r} {u.band[1]!r}\n")
-        f.write(f"layout: {json.dumps(lay_doc)}\n")
-    return iq_path, hdr_path
-
-
-def _byte_order(text: str) -> str:
-    if text != "little-endian":
-        raise ValueError(f"the samples are little-endian, not {text!r}")
-
-
-def _band_from_text(text: str) -> tuple[float, float]:
-    lo, hi = (float(x) for x in text.split())
-    return lo, hi
-
-
-def _layout_from_json(text: str) -> ModulationLayout | None:
-    doc = json.loads(text)
-    if doc is None:
-        return None
-    if set(doc) != {f.name for f in fields(ModulationLayout)}:  # no defaults
-        raise ValueError(f"layout keys {sorted(doc)} are not its fields")
-    mask = doc["pilot_mask"]
-    return ModulationLayout(**{
-        **doc, "pilot_mask": None if mask is None else np.asarray(mask, bool),
-        "active_subcarriers": tuple(doc["active_subcarriers"]),
-        "data_bits": np.asarray(doc["data_bits"], np.uint8)})
-
-
-def load_waveform(basepath) -> Waveform:
-    """Read the pair written by `save_waveform`.  The header follows the
-    line grammar of `errors.key_value_lines` after
-    'format: isaclab-waveform v1' and holds each key `save_waveform`
-    writes once: a missing, unknown, repeated or malformed key raises
-    `ParseError` naming the key, with `path:line`, and so does a
-    `duration` that is not the `.iq` file's sample count over the rate."""
-    base = Path(basepath)
-    hdr_path = base.with_suffix(".hdr")
-    hdr = {key: (lineno, val) for lineno, key, val in errors.key_value_lines(
-        hdr_path, "format: isaclab-waveform v1",
-        ("byte-order", "sample-rate", "duration", "band", "layout"))}
-
-    def parsed(key, parse):
-        if key not in hdr:
-            raise errors.ParseError(f"{hdr_path}: missing key {key!r}")
-        lineno, val = hdr[key]
-        try:
-            return parse(val)
-        except (ValueError, TypeError, KeyError, IndexError, OverflowError,
-                errors.LayoutError) as exc:
-            raise errors.ParseError(
-                f"{hdr_path}:{lineno}: bad {key!r}: {exc}") from None
-
-    parsed("byte-order", _byte_order)
-    fs = parsed("sample-rate", errors.positive)
-    band = parsed("band", _band_from_text)
-    layout = parsed("layout", _layout_from_json)
-    iq_path = base.with_suffix(".iq")
-    try:
-        raw = np.fromfile(iq_path, dtype="<f8")
-    except OSError as exc:
-        raise errors.ParseError(f"{iq_path}: {exc}") from None
-    if raw.size % 2:
-        raise errors.ParseError(f"{iq_path}: odd number of float64 values")
-
-    def duration(text):
-        n = raw.size // 2
-        if not np.isclose(float(text), n / fs, rtol=1e-12, atol=0):
-            raise ValueError(f"{iq_path.name} holds {n} samples, "
-                             f"{n / fs!r} s at {fs!r} Hz")
-    parsed("duration", duration)
-    try:
-        return Waveform(raw[0::2] + 1j * raw[1::2], fs, band, layout)
-    except ValueError as exc:
-        raise errors.ParseError(f"{hdr_path}: {exc}") from None

@@ -1147,7 +1147,7 @@ def test_sync_reports_a_failed_fit_on_stderr(tmp_path, capsys, monkeypatch):
     assert len(rows.decode().splitlines()) == 1 + 2 * 3
     # no cost passes a limit of 0, so both fits fail the check; the rows
     # are the same
-    monkeypatch.setattr(syncnet, "GN_MAX_COST_PER_DOF", 0.0)
+    monkeypatch.setattr(syncnet, "gn_cost_limit", lambda dof: 0.0)
     assert cli.main(["sync", "--config", ini, "--out", str(out.parent)]) == 0
     err = capsys.readouterr().err.splitlines()
     assert [line.split(":")[0] for line in err] == ["trial 0", "trial 1"]
@@ -1160,7 +1160,7 @@ def test_sync_stderr_lines_come_whole_from_every_share(tmp_path, capfd,
                                                        monkeypatch):
     _cpus(monkeypatch, 2)
     ini = _sync_config(tmp_path, trials=4)
-    monkeypatch.setattr(syncnet, "GN_MAX_COST_PER_DOF", 0.0)
+    monkeypatch.setattr(syncnet, "gn_cost_limit", lambda dof: 0.0)
     assert cli.main(["sync", "--config", ini, "--workers", "2",
                      "--out", str(tmp_path / "out")]) == 0
     _no_child_left()
@@ -1176,7 +1176,7 @@ def test_sync_reports_bp_stopped_at_its_cap_on_stderr(tmp_path, capsys,
                                                      monkeypatch):
     ini = _sync_config(tmp_path, trials=2)
     # no cost passes a limit of 0, so every fit fails its check
-    monkeypatch.setattr(syncnet, "GN_MAX_COST_PER_DOF", 0.0)
+    monkeypatch.setattr(syncnet, "gn_cost_limit", lambda dof: 0.0)
     note = "; BP stopped at bp-iterations 15 before its anneal reached scale 1"
     # _SYNC_NET reaches anneal scale 1 at its 15th and last iteration, and a
     # faster anneal before it; a slower one is still at scale 440 there, so

@@ -1,14 +1,13 @@
-"""Property tests of the file loaders: a mutated scene, sync-scenario or
-waveform-header file either loads or raises a ParseError that names the
-file, a sync scenario that loads can be estimated, and a mutated INI
-config loads or raises a ParseError naming the file or a
-ValidationError."""
+"""Property tests of the file loaders: a mutated scene or sync-scenario
+file either loads or raises a ParseError that names the file, a sync
+scenario that loads can be estimated, and a mutated INI config loads or
+raises a ParseError naming the file or a ValidationError."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isaclab import errors, harness, scene, syncnet, waveform
+from isaclab import errors, harness, scene, syncnet
 
 _SCENE = b"""scene-version: 1
 label: two targets  # a comment
@@ -50,13 +49,9 @@ def _mutate(data: bytes, edits) -> bytes:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
-    u = waveform.generate_psk_frame(np.array([0, 1, 1, 0]), 1, 1e6)
-    _, hdr = waveform.save_waveform(u, d / "w")
     cases = {
         "scene": (d / "scene.txt", _SCENE, scene.load_scene),
         "sync": (d / "net.txt", _SYNC, syncnet.load_sync_scenario),
-        "hdr": (hdr, hdr.read_bytes(),
-                lambda p: waveform.load_waveform(d / "w")),
     }
     for path, valid, load in cases.values():
         path.write_bytes(valid)
@@ -65,7 +60,7 @@ def files(tmp_path_factory):
     return cases
 
 
-@given(kind=st.sampled_from(["scene", "sync", "hdr"]), edits=_EDITS)
+@given(kind=st.sampled_from(["scene", "sync"]), edits=_EDITS)
 @settings(max_examples=300, deadline=None)
 def test_mutated_files_load_or_raise_parse_error(files, kind, edits):
     path, valid, load = files[kind]

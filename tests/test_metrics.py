@@ -14,24 +14,6 @@ from isaclab import errors, metrics, scene, waveform
 # estimation error metrics
 # ---------------------------------------------------------------------------
 
-def test_mse_sample_outer_product_oracle():
-    truth = metrics.ParameterVector([1.0, -2.0], ("a", "b"))
-    ests = [metrics.ParameterVector([1.1, -2.2], ("a", "b")),
-            metrics.ParameterVector([0.9, -1.9], ("a", "b"))]
-    M, tr = metrics.mse_sample(truth, ests)
-    e1 = np.array([-0.1, 0.2])
-    e2 = np.array([0.1, -0.1])
-    expect = (np.outer(e1, e1) + np.outer(e2, e2)) / 2
-    assert np.allclose(M, expect)
-    assert tr == pytest.approx(np.trace(expect))
-
-
-def test_mse_sample_layout_mismatch():
-    truth = metrics.ParameterVector([1.0], ("a",))
-    with pytest.raises(errors.LayoutMismatch):
-        metrics.mse_sample(truth, [metrics.ParameterVector([1.0], ("b",))])
-
-
 def test_crlb_numeric_gaussian_mean():
     # N Gaussian samples of known variance: Fisher = N / sigma^2 exactly
     sigma2, n = 2.0, 16

@@ -736,9 +736,63 @@ def test_a_fit_in_the_wrong_mode_fails_the_cost_check(tmp_path, seed, cap,
     worst = max(err for _, err in report["agent_position_error"])
     if wrong:
         assert worst > 10.0
-        assert fit.cost_per_dof > sn.GN_MAX_COST_PER_DOF
+        assert fit.cost_per_dof > fit.cost_limit
     else:
         assert worst < 0.01 and fit.cost_per_dof < 3.0
+    assert fit.converged is not wrong
+
+
+@pytest.mark.parametrize("dof, exact", [
+    (1, 23.928126976934827), (2, 13.815510557964274),
+    (5, 7.177637375934573), (26, 2.905669436627101),
+    (52, 2.22189931070091), (1000, 1.2271524211875755)])
+def test_gn_cost_limit_is_the_chi_square_quantile(dof, exact):
+    # exact: scipy.stats.chi2.isf(1e-6, dof) / dof. Wilson-Hilferty is high
+    # at few dof, so it errs towards passing a fit, and within 1 % from the
+    # demos' 26 dof up
+    assert sn.GN_TAIL_PROB == 1e-6
+    assert sn.gn_cost_limit(dof) >= exact
+    if dof >= 26:
+        assert sn.gn_cost_limit(dof) == pytest.approx(exact, rel=0.01)
+
+
+# the spatio-temporal demo's network with carrier phase and no angles: the
+# phase likelihood has a mode every half wavelength (15 cm at 1 GHz) of
+# range, and BP's particles hand Gauss-Newton whichever one they found
+_CARRIER = """sync-version: 1
+components: position time_offset cpo
+scene-box: 0 100 0 100
+aperture: 0 anchor 0 0 0 0 0
+aperture: 1 anchor 100 0 0 0 0
+aperture: 2 anchor 0 100 0 0 0
+aperture: 3 anchor 100 100 0 0 0
+aperture: 4 agent 37 61 0 1.5e-7 1.0
+aperture: 5 agent 70 30 0 -2e-7 -2.0
+measure: all
+noise: delay 1e-10
+noise: phase 0.05
+bp-particles: 1500
+bp-iterations: 40
+anneal-start: 1e6
+anneal-decay: 0.4
+"""
+
+
+@pytest.mark.parametrize("seed, wrong", [(1, False), (4, True)])
+def test_a_fit_a_carrier_cycle_off_fails_the_cost_check(tmp_path, seed,
+                                                         wrong):
+    (tmp_path / "cp.sync").write_text(_CARRIER)
+    scn = sn.load_sync_scenario(tmp_path / "cp.sync")
+    fit, _, report = sn.run_sync_scenario(scn, seed)
+    assert fit.step < sn.GN_STEP_TOL
+    worst = max(err for _, err in report["agent_position_error"])
+    if wrong:
+        # the wrapped phase residual is bounded, so the wrong cycle costs
+        # less than a fixed limit of 100 and more than the chi-square one
+        assert worst > 0.1
+        assert fit.cost_limit < fit.cost_per_dof < 100.0
+    else:
+        assert worst < 0.01
     assert fit.converged is not wrong
 
 
