@@ -26,7 +26,7 @@ class LengthError(ToolkitError):
 
 
 class LayoutError(ToolkitError):
-    """Inconsistent modulation layout (pilot mask, active set, bit count)."""
+    """Inconsistent modulation layout (active set, bit count)."""
 
 
 class ZeroSignalError(ToolkitError):

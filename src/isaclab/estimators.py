@@ -427,15 +427,14 @@ def _signal_subspace(apply_R, dim: int, trace: float, order: int):
 
 
 def music_estimate(obs, order: int, delay_grid, doppler_grid,
-                   freq_step: float, time_step: float = 1.0,
-                   window: tuple[int, int] | None = None) -> EstimateReport:
+                   freq_step: float, time_step: float = 1.0) -> EstimateReport:
     """Subspace estimation of delay/Doppler exponentials.
 
     obs is the channel-domain observation G[m, l] (frequency bins x slow
     time) whose entries follow sum_p h_p e^{j2pi m*freq_step tau_p}
     e^{j2pi l*time_step nu_p}; a 1-D vector is treated as (M, 1).
-    Snapshots come from 2-D spatial smoothing over sliding windows of
-    shape `window` (default: about half of each axis extent).
+    Snapshots come from 2-D spatial smoothing over sliding (mw, lw)
+    windows, max(min(M, order + 1), ceil(M / 2)) by ceil(L / 2).
 
     The covariance R = snaps snaps^H / n_snap is not formed: the signal
     subspace E_s comes from block Lanczos in `_signal_subspace`, which
@@ -464,17 +463,11 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     M, L = G.shape
     if order < 1:
         raise errors.OrderError("model order must be >= 1")
-    if window is None:
-        mw = max(min(M, order + 1), (M + 1) // 2)
-        lw = max(min(L, 1), (L + 1) // 2)
-        window = (mw, lw)
-    mw, lw = window
+    mw, lw = max(min(M, order + 1), (M + 1) // 2), (L + 1) // 2
     dim = mw * lw
     if order >= dim:
         raise errors.OrderError(f"order {order} >= covariance dimension {dim}")
     n_snap = (M - mw + 1) * (L - lw + 1)
-    if n_snap < 1:
-        raise errors.OrderError("smoothing window larger than the data")
 
     delay_grid = np.asarray(delay_grid, float)
     doppler_grid = np.asarray(doppler_grid, float)
@@ -593,9 +586,7 @@ def demodulate(rx: ReceivedSignal, u: Waveform,
     eq = grid / H[:, None]
     active = np.zeros(n_sc, bool)
     active[list(lay.active_subcarriers)] = True
-    data_cells = active[:, None] & ~lay.pilot_mask
-    data_syms = eq.T[data_cells.T]
-    return slice_psk(data_syms, lay.bits_per_symbol)
+    return slice_psk(eq.T[:, active].reshape(-1), lay.bits_per_symbol)
 
 
 # ---------------------------------------------------------------------------

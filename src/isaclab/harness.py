@@ -304,7 +304,7 @@ def load_config(path, overrides=None) -> ExperimentConfig:
                         f"kind = music cannot resolve Doppler, use "
                         f"doppler-bins = 1")
     # MUSIC's covariance dimension is the probe length when `order` reaches
-    # it (see music_estimate's default window), and must exceed `order`
+    # it (see music_estimate's smoothing window), and must exceed `order`
     samples = _probe_samples(cfg)
     if cfg.est_kind == "music" and 0 < samples <= cfg.order:
         problems.append(f"[estimator] order = {cfg.order} must be below the "

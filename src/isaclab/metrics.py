@@ -153,9 +153,9 @@ def ber_theoretical_bpsk(eb_over_n0: float) -> float:
 # information metrics
 # ---------------------------------------------------------------------------
 
-def mutual_information(p: JointPMF | np.ndarray) -> float:
+def mutual_information(p: JointPMF) -> float:
     """I(X;Y) in nats, with 0*log(0/...) treated as 0."""
-    pxy = p.pmf if isinstance(p, JointPMF) else JointPMF(p).pmf
+    pxy = p.pmf
     px = pxy.sum(axis=1)
     py = pxy.sum(axis=0)
     mask = pxy > 0
@@ -226,46 +226,33 @@ def _common_band(u: Waveform, prior: SensingPrior, noise: NoiseModel, n):
             np.interp(freqs, noise.freqs, noise.psd, left=0.0, right=0.0))
 
 
-def conditional_mi(u: Waveform, prior: SensingPrior, noise: NoiseModel,
-                   duration: float | None = None) -> float:
-    """Conditional sensing MI of a waveform under a Gaussian target prior;
-    0 when the waveform, prior and noise bands share no interval."""
-    T = u.duration if duration is None else duration
+def conditional_mi(u: Waveform, prior: SensingPrior,
+                   noise: NoiseModel) -> float:
+    """Conditional sensing MI of a waveform over its own duration under a
+    Gaussian target prior; 0 when the waveform, prior and noise bands share
+    no interval."""
     freqs, sg2, pnn = _common_band(
         u, prior, noise, max(prior.spectral_variance.size, noise.psd.size, 256))
     prof = energy_spectral_density(u)
     esd = np.interp(freqs, prof.freqs, prof.psd, left=0.0, right=0.0)
-    return conditional_mi_spectra(esd, sg2, pnn, freqs, T)
+    return conditional_mi_spectra(esd, sg2, pnn, freqs, u.duration)
 
 
 # ---------------------------------------------------------------------------
 # ambiguity function
 # ---------------------------------------------------------------------------
 
-def ambiguity(u: Waveform, delay_grid=None, doppler_grid=None) -> AmbiguityMap:
+def ambiguity(u: Waveform, doppler_grid=None) -> AmbiguityMap:
     """|integral u(t) e^{j2pi nu t} u*(t - tau) dt| on a (nu, tau) grid.
 
-    Delays are taken on the sample grid (values snapped to the nearest
-    sample; GridError if off-grid by more than 1e-6 of a sample period).
-    An empty grid or a non-finite delay or Doppler value is a GridError too.
-    FFT-accelerated over the delay axis.
+    Delays are every sample lag, -(n - 1) to n - 1 sample periods; Doppler
+    values default to 0 Hz.  An empty Doppler grid, a non-finite value or
+    one beyond +-fs/2 is a GridError.  FFT-accelerated over the delay axis.
     """
     fs = u.sample_rate
     n = len(u)
     dt = 1.0 / fs
-    if delay_grid is None:
-        delay_grid = np.arange(-(n - 1), n) * dt
-    delay_grid = np.asarray(delay_grid, float)
-    if not delay_grid.size:
-        raise errors.GridError("delay grid is empty")
-    if not np.isfinite(delay_grid).all():
-        raise errors.GridError("delay grid has a non-finite value")
-    lags_f = delay_grid * fs
-    lags = np.round(lags_f).astype(int)
-    if np.max(np.abs(lags_f - lags)) > 1e-6:
-        raise errors.GridError("delay grid not on the sample grid")
-    if np.max(np.abs(lags)) > n - 1:
-        raise errors.GridError("delay grid beyond the waveform support")
+    lags = np.arange(-(n - 1), n)
     if doppler_grid is None:
         doppler_grid = np.array([0.0])
     doppler_grid = np.asarray(doppler_grid, float)
@@ -279,13 +266,13 @@ def ambiguity(u: Waveform, delay_grid=None, doppler_grid=None) -> AmbiguityMap:
     nfft = 2 * n
     t = np.arange(n) * dt
     cu = np.conj(np.fft.fft(u.samples, nfft))
-    out = np.empty((doppler_grid.size, delay_grid.size))
+    out = np.empty((doppler_grid.size, lags.size))
     for i, nu in enumerate(doppler_grid):
         v = u.samples * np.exp(2j * np.pi * nu * t)
         corr = np.fft.ifft(np.fft.fft(v, nfft) * cu)   # corr[l] = sum v[n] u*[n-l]
         vals = corr[lags % nfft] * dt
         out[i] = np.abs(vals)
-    return AmbiguityMap(out, doppler_grid, delay_grid)
+    return AmbiguityMap(out, doppler_grid, lags * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +303,15 @@ def fpe(y, y_hat, model_dim: int) -> float:
     return float(ratio * np.mean((y - y_hat) ** 2))
 
 
-def cost_criterion(y, y_hat, penalty: float, loss: str = "squared") -> float:
-    """(1 + U_N) * mean of the chosen residual loss."""
+def cost_criterion(y, y_hat, penalty: float) -> float:
+    """(1 + U_N) * mean squared residual."""
     y = np.asarray(y, float)
     y_hat = np.asarray(y_hat, float)
     if y.size != y_hat.size:
         raise ValueError("length mismatch")
     if penalty < 0:
         raise ValueError("penalty must be >= 0")
-    r = y - y_hat
-    if loss == "squared":
-        base = np.mean(r ** 2)
-    elif loss == "absolute":
-        base = np.mean(np.abs(r))
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
-    return float((1.0 + penalty) * base)
+    return float((1.0 + penalty) * np.mean((y - y_hat) ** 2))
 
 
 def nats_to_bits(x: float) -> float:

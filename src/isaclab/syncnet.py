@@ -204,21 +204,15 @@ class PointPrior:
 
 
 class GaussianPrior:
-    def __init__(self, mean, std, circular_mask=None):
+    def __init__(self, mean, std):
         self.mean = np.asarray(mean, float)
         self.std = np.broadcast_to(np.asarray(std, float), self.mean.shape).copy()
-        self.circular_mask = (np.zeros(self.mean.size, bool)
-                              if circular_mask is None else circular_mask)
 
     def sample(self, n, rng):
-        x = self.mean + self.std * rng.standard_normal((n, self.mean.size))
-        x[:, self.circular_mask] = wrap_angle(x[:, self.circular_mask])
-        return x
+        return self.mean + self.std * rng.standard_normal((n, self.mean.size))
 
     def logpdf(self, x):
-        d = x - self.mean
-        d[:, self.circular_mask] = wrap_angle(d[:, self.circular_mask])
-        return -0.5 * np.sum((d / self.std) ** 2, axis=1)
+        return -0.5 * np.sum(((x - self.mean) / self.std) ** 2, axis=1)
 
 
 class UniformPrior:
@@ -797,14 +791,15 @@ def load_sync_scenario(path) -> SyncScenario:
         bp-particles/bp-iterations: <value>
         anneal-start/anneal-decay: <value>
 
-    Only `aperture`, `measure` and `noise` may repeat. An enabled
-    observable must read each declared component: time_offset needs delay,
-    orientation aoa, and cpo phase. There must be an anchor, measured pairs
-    chaining every agent to one, and each agent's true state inside its
-    prior: uniform over the scene box, every angle and +-1 us of time
-    offset (an anchor's is a point mass at its state). Each defect is a
-    ParseError at its line, an agent's at its `aperture:` line; a file
-    with no anchor has no one line to blame.
+    Only `aperture`, `measure` and `noise` may repeat. Position must be
+    a component, an enabled observable must read each other one
+    (time_offset needs delay, orientation aoa, and cpo phase), and every
+    aperture must hold 0 in each undeclared one, which the model reads as
+    0. There must be an anchor, measured pairs chaining every agent to one,
+    and each agent's true state inside its prior: uniform over the scene
+    box, every angle and +-1 us of time offset (an anchor's is a point mass
+    at its state). Each defect is a ParseError at its line, an agent's at
+    its `aperture:` line; a file with no anchor has no one line to blame.
     """
     space = StateSpace()
     carrier = 1e9
@@ -824,6 +819,8 @@ def load_sync_scenario(path) -> SyncScenario:
         try:
             if key == "components":
                 space, components_at = StateSpace(rest.split()), lineno
+                if "position" not in space.components:
+                    raise ValueError("components must include position")
             elif key == "carrier-freq":
                 carrier = errors.positive(rest)
             elif key == "scene-box":
@@ -881,6 +878,12 @@ def load_sync_scenario(path) -> SyncScenario:
             raise errors.ParseError(
                 f"{path}:{components_at}: no observable reads component {c}; "
                 f"it needs a 'noise: {_READ_BY[c]}' line")
+    for j, (lineno, _, state) in apertures.items():
+        for c in _READ_BY:
+            if c not in space.components and getattr(state, c) != 0:
+                raise errors.ParseError(
+                    f"{path}:{lineno}: aperture {j} has {c} "
+                    f"{getattr(state, c)!r}, but no {c} component is declared")
     for (j, jp), lineno in measures.items():
         if not {j, jp} <= apertures.keys():
             raise errors.ParseError(f"{path}:{lineno}: pair {j} {jp} names "

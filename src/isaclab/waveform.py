@@ -20,16 +20,15 @@ class ModulationLayout:
     """Describes how bits are mapped onto the waveform resource grid.
 
     kind is one of 'single-carrier-psk', 'ofdm', 'chirp'.  For OFDM the grid
-    is (n_subcarriers x n_symbols); pilot_mask marks pilot cells and must be
-    contained in the active subcarrier rows.  data_bits are laid out
-    subcarrier-major within each symbol, symbols in time order.
+    is (n_subcarriers x n_symbols) and every cell of an active subcarrier
+    carries data.  data_bits are laid out subcarrier-major within each
+    symbol, symbols in time order.
     """
 
     kind: str
     bits_per_symbol: int = 1
     n_subcarriers: int = 0
     n_symbols: int = 0
-    pilot_mask: np.ndarray | None = None          # bool (n_sc, n_sym)
     active_subcarriers: tuple[int, ...] = ()
     data_bits: np.ndarray = field(default_factory=lambda: np.zeros(0, np.uint8))
     oversampling: int = 1
@@ -46,19 +45,7 @@ class ModulationLayout:
                 raise errors.LayoutError(
                     f"active subcarriers {active_idx} are not distinct "
                     f"indices in [0, {self.n_subcarriers})")
-            mask = self.pilot_mask
-            if mask is None:
-                mask = np.zeros((self.n_subcarriers, self.n_symbols), bool)
-                object.__setattr__(self, "pilot_mask", mask)
-            if mask.shape != (self.n_subcarriers, self.n_symbols):
-                raise errors.LayoutError(
-                    f"pilot mask shape {mask.shape} != grid "
-                    f"({self.n_subcarriers}, {self.n_symbols})")
-            active = np.zeros(self.n_subcarriers, bool)
-            active[list(self.active_subcarriers)] = True
-            if mask[~active].any():
-                raise errors.LayoutError("pilot cells on inactive subcarriers")
-            n_data = int(active.sum() * self.n_symbols - mask.sum())
+            n_data = len(active_idx) * self.n_symbols
             if n_data * self.bits_per_symbol != self.data_bits.size:
                 raise errors.LayoutError(
                     f"{n_data} data cells x {self.bits_per_symbol} bits != "
@@ -137,22 +124,6 @@ def slice_psk(symbols: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def pilot_sequence(n: int) -> np.ndarray:
-    """Fixed QPSK pilot sequence from a 16-bit Fibonacci LFSR.
-
-    Polynomial x^16 + x^14 + x^13 + x^11 + 1, seed 0xACE1; two output bits
-    per QPSK pilot symbol.  Fully deterministic and documented so receivers
-    can regenerate it.
-    """
-    state = 0xACE1
-    bits = np.empty(2 * n, np.uint8)
-    for i in range(2 * n):
-        bit = ((state >> 0) ^ (state >> 2) ^ (state >> 3) ^ (state >> 5)) & 1
-        state = (state >> 1) | (bit << 15)
-        bits[i] = state & 1
-    return map_psk(bits, 2)
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -175,8 +146,8 @@ def generate_ofdm(layout: ModulationLayout, sample_rate: float,
     """Inverse-DFT OFDM synthesis with cyclic prefix.
 
     Subcarrier k occupies DFT bin k (frequency k*fs/n_sc, aliased to the
-    baseband interval).  Pilot cells are filled from pilot_sequence; data
-    cells from Gray-mapped PSK symbols of layout.data_bits.
+    baseband interval).  Every active cell carries a Gray-mapped PSK symbol
+    of layout.data_bits.
     """
     if layout.kind != "ofdm":
         raise errors.LayoutError("layout kind must be 'ofdm'")
@@ -187,14 +158,10 @@ def generate_ofdm(layout: ModulationLayout, sample_rate: float,
     active[list(layout.active_subcarriers)] = True
 
     grid = np.zeros((n_sc, n_sym), np.complex128)
-    pilots = layout.pilot_mask
-    n_pilots = int(pilots.sum())
-    grid[pilots] = pilot_sequence(n_pilots)
-    data_cells = active[:, None] & ~pilots
-    data_syms = map_psk(layout.data_bits, layout.bits_per_symbol)
+    syms = map_psk(layout.data_bits, layout.bits_per_symbol)
     # column-major fill would scatter across symbols; fill symbol by symbol,
     # subcarrier-major, to match the demodulator traversal
-    grid.T[data_cells.T] = data_syms
+    grid.T[:, active] = syms.reshape(n_sym, active.sum())
 
     time_syms = np.fft.ifft(grid, axis=0) * np.sqrt(n_sc)
     with_cp = np.concatenate([time_syms[n_sc - cp_length:], time_syms])
@@ -233,10 +200,9 @@ def generate_chirp(bandwidth: float, duration: float,
 # signal criteria
 # ---------------------------------------------------------------------------
 
-def papr(u: Waveform | np.ndarray) -> float:
+def papr(u: Waveform) -> float:
     """Peak-to-average power ratio max|u|^2 / mean|u|^2 (linear)."""
-    x = u.samples if isinstance(u, Waveform) else np.asarray(u)
-    p = np.abs(x) ** 2
+    p = np.abs(u.samples) ** 2
     if not p.any():
         raise errors.ZeroSignalError("PAPR of an all-zero signal")
     return float(p.max() / p.mean())

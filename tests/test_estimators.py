@@ -413,11 +413,12 @@ def test_music_two_targets():
 def test_music_pseudospectrum_matches_per_cell_projection():
     targets = [scene.Target(0.8 + 0.3j, 3.2e-6, 150.0),
                scene.Target(0.5 - 0.2j, 7.2e-6, -75.0)]
-    G = _dd_observation(targets, snr_db=20, seed=6)
+    # 20 x 16 bins, so MUSIC's smoothing window is 10 x 8
+    G = _dd_observation(targets, M=20, snr_db=20, seed=6)
     delays = np.arange(0, 10e-6, 0.4e-6)
     dopplers = np.arange(-200.0, 201.0, 25.0)
     rep = estimators.music_estimate(G, 2, delays, dopplers, freq_step=25e3,
-                                    time_step=1e-3, window=(10, 8))
+                                    time_step=1e-3)
     # reference: one steering vector and one noise-subspace projection per
     # cell, from the eigenvectors of the same smoothed covariance
     M, L = G.shape
@@ -452,18 +453,19 @@ def test_music_order_validation():
         estimators.music_estimate(G, 0, np.array([0.0]), np.array([0.0]),
                                   freq_step=25e3)
     with pytest.raises(errors.OrderError):
+        # a 3-bin observation gives a 3 x 3 covariance
         estimators.music_estimate(np.ones(3, complex), 9,
                                   np.array([0.0]), np.array([0.0]),
-                                  freq_step=25e3, window=(3, 1))
+                                  freq_step=25e3)
 
 
-def _music_full_eigh(G, order, delays, dopplers, freq_step, time_step=1.0,
-                     window=None):
+def _music_full_eigh(G, order, delays, dopplers, freq_step, time_step=1.0):
     """MUSIC's pseudospectrum as computed before the subspace iteration:
-    looped snapshots, a full `eigh` and the noise-subspace GEMM."""
+    looped snapshots, a full `eigh` and the noise-subspace GEMM, on a
+    window of half of each axis (MUSIC's own when order < M / 2)."""
     G = G.reshape(G.shape[0], -1)
     M, L = G.shape
-    mw, lw = window or ((M + 1) // 2, (L + 1) // 2)
+    mw, lw = (M + 1) // 2, (L + 1) // 2
     dim = mw * lw
     snaps = np.empty((dim, (M - mw + 1) * (L - lw + 1)), np.complex128)
     k = 0
@@ -560,13 +562,13 @@ def test_music_signal_subspace_matches_full_eigh_on_chirp_trials(
 def test_music_signal_subspace_matches_full_eigh_on_2d_windows(snr_db, seed):
     targets = [scene.Target(0.8 + 0.3j, 3.2e-6, 150.0),
                scene.Target(0.5 - 0.2j, 7.2e-6, -75.0)]
-    G = _dd_observation(targets, snr_db=snr_db, seed=seed)
+    # 24 x 18 bins, so MUSIC's smoothing window is 12 x 9
+    G = _dd_observation(targets, M=24, L=18, snr_db=snr_db, seed=seed)
     delays = np.arange(0, 10e-6, 0.4e-6)
     dopplers = np.arange(-200.0, 201.0, 25.0)
     rep = estimators.music_estimate(G, 2, delays, dopplers, freq_step=25e3,
-                                    time_step=1e-3, window=(12, 9))
-    ref, evals, _ = _music_full_eigh(G, 2, delays, dopplers, 25e3, 1e-3,
-                                     window=(12, 9))
+                                    time_step=1e-3)
+    ref, evals, _ = _music_full_eigh(G, 2, delays, dopplers, 25e3, 1e-3)
     assert not rep.diagnostics["eigh_fallback"]
     np.testing.assert_allclose(rep.diagnostics["pseudospectrum"], ref,
                                rtol=1e-10)
@@ -581,11 +583,12 @@ def test_music_fallback_is_the_full_eigh_bit_for_bit(tmp_path, monkeypatch,
         obs, order, delays, dopplers, kw, _ = _chirp_music_trial(
             tmp_path, monkeypatch, 20)
     else:
+        # 20 x 16 bins, so MUSIC's smoothing window is 10 x 8
         obs = _dd_observation([scene.Target(0.8 + 0.3j, 3.2e-6, 150.0)],
-                              snr_db=20, seed=4)
+                              M=20, snr_db=20, seed=4)
         order, delays, dopplers = 1, np.arange(0, 10e-6, 0.4e-6), \
             np.arange(-200.0, 201.0, 25.0)
-        kw = {"freq_step": 25e3, "time_step": 1e-3, "window": (10, 8)}
+        kw = {"freq_step": 25e3, "time_step": 1e-3}
     monkeypatch.setattr(estimators, "SUBSPACE_MAX_ITER", 1)
     rep = estimators.music_estimate(obs, order, delays, dopplers, **kw)
     ref, evals, R = _music_full_eigh(obs, order, delays, dopplers, **kw)
@@ -711,6 +714,28 @@ def test_music_call_stays_under_3_mib(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert not rep.diagnostics["eigh_fallback"]
     assert peak < 3 * 2 ** 20
+
+
+def test_signal_subspace_rejects_a_basis_short_of_the_trace():
+    # R = U M U^H, U's first two columns the iteration's fixed start block.
+    # M couples 0 to nothing and 1, 2, ..., 14 in a chain, and holds its
+    # largest eigenvalue, 100, on 15 alone: 15 is outside the start
+    # block's Krylov space. R times the block adds one direction only, so
+    # the second block loses rank, and the basis of three misses trace(R)
+    dim, order = 16, 2
+    rng = np.random.default_rng(0)
+    start, _ = np.linalg.qr(rng.standard_normal((dim, order))
+                            + 1j * rng.standard_normal((dim, order)))
+    U, _ = np.linalg.qr(np.hstack([start, rng.standard_normal(
+        (dim, dim - order))]))
+    M = np.diag(np.r_[1.0:16.0, 100.0])
+    for k in range(1, 14):
+        M[k, k + 1] = M[k + 1, k] = 0.5
+    R = U @ M @ U.conj().T
+    assert np.allclose(U[:, :order] @ (U[:, :order].conj().T @ start), start)
+    steps, found = estimators._signal_subspace(
+        lambda X: R @ X, dim, float(np.trace(M)), order)
+    assert (steps, found) == (2, None)
 
 
 def test_music_reports_its_subspace_steps(tmp_path, monkeypatch):

@@ -213,6 +213,49 @@ def test_cli_metrics_reproduces_simulate_bytes(tmp_path, probe):
                for line in lines)
 
 
+_NO_ESTIMATOR = _config_text(
+    trials=2, metrics="ber, w_cost, estimator_j",
+    probe="[waveform]\nkind = psk\nbits = 64\n\n[estimator]\nkind = none\n",
+    experiment="store-reports = true\n")
+
+_DIRECT_LINK = """[experiment]
+schema-version = 1
+trials = 2
+master-seed = 5
+store-reports = true
+
+[noise]
+ebn0-db = 20
+
+""" + _PSK_OMP + """
+[metrics]
+list = ber, delay_rmse, w_cost
+"""
+
+
+@pytest.mark.parametrize("text, written", [
+    (_NO_ESTIMATOR, ["ber"]),
+    (_DIRECT_LINK, ["ber", "w_cost"]),
+], ids=["no-estimator", "direct-link"])
+def test_a_listed_metric_that_does_not_apply_writes_no_row(tmp_path, text,
+                                                            written):
+    # no estimator ran, so no cost or target estimate exists for w_cost
+    # and estimator_j; the direct link has no target for delay_rmse to
+    # pair with an estimate
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(text)
+    ini = str(tmp_path / "exp.ini")
+    assert cli.main(["simulate", "--config", ini,
+                     "--out", str(tmp_path / "sim")]) == 0
+    assert cli.main(["metrics", "--config", ini,
+                     "--reports", str(tmp_path / "sim" / "reports"),
+                     "--out", str(tmp_path / "re")]) == 0
+    sim = (tmp_path / "sim" / "rows.csv").read_bytes()
+    assert sim == (tmp_path / "re" / "rows.csv").read_bytes()
+    metrics = [line.split(",")[3] for line in sim.decode().splitlines()[1:]]
+    assert metrics == written * 2
+
+
 def test_recompute_missing_input_is_validation_error(tmp_path, capsys):
     _write_scene(tmp_path / "scene.txt")
     (tmp_path / "stored.ini").write_text(_config_text(trials=1,

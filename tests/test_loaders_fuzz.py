@@ -75,16 +75,22 @@ def test_mutated_files_load_or_raise_parse_error(files, kind, edits):
 
 
 def _assert_estimable(scn):
-    """A loaded sync scenario can be estimated: an enabled observable
-    reads every declared component, an anchor fixes the frame, measured
-    pairs chain every agent to one, every true state is finite, and each
-    agent's prior holds its true state."""
+    """A loaded sync scenario can be estimated: position is a component,
+    an enabled observable reads every declared component, every true state
+    is 0 in each undeclared one, an anchor fixes the frame, measured pairs
+    chain every agent to one, every true state is finite, and each agent's
+    prior holds its true state."""
     noise = scn.noise
     read = {"position"} | {c for c, std in (("time_offset", noise.delay_std),
                                             ("orientation", noise.aoa_std),
                                             ("cpo", noise.phase_std))
                            if std is not None}
+    assert "position" in scn.space.components
     assert set(scn.space.components) <= read
+    for state in scn.true_states.values():
+        for c in {"orientation", "time_offset", "cpo"} - set(
+                scn.space.components):
+            assert getattr(state, c) == 0
     top = scn.topology
     assert top.anchors and top.unanchored == ()
     full = syncnet.StateSpace(("position", "orientation", "time_offset",

@@ -244,6 +244,23 @@ def test_scene_file_errors(tmp_path):
     assert len(scn) == 0
 
 
+def test_scene_file_duplicate_target_is_a_parse_error(tmp_path):
+    # two targets in one (tau, nu) cell are one unidentifiable target; the
+    # check is the scene's, after every line, so the error names the file
+    p = tmp_path / "scene.txt"
+    p.write_text("scene-version: 1\ntarget: 1 0 3e-06 0\n"
+                 "target: 0.5 0 3e-06 0\n")
+    with pytest.raises(errors.ParseError,
+                       match=r"scene\.txt: degenerate scene: duplicate"):
+        scene.load_scene(p)
+    (tmp_path / "exp.ini").write_text(
+        "[experiment]\nschema-version = 1\n\n[scene]\nfile = scene.txt\n\n"
+        "[waveform]\nkind = chirp\n")
+    assert cli.main(["simulate", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "rows.csv").exists()
+
+
 @pytest.mark.parametrize("lines, match", [
     ("label: a\nlabel: b", r"scene\.txt:3: key 'label' repeats line 2"),
     ("clutter: 0 0 0 0 0 0\nclutter: 1 0 0 0 0 0",

@@ -742,6 +742,28 @@ def test_a_fit_in_the_wrong_mode_fails_the_cost_check(tmp_path, seed, cap,
     assert fit.converged is not wrong
 
 
+def test_a_fit_no_damping_improves_keeps_its_start(monkeypatch):
+    # a Jacobian of the wrong sign points every damped step uphill: the
+    # fit tries each damping once, takes no step and keeps its start
+    graph = _mesh_graph()
+    start = {j: sn.ApertureState(j, graph.priors[j].vec) for j in range(4)}
+    start[4] = sn.ApertureState(4, [38.0, 60.0])
+    assert sn.gauss_newton(graph, start).steps >= 1
+    calls = []
+    real = sn._linearize
+
+    def uphill(graph, states):
+        calls.append(states)
+        r, jac = real(graph, states)
+        return r, -jac
+
+    monkeypatch.setattr(sn, "_linearize", uphill)
+    fit = sn.gauss_newton(graph, start)
+    assert fit.steps == 0 and fit.states is start
+    assert len(calls) == 1 + len(sn._GN_DAMPING)
+    assert fit.step >= sn.GN_STEP_TOL and not fit.converged
+
+
 @pytest.mark.parametrize("dof, exact", [
     (1, 23.928126976934827), (2, 13.815510557964274),
     (5, 7.177637375934573), (26, 2.905669436627101),
@@ -984,6 +1006,21 @@ _LINE5_NOISE = {"components: position time_offset": "aoa 0.02"}
     ("components: position time_offset cpo",
      r"net\.txt:6: no observable reads component cpo; it needs a "
      r"'noise: phase' line"),
+    # every observable reads position, so a model without it reads every
+    # aperture at the origin
+    ("components: time_offset",
+     r"net\.txt:6: components must include position"),
+    # a true state the model cannot represent: it reads 0 in an undeclared
+    # component, while the measurements carry the file's value
+    ("aperture: 2 agent 9 9 0 3e-08 0",
+     r"net\.txt:6: aperture 2 has time_offset 3e-08, but no time_offset "
+     r"component is declared"),
+    ("aperture: 2 anchor 9 9 0.5 0 0",
+     r"net\.txt:6: aperture 2 has orientation 0\.5, but no orientation "
+     r"component is declared"),
+    ("aperture: 2 agent 9 9 0 0 -0.25",
+     r"net\.txt:6: aperture 2 has cpo -0\.25, but no cpo component is "
+     r"declared"),
 ])
 def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
                                                         match):
@@ -1000,6 +1037,7 @@ def test_sync_scenario_semantic_errors_are_parse_errors(tmp_path, line,
                                       "[sync]\nfile = net.txt\n")
     assert cli.main(["sync", "--config", str(tmp_path / "exp.ini"),
                      "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "rows.csv").exists()
 
 
 def _assert_sync_input_error(tmp_path, match):

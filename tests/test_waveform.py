@@ -34,23 +34,6 @@ def test_map_psk_length_errors():
         waveform.map_psk(np.array([0, 1]), 3)
 
 
-def test_pilot_sequence_deterministic_qpsk():
-    p1 = waveform.pilot_sequence(32)
-    p2 = waveform.pilot_sequence(32)
-    assert np.array_equal(p1, p2)
-    assert np.allclose(np.abs(p1), 1.0)
-    # prefix property: a longer sequence starts with the shorter one
-    assert np.array_equal(waveform.pilot_sequence(64)[:32], p1)
-    # LFSR oracle: replay the shift register by hand
-    state = 0xACE1
-    bits = []
-    for _ in range(8):
-        bit = ((state >> 0) ^ (state >> 2) ^ (state >> 3) ^ (state >> 5)) & 1
-        state = (state >> 1) | (bit << 15)
-        bits.append(state & 1)
-    assert np.allclose(p1[:4], waveform.map_psk(np.array(bits), 2))
-
-
 def test_psk_frame_shape_and_energy():
     bits = np.array([0, 1, 0, 0], np.uint8)
     u = waveform.generate_psk_frame(bits, 1, 1e6, oversampling=4)
@@ -61,7 +44,7 @@ def test_psk_frame_shape_and_energy():
 
 
 def test_ofdm_grid_oracle():
-    # one symbol, all subcarriers active, no pilots: the time samples must be
+    # one symbol, all subcarriers active: the time samples must be
     # the IDFT of the PSK symbols scaled by sqrt(n_sc), CP = last cp samples
     n_sc, cp = 8, 2
     rng = np.random.default_rng(1)
@@ -79,22 +62,20 @@ def test_ofdm_grid_oracle():
     assert np.mean(np.abs(body) ** 2) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_ofdm_pilots_and_data_layout():
+def test_ofdm_data_layout():
+    # subcarrier 0 inactive: it stays empty, and the data fill is
+    # subcarrier-major over the active ones within each symbol
     n_sc, n_sym = 4, 2
-    pilots = np.zeros((n_sc, n_sym), bool)
-    pilots[0, :] = True
-    bits = np.arange(6) % 2
+    bits = (np.arange(6) % 2).astype(np.uint8)
     lay = waveform.ModulationLayout(kind="ofdm", bits_per_symbol=1,
                                     n_subcarriers=n_sc, n_symbols=n_sym,
-                                    pilot_mask=pilots,
-                                    active_subcarriers=(0, 1, 2, 3),
-                                    data_bits=bits.astype(np.uint8))
+                                    active_subcarriers=(1, 2, 3),
+                                    data_bits=bits)
     u = waveform.generate_ofdm(lay, 1e6, 0)
     grid = np.fft.fft(u.samples.reshape(n_sc, n_sym, order="F"),
                       axis=0) / np.sqrt(n_sc)
-    assert np.allclose(grid[0, :], waveform.pilot_sequence(2))
-    # data fill is subcarrier-major within each symbol
-    syms = waveform.map_psk(bits.astype(np.uint8), 1)
+    assert np.allclose(grid[0, :], 0.0)
+    syms = waveform.map_psk(bits, 1)
     assert np.allclose(grid[1:, 0], syms[:3])
     assert np.allclose(grid[1:, 1], syms[3:])
 
@@ -109,12 +90,6 @@ def test_ofdm_layout_validation():
         waveform.ModulationLayout(kind="ofdm", n_subcarriers=4, n_symbols=1,
                                   active_subcarriers=(0, 1),
                                   data_bits=np.zeros(3, np.uint8))
-    pilots = np.zeros((4, 1), bool)
-    pilots[3, 0] = True       # pilot on an inactive subcarrier
-    with pytest.raises(errors.LayoutError):
-        waveform.ModulationLayout(kind="ofdm", n_subcarriers=4, n_symbols=1,
-                                  pilot_mask=pilots, active_subcarriers=(0, 1),
-                                  data_bits=np.zeros(2, np.uint8))
 
 
 @pytest.mark.parametrize("active", [(1, 2, 99), (0, 1, -1), (1, 1, 2)],
@@ -139,10 +114,10 @@ def test_chirp_sweep_and_unit_amplitude():
 def test_papr():
     u = waveform.generate_chirp(1e5, 1e-3, 1e6)
     assert waveform.papr(u) == pytest.approx(1.0)
-    x = np.array([1.0, 0.0, 0.0, 0.0])
+    x = waveform.Waveform(np.array([1.0, 0.0, 0.0, 0.0]), 1e6, (-5e5, 5e5))
     assert waveform.papr(x) == pytest.approx(4.0)
     with pytest.raises(errors.ZeroSignalError):
-        waveform.papr(np.zeros(8))
+        waveform.papr(waveform.Waveform(np.zeros(8), 1e6, (-5e5, 5e5)))
 
 
 def test_spectrum_profile_parseval():
