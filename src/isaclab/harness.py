@@ -297,6 +297,9 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     if cfg.doppler_bins > 1 and cfg.doppler_max > nyquist:
         problems.append(f"[estimator] doppler-max = {cfg.doppler_max!r}"
                         f" exceeds sample-rate / 2 = {nyquist!r}")
+    if cfg.doppler_bins > 1 and cfg.doppler_max == 0:
+        problems.append(f"[estimator] doppler-bins = {cfg.doppler_bins} "
+                        f"needs a doppler-max above 0")
     # MUSIC sees one observation column, so every Doppler cell of a delay
     # has the same pseudospectrum and any reported Doppler would be a tie
     if cfg.est_kind == "music" and cfg.doppler_bins > 1:
@@ -424,15 +427,15 @@ def _noise_model(cfg: ExperimentConfig, u, seed: int):
     return None
 
 
+def _doppler_cells(span: float, bins: int) -> np.ndarray:
+    """`bins` Doppler cells evenly over [-span, span]; one bin is 0 Hz."""
+    return np.linspace(-span, span, bins) if bins > 1 else np.zeros(1)
+
+
 def _grids(cfg: ExperimentConfig, u) -> tuple[np.ndarray, np.ndarray]:
     """The estimator's delay grid (whole samples) and Doppler grid."""
-    delays = np.arange(cfg.delay_bins) / u.sample_rate
-    if cfg.doppler_bins > 1 and cfg.doppler_max > 0:
-        dopplers = np.linspace(-cfg.doppler_max, cfg.doppler_max,
-                               cfg.doppler_bins)
-    else:
-        dopplers = np.array([0.0])
-    return delays, dopplers
+    return (np.arange(cfg.delay_bins) / u.sample_rate,
+            _doppler_cells(cfg.doppler_max, cfg.doppler_bins))
 
 
 def _match_targets(truth, estimated):
@@ -554,27 +557,27 @@ def run_trial(cfg: ExperimentConfig, trial: int,
 
 def run_sync_trial(cfg: ExperimentConfig, trial: int,
                    scenario: syncnet.SyncScenario,
-                   ) -> tuple[list[ResultRow], dict]:
+                   ) -> tuple[list[ResultRow], dict, str]:
     """One sync trial on the parsed `[sync]` file: measurements -> particle
     BP -> Gauss-Newton -> record (each agent's position error, the network
-    RMS) -> rows. A fit that fails its check (`syncnet.GNFit.converged`)
-    is reported on stderr, with BP's cap if BP stopped at it before its
-    anneal reached scale 1; the rows are the same either way."""
+    RMS) -> rows. The third element is the trial's stderr line: empty, or
+    for a fit that fails its check (`syncnet.GNFit.converged`) a report of
+    it, with BP's cap if BP stopped at it before its anneal reached scale
+    1; the rows are the same either way."""
     seed = derive_seed(cfg.master_seed, trial, "sync")
     fit, bp, report = syncnet.run_sync_scenario(scenario, seed=seed)
+    line = ""
     if not fit.converged:
         capped = scenario.config.scale(bp.iterations - 1) > 1
-        # one write, not print's two: a line and its newline written apart
-        # can interleave with another process's line
-        sys.stderr.write(
-            f"trial {trial}: the Gauss-Newton fit failed its check: "
-            f"step {fit.step:.2g} (limit {syncnet.GN_STEP_TOL:g}), "
-            f"cost/dof {fit.cost_per_dof:.3g} (limit {fit.cost_limit:.3g})"
-            + capped * (f"; BP stopped at bp-iterations {bp.iterations} "
-                        f"before its anneal reached scale 1") + "\n")
+        line = (f"trial {trial}: the Gauss-Newton fit failed its check: "
+                f"step {fit.step:.2g} (limit {syncnet.GN_STEP_TOL:g}), "
+                f"cost/dof {fit.cost_per_dof:.3g} "
+                f"(limit {fit.cost_limit:.3g})"
+                + capped * (f"; BP stopped at bp-iterations {bp.iterations} "
+                            f"before its anneal reached scale 1") + "\n")
     record = {"trial": trial, "seed": seed, "estimator": "bp",
               "scenario": Path(cfg.sync_file).stem, **report}
-    return metric_rows(record, cfg), record
+    return metric_rows(record, cfg), record, line
 
 
 def _metric_value(name: str, rec: dict, cfg: ExperimentConfig):
@@ -678,8 +681,8 @@ def _fork_share(trial, share: range) -> tuple[int, int] | None:
         os.close(w)
         return None
     if pid == 0:
-        # the child writes only to the pipe and stderr, never returns into
-        # the caller's stack, and exits 0 only once it has sent its list
+        # the child sends its results only through the pipe, never returns
+        # into the caller's stack, and exits 0 only once it has sent its list
         code = 1
         try:
             os.close(r)
@@ -740,21 +743,23 @@ def _run_forked(trial, trials: int, processes: int) -> list:
 
 def _run_trials(cfg: ExperimentConfig, trial, store_dir: Path | None,
                 ) -> list[ResultRow]:
-    """The one trial driver: `trial(t)` returns trial t's rows and record.
-    `_run_forked` splits the trials into contiguous shares, one per
+    """The one trial driver and the one writer of a run's per-trial text:
+    `trial(t)` returns trial t's rows, record and stderr line (empty for
+    none). `_run_forked` splits the trials into contiguous shares, one per
     process (`_processes`); with one process they all run in order on the
     calling thread. A trial's result depends only on (config, seed, t),
-    so the rows and records are the same at any `cfg.workers`; a trial's
-    stderr line is written whole, but shares may write theirs in another
-    order. Each record is stored as ``report_<trial>.json`` under
-    `store_dir`, from this process, and the rows come back sorted."""
+    and only this process writes, once every trial has run: each record
+    as ``report_<trial>.json`` under `store_dir`, then every line in trial
+    order. So the records, the lines and the rows, which come back sorted,
+    are the same at any `cfg.workers`, and a run that raises writes none."""
     results = _run_forked(trial, cfg.trials, _processes(cfg))
     if store_dir is not None:
         store_dir.mkdir(parents=True, exist_ok=True)
-        for _, doc in results:
+        for _, doc, _ in results:
             out = store_dir / f"report_{doc['trial']:05d}.json"
             out.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-    return _sort_rows(r for rows, _ in results for r in rows)
+    sys.stderr.write("".join(line for _, _, line in results))
+    return _sort_rows(r for rows, _, _ in results for r in rows)
 
 
 def _check_metrics(cfg: ExperimentConfig, held: dict) -> None:
@@ -774,7 +779,8 @@ def run_experiment(cfg: ExperimentConfig, store_dir: Path | None = None,
     base = None if cfg.scene_file is None else \
         scene.load_scene(cfg.base_dir / cfg.scene_file)
     # run_trial is looked up at call time, so a rebound one is used
-    return _run_trials(cfg, lambda t: run_trial(cfg, t, base), store_dir)
+    return _run_trials(cfg, lambda t: (*run_trial(cfg, t, base), ""),
+                       store_dir)
 
 
 def recompute_metrics(report_dir: Path, cfg: ExperimentConfig) -> list[ResultRow]:
@@ -853,7 +859,7 @@ def ambiguity_rows(cfg: ExperimentConfig, doppler_span: float | None = None,
                 f"{doppler_span!r} Hz, exceeds sample-rate / 2 = "
                 f"{u.sample_rate / 2!r} for a {len(u)}-sample waveform; "
                 f"pass --doppler-span"])
-    dopplers = np.linspace(-doppler_span, doppler_span, n_doppler)
+    dopplers = _doppler_cells(doppler_span, n_doppler)
     amb = metrics.ambiguity(u, doppler_grid=dopplers)
     lines = ["doppler_hz,delay_s,magnitude"]
     for i, nu in enumerate(amb.doppler_grid):

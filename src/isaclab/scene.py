@@ -90,9 +90,6 @@ class TargetScene:
                 raise ValueError(f"degenerate scene: duplicate (tau, nu) {key}")
             seen.add(key)
 
-    def __len__(self):
-        return len(self.targets)
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -169,18 +166,14 @@ class ReceivedSignal:
 # ---------------------------------------------------------------------------
 
 def eval_dd_response(scene: TargetScene, t, f):
-    """Delay-Doppler response sum_p h_p e^{j2pi t nu_p} e^{j2pi f tau_p}.
-
-    t and f broadcast; scalars give a scalar.
-    """
+    """Delay-Doppler response sum_p h_p e^{j2pi t nu_p} e^{j2pi f tau_p}
+    as an array over the broadcast shape of t and f."""
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)
     out = np.zeros(np.broadcast(t, f).shape, dtype=np.complex128)
     for tgt in scene.targets:
         out += tgt.amplitude * np.exp(2j * np.pi * t * tgt.doppler) \
                              * np.exp(2j * np.pi * f * tgt.delay)
-    if out.shape == ():
-        return complex(out)
     return out
 
 

@@ -341,14 +341,13 @@ class FactorGraph:
 
 
 def build_factor_graph(topology: NetworkTopology, priors: dict,
-                       measurements, space: StateSpace | None = None,
+                       measurements, space: StateSpace,
                        carrier_freq: float = 1e9) -> FactorGraph:
     """Graph of |measured pairs| pair factors plus one prior factor per
     aperture, matching the posterior factorization up to proportionality.
     Each masked pair needs one measurement, each anchor a point-mass prior
     and, when there are anchors, each agent a chain of measured pairs to
     one; an anchor-free graph is kept for `measurement_jacobian_rank`."""
-    space = space or StateSpace()
     if set(priors) != set(topology.apertures):
         raise errors.TopologyError(f"priors for apertures {sorted(priors)}, "
                                    f"not {list(topology.apertures)}")

@@ -100,18 +100,17 @@ def signal_metric(u: Waveform, prior: SensingPrior, noise: NoiseModel,
     """J(u) = lam * I_s_hat + (1-lam) * I_c_hat, lam in (0, 1) exclusive.
 
     channel is either a JointPMF (input/output joint distribution of the
-    communication link), a row-stochastic conditional PMF array (a uniform
-    input is then assumed), or a callable u -> JointPMF.
+    communication link) or a row-stochastic conditional PMF array (a
+    uniform input is then assumed).
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1) exclusive, got {lam}")
     i_s = conditional_mi(u, prior, noise)
-    pmf = channel(u) if callable(channel) else channel
-    if isinstance(pmf, JointPMF):
-        i_c = mutual_information(pmf)
+    if isinstance(channel, JointPMF):
+        i_c = mutual_information(channel)
         cond = None
     else:
-        cond = np.asarray(pmf, float)
+        cond = np.asarray(channel, float)
         joint = cond / cond.shape[0]
         i_c = mutual_information(JointPMF(joint))
     if norm is None:

@@ -417,6 +417,17 @@ def test_ambiguity_rows(tmp_path):
     assert len(lines) > 10
 
 
+def test_one_doppler_bin_is_the_zero_doppler_cut(tmp_path):
+    # as the estimator's grid: one bin is 0 Hz, whatever the span
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text())
+    assert cli.main(["ambiguity", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out"),
+                     "--doppler-bins", "1"]) == 0
+    lines = (tmp_path / "out" / "ambiguity.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in lines[1:]} == {"0.0"}
+
+
 def test_cli_simulate_and_exit_codes(tmp_path, capsys):
     _write_scene(tmp_path / "scene.txt")
     (tmp_path / "exp.ini").write_text(_config_text(trials=2))
@@ -701,6 +712,20 @@ def test_load_config_rejects_doppler_beyond_nyquist(tmp_path):
     (tmp_path / "exp.ini").write_text(_config_text(probe=probe))
     with pytest.raises(errors.ValidationError, match="sample-rate / 2"):
         harness.load_config(tmp_path / "exp.ini")
+
+
+def test_doppler_bins_without_doppler_max_is_validation_error(tmp_path,
+                                                              capsys):
+    # every cell of the grid would be 0 Hz
+    _write_scene(tmp_path / "scene.txt")
+    path = tmp_path / "exp.ini"
+    path.write_text(_config_text(probe=_PSK_OMP + "doppler-bins = 3\n"))
+    message = "doppler-bins = 3 needs a doppler-max above 0"
+    with pytest.raises(errors.ValidationError, match=message):
+        harness.load_config(path)
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_music_with_doppler_bins_is_validation_error(tmp_path, capsys):
@@ -1199,20 +1224,46 @@ def test_sync_reports_a_failed_fit_on_stderr(tmp_path, capsys, monkeypatch):
     assert out.read_bytes() == rows
 
 
-def test_sync_stderr_lines_come_whole_from_every_share(tmp_path, capfd,
-                                                       monkeypatch):
+def test_sync_stderr_is_the_same_at_any_worker_count(tmp_path, capfd,
+                                                     monkeypatch):
+    # room for 2 processes, so 2 and 3 workers both give shares 0-2 and 3-5
     _cpus(monkeypatch, 2)
-    ini = _sync_config(tmp_path, trials=4)
+    ini = _sync_config(tmp_path, trials=6)
+    # no cost passes a limit of 0, so every fit fails its check
     monkeypatch.setattr(syncnet, "gn_cost_limit", lambda dof: 0.0)
-    assert cli.main(["sync", "--config", ini, "--workers", "2",
-                     "--out", str(tmp_path / "out")]) == 0
-    _no_child_left()
-    # a child writes trials 2 and 3, so their lines may come first
-    err = sorted(capfd.readouterr().err.splitlines())
+    errs = []
+    for workers in ("1", "2", "3"):
+        assert cli.main(["sync", "--config", ini, "--workers", workers,
+                         "--out", str(tmp_path / workers)]) == 0
+        _no_child_left()
+        errs.append(capfd.readouterr().err)
+    assert errs[0] == errs[1] == errs[2]
+    err = errs[0].splitlines()
     assert [line.split(":")[0] for line in err] \
-        == [f"trial {t}" for t in range(4)]
+        == [f"trial {t}" for t in range(6)]
     assert all("the Gauss-Newton fit failed its check" in line
                and line.endswith("(limit 0)") for line in err)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sync_run_that_raises_writes_no_fit_line(tmp_path, capfd,
+                                                   monkeypatch, workers):
+    _cpus(monkeypatch, 2)
+    ini = _sync_config(tmp_path, trials=6)
+    # trials 0-2 fail their fit, and trial 3 raises
+    monkeypatch.setattr(syncnet, "gn_cost_limit", lambda dof: 0.0)
+
+    def raising(cfg, t, scenario, _run=harness.run_sync_trial):
+        if t == 3:
+            raise ValueError(f"trial {t} fails")
+        return _run(cfg, t, scenario)
+
+    monkeypatch.setattr(harness, "run_sync_trial", raising)
+    assert cli.main(["sync", "--config", ini, "--workers", workers,
+                     "--out", str(tmp_path / "out")]) == 3
+    _no_child_left()
+    assert capfd.readouterr().err == "runtime error: trial 3 fails\n"
+    assert not (tmp_path / "out" / "rows.csv").exists()
 
 
 def test_sync_reports_bp_stopped_at_its_cap_on_stderr(tmp_path, capsys,

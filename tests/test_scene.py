@@ -164,7 +164,8 @@ def test_clutter_poisson_statistics():
                                delay_span=(0.0, 1e-5),
                                doppler_span=(-50.0, 50.0))
     lam = model.density * model.area    # 40 expected scatterers
-    counts = [len(scene.generate_clutter(model, seed)) for seed in range(300)]
+    counts = [len(scene.generate_clutter(model, seed).targets)
+              for seed in range(300)]
     mean = np.mean(counts)
     assert abs(mean - lam) < 4 * np.sqrt(lam / 300)
     # placement inside the region
@@ -183,7 +184,7 @@ def test_merge_scenes():
     s1 = scene.TargetScene((scene.Target(1.0, 1e-6, 0.0),))
     s2 = scene.TargetScene((scene.Target(2.0, 2e-6, 0.0),))
     m = scene.merge_scenes(s1, s2, label="both")
-    assert len(m) == 2 and m.label == "both"
+    assert len(m.targets) == 2 and m.label == "both"
 
 
 def test_scene_file_roundtrip(tmp_path):
@@ -196,7 +197,7 @@ def test_scene_file_roundtrip(tmp_path):
     scene.save_scene(scn, path)
     back = scene.load_scene(path)
     assert back.label == "two targets"
-    assert len(back) == 2
+    assert len(back.targets) == 2
     assert back.targets[0].amplitude == 0.5 - 0.25j
     assert back.targets[0].delay == 1.5e-6
     assert back.clutter.density == 1e6
@@ -241,7 +242,7 @@ def test_scene_file_errors(tmp_path):
         scene.load_scene(p)
     p.write_text("scene-version: 1\n# comment only\n")
     scn = scene.load_scene(p)
-    assert len(scn) == 0
+    assert len(scn.targets) == 0
 
 
 def test_scene_file_duplicate_target_is_a_parse_error(tmp_path):

@@ -116,7 +116,7 @@ def _graph_with_pairs(apertures, pairs):
     top = sn.NetworkTopology(apertures, (), measurement_mask=pairs)
     meas = [sn.PairMeasurement(p, 1e-8, None, None, noise) for p in pairs]
     priors = {j: sn.UniformPrior([0.0, 0.0], [1.0, 1.0]) for j in apertures}
-    return sn.build_factor_graph(top, priors, meas)
+    return sn.build_factor_graph(top, priors, meas, sn.StateSpace())
 
 
 @pytest.mark.parametrize("apertures, pairs, cyclic", [

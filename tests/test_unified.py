@@ -87,15 +87,6 @@ def test_signal_metric_accepts_joint_pmf_with_explicit_norm():
         unified.signal_metric(u, prior, noise, joint, 0.5)
 
 
-def test_signal_metric_callable_channel():
-    u, prior, noise, chan = _setup()
-    norm = unified.NormalizationPolicy(1.0, 1.0)
-    score = unified.signal_metric(u, prior, noise,
-                                  lambda wf: metrics.JointPMF(chan / 2),
-                                  0.5, norm)
-    assert score.comm_term > 0
-
-
 def test_estimator_metric_formula():
     led = CostLedger(flop_count=500)
     led.finalize()
