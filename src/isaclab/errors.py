@@ -1,105 +1,17 @@
-"""Exception hierarchy shared across the toolkit, and the line grammar of
-its versioned text files."""
+"""The toolkit's three exception types, and the line grammar of its
+versioned text files.
+
+ParseError and ValidationError mark bad input (the CLI exits 2); every
+other failure the toolkit detects is a ToolkitError (exit 3).
+"""
 
 import math
 from pathlib import Path
 
 
 class ToolkitError(Exception):
-    """Base class for all toolkit errors."""
+    """Base of every toolkit error; raised as itself, the CLI exits 3."""
 
-
-# --- channel / scene ---
-
-class AliasError(ToolkitError):
-    """A Doppler shift exceeds the representable (unaliased) range."""
-
-
-class DelayError(ToolkitError):
-    """A delay falls outside the configured unambiguous delay window."""
-
-
-# --- waveforms ---
-
-class LengthError(ToolkitError):
-    """Bit vector length incompatible with the requested mapping."""
-
-
-class LayoutError(ToolkitError):
-    """Inconsistent modulation layout (active set, bit count)."""
-
-
-class ZeroSignalError(ToolkitError):
-    """Metric requested on an all-zero signal."""
-
-
-# --- estimators ---
-
-class GridError(ToolkitError):
-    """Search grid extends beyond the representable window."""
-
-
-class RankError(ToolkitError):
-    """Selected atoms are numerically dependent."""
-
-
-class OrderError(ToolkitError):
-    """Model order too large for the available covariance dimension."""
-
-
-class WeightError(ToolkitError):
-    """Cost weights do not sum to one."""
-
-
-class SaturationError(ToolkitError):
-    """Weighted cost reaches or exceeds the saturation bound."""
-
-
-# --- metrics ---
-
-class LayoutMismatch(ToolkitError):
-    """Parameter vectors with incompatible layouts."""
-
-
-class SingularFisher(ToolkitError):
-    """Fisher information estimate numerically singular."""
-
-
-class NonStochasticChannel(ToolkitError):
-    """Conditional PMF rows do not form probability distributions."""
-
-
-class ZeroNoiseDensityError(ToolkitError):
-    """Noise spectral density vanishes where signal energy is present."""
-
-
-class DegenerateData(ToolkitError):
-    """Constant data where variance is required."""
-
-
-class DimensionError(ToolkitError):
-    """Model dimension incompatible with the number of data points."""
-
-
-class NormalizationError(ToolkitError):
-    """A normalization reference constant is zero."""
-
-
-# --- syncnet ---
-
-class TopologyError(ToolkitError):
-    """Missing priors, unmatched measurements or unanchored agents."""
-
-
-class DegeneracyError(ToolkitError):
-    """All particle weights underflowed (inconsistent measurements/priors)."""
-
-
-class IdMismatch(ToolkitError):
-    """Estimate and truth id sets differ."""
-
-
-# --- harness ---
 
 class ParseError(ToolkitError):
     """Malformed config or scenario file; carries line/field context."""

@@ -86,9 +86,9 @@ class Dictionary:
         delay_grid = np.asarray(delay_grid, float)
         doppler_grid = np.asarray(doppler_grid, float)
         if delay_grid.size > 1 and not (np.diff(delay_grid) > 0).all():
-            raise errors.GridError("delay grid must be strictly increasing")
+            raise errors.ToolkitError("delay grid must be strictly increasing")
         if doppler_grid.size > 1 and not (np.diff(doppler_grid) > 0).all():
-            raise errors.GridError("doppler grid must be strictly increasing")
+            raise errors.ToolkitError("doppler grid must be strictly increasing")
         # the delay check of Target, which every atom's channel would make;
         # it comes first, since the length below needs finite delays
         bad = delay_grid[~(np.isfinite(delay_grid) & (delay_grid >= 0))]
@@ -111,7 +111,7 @@ class Dictionary:
                 raise ValueError("target doppler must be finite")
             worst = float(doppler_grid[np.argmax(np.abs(doppler_grid))])
             if abs(worst) > fs / 2:
-                raise errors.AliasError(
+                raise errors.ToolkitError(
                     f"doppler {worst} Hz exceeds fs/2 = {fs / 2} Hz")
         shifts = delay_grid * fs
         lags = np.round(shifts)
@@ -220,7 +220,7 @@ def matched_filter_estimate(rx: ReceivedSignal, u: Waveform,
     if rx.sample_rate != u.sample_rate:
         raise ValueError("rx and waveform sample rates differ")
     if dictionary.length > len(rx) + len(u):
-        raise errors.GridError("dictionary grid beyond the observation window")
+        raise errors.ToolkitError("dictionary grid beyond the observation window")
     y = _pad_to(rx.samples, dictionary.length)
     corr = dictionary.correlate(y)                    # unit-norm correlations
     n_tau, n_nu = dictionary.delay_grid.size, dictionary.doppler_grid.size
@@ -283,7 +283,7 @@ def omp_estimate(rx: ReceivedSignal, dictionary: Dictionary,
         A[:, k:k + 1] = dictionary.columns(selected[-1:])
         A_sel = A[:, :k + 1]
         if np.linalg.cond(A_sel.conj().T @ A_sel) > 1e12:
-            raise errors.RankError("selected atoms numerically dependent")
+            raise errors.ToolkitError("selected atoms numerically dependent")
         coeffs, *_ = np.linalg.lstsq(A_sel, y, rcond=None)
         ledger.flop_count += len(selected) ** 2 * dictionary.length
         residual = y - A_sel @ coeffs
@@ -450,7 +450,7 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     was too small to try).  The unit-norm steering matrix comes from the
     read-only cache of `_steering_matrix`.  The steering vectors are
     periodic in delay with period 1/freq_step (and in Doppler with
-    1/time_step), so a grid spanning a whole period raises GridError.
+    1/time_step), so a grid spanning a whole period raises ToolkitError.
     The cost ledger counts the nominal algorithm, the covariance, a full
     eigendecomposition and the noise-subspace projection, whichever path
     ran.
@@ -462,11 +462,11 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
         G = G[:, None]
     M, L = G.shape
     if order < 1:
-        raise errors.OrderError("model order must be >= 1")
+        raise errors.ToolkitError("model order must be >= 1")
     mw, lw = max(min(M, order + 1), (M + 1) // 2), (L + 1) // 2
     dim = mw * lw
     if order >= dim:
-        raise errors.OrderError(f"order {order} >= covariance dimension {dim}")
+        raise errors.ToolkitError(f"order {order} >= covariance dimension {dim}")
     n_snap = (M - mw + 1) * (L - lw + 1)
 
     delay_grid = np.asarray(delay_grid, float)
@@ -474,7 +474,7 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     for axis, grid, step, used in (("delay", delay_grid, freq_step, True),
                                    ("doppler", doppler_grid, time_step, L > 1)):
         if used and grid.size and abs(np.ptp(grid) * step) >= 1:
-            raise errors.GridError(
+            raise errors.ToolkitError(
                 f"{axis} grid spans {np.ptp(grid)}, at least the steering "
                 f"period {1 / abs(step)}, so its cells alias")
 
@@ -557,7 +557,7 @@ def demodulate(rx: ReceivedSignal, u: Waveform,
     """
     lay = u.layout
     if lay is None or lay.kind not in ("single-carrier-psk", "ofdm"):
-        raise errors.LayoutError("waveform carries no demodulatable layout")
+        raise errors.ToolkitError("waveform carries no demodulatable layout")
     fs = rx.sample_rate
 
     if lay.kind == "single-carrier-psk":
@@ -604,12 +604,12 @@ def tally_cost(cost: CostLedger | dict, weights: dict, c_max: float,
     vec = cost.cost_vector if isinstance(cost, CostLedger) else dict(cost)
     lam_sum = sum(weights.values())
     if abs(lam_sum - 1.0) > 1e-9:
-        raise errors.WeightError(f"cost weights sum to {lam_sum}, not 1")
+        raise errors.ToolkitError(f"cost weights sum to {lam_sum}, not 1")
     if not all(w >= 0 for w in weights.values()):
-        raise errors.WeightError(f"cost weights must be >= 0, got {weights}")
+        raise errors.ToolkitError(f"cost weights must be >= 0, got {weights}")
     missing = set(weights) - set(vec)
     if missing:
-        raise errors.WeightError(f"weights name unknown cost components {missing}")
+        raise errors.ToolkitError(f"weights name unknown cost components {missing}")
     if any(v < 0 for v in vec.values()):
         raise ValueError("cost components must be >= 0")
     if c_max <= 0:
@@ -617,7 +617,7 @@ def tally_cost(cost: CostLedger | dict, weights: dict, c_max: float,
     s = sum(weights[k] * vec[k] for k in weights) / c_max
     if form == "fpe":
         if s >= 1.0:
-            raise errors.SaturationError(f"weighted cost S={s} >= 1")
+            raise errors.ToolkitError(f"weighted cost S={s} >= 1")
         return (1.0 + s) / (1.0 - s)
     if form == "additive":
         return 1.0 + s

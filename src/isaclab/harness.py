@@ -513,11 +513,9 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         report.estimated_targets[:] = [
             scene.Target(np.conj(t.amplitude), t.delay, t.doppler)
             for t in report.estimated_targets]
-        # predict and score in the time domain, as the other estimators do
-        report.predicted_signal = estimators._pad_to(scene.apply_channel(
-            u, scene.TargetScene(report.estimated_targets)).samples, len(rx))
-        report.residual_energy = float(
-            np.linalg.norm(rx.samples - report.predicted_signal) ** 2)
+        # predict in the time domain, as the other estimators do
+        report.predicted_signal = scene.apply_channel(
+            u, scene.TargetScene(report.estimated_targets)).samples
 
     # every generated waveform has a layout; a chirp carries no bits
     tx_bits, decoded = u.layout.data_bits, np.zeros(0, np.uint8)
@@ -529,8 +527,11 @@ def run_trial(cfg: ExperimentConfig, trial: int,
 
     # None marks an input that does not apply (no estimator ran); papr and
     # r_squared read the signals, so they are reduced here, and only when
-    # listed, so an unlisted metric can never raise
+    # listed, so an unlisted metric can never raise.  Every estimator's
+    # prediction is scored over the whole observation.
     ran = report is not None
+    if ran:
+        pred = estimators._pad_to(report.predicted_signal, len(rx))
     record = {
         "trial": trial, "seed": seed, "scenario": scenario,
         "estimator": cfg.est_kind,
@@ -539,7 +540,8 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         "true_targets": _targets_doc(scn.targets),
         "estimated_targets":
             _targets_doc(report.estimated_targets) if ran else None,
-        "residual_energy": float(report.residual_energy) if ran else None,
+        "residual_energy":
+            float(np.linalg.norm(rx.samples - pred) ** 2) if ran else None,
         "cost_vector": dict(report.cost.cost_vector) if ran else None,
     }
     if "papr" in cfg.metric_list:
@@ -548,8 +550,6 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         record["r_squared"] = None
         if ran:
             y = np.concatenate([rx.samples.real, rx.samples.imag])
-            pred = estimators._pad_to(
-                np.asarray(report.predicted_signal).reshape(-1), len(rx))
             record["r_squared"] = metrics.r_squared(
                 y, np.concatenate([pred.real, pred.imag]))
     return metric_rows(record, cfg), record
@@ -807,15 +807,27 @@ def recompute_metrics(report_dir: Path, cfg: ExperimentConfig) -> list[ResultRow
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Grid sweep over lambda or Eb/N0; scenario column carries the value."""
+    """Grid sweep over lambda or Eb/N0; scenario column carries the value.
+    Before any trial runs, stored records (a lambda point's record would
+    not hold the lambda its rows were scored at) and two values with one
+    tag (their rows would share keys) are a ValidationError."""
     if cfg.sweep_parameter is None or not cfg.sweep_values:
         raise errors.ValidationError(["[sweep] needs parameter and values"])
-    rows = []
+    lam = cfg.sweep_parameter == "lambda"
+    problems = ["[experiment] store-reports = true: a sweep stores no "
+                "records"] if cfg.store_reports else []
+    tags = {}
     for val in cfg.sweep_values:
-        if cfg.sweep_parameter == "lambda":
-            sub, tag = replace(cfg, lam=val), f"lambda={val:g}"
-        else:
-            sub, tag = replace(cfg, ebn0_db=val), f"ebn0={val:g}dB"
+        tag = f"lambda={val:g}" if lam else f"ebn0={val:g}dB"
+        if tag in tags:
+            problems.append(f"[sweep] values {tags[tag]!r} and {val!r} share "
+                            f"the scenario tag {tag!r}")
+        tags.setdefault(tag, val)
+    if problems:
+        raise errors.ValidationError(problems)
+    rows = []
+    for tag, val in tags.items():
+        sub = replace(cfg, lam=val) if lam else replace(cfg, ebn0_db=val)
         rows += [replace(row, scenario=tag) for row in run_experiment(sub)]
     return _sort_rows(rows)
 

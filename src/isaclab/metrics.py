@@ -29,7 +29,7 @@ class ParameterVector:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or self.values.size != len(self.layout):
-            raise errors.LayoutMismatch(
+            raise errors.ToolkitError(
                 f"{self.values.size} values vs {len(self.layout)} labels")
 
 
@@ -128,7 +128,7 @@ def crlb_numeric(log_likelihood, draw_data, theta0: ParameterVector,
         fisher -= hess
     fisher /= mc_trials
     if np.linalg.cond(fisher) > 1e12:
-        raise errors.SingularFisher(
+        raise errors.ToolkitError(
             "Fisher estimate numerically singular (unidentifiable parameters?)")
     return np.linalg.inv(fisher)
 
@@ -173,7 +173,7 @@ def channel_capacity(p_y_given_x: np.ndarray, tol: float = 1e-9,
     """
     W = np.asarray(p_y_given_x, dtype=float)
     if W.ndim != 2 or (W < 0).any() or np.any(np.abs(W.sum(axis=1) - 1) > 1e-9):
-        raise errors.NonStochasticChannel("rows must be probability vectors")
+        raise errors.ToolkitError("rows must be probability vectors")
     m = W.shape[0]
     r = np.full(m, 1.0 / m)
     cap = 0.0
@@ -207,7 +207,7 @@ def conditional_mi_spectra(esd: np.ndarray, sigma_g2: np.ndarray,
     num = 2.0 * esd * sigma_g2
     bad = (p_nn <= 0) & (num > 0)
     if bad.any():
-        raise errors.ZeroNoiseDensityError(
+        raise errors.ToolkitError(
             "noise PSD is zero where the signal carries energy")
     integrand = np.zeros_like(esd)
     ok = p_nn > 0
@@ -247,7 +247,7 @@ def ambiguity(u: Waveform, doppler_grid=None) -> AmbiguityMap:
 
     Delays are every sample lag, -(n - 1) to n - 1 sample periods; Doppler
     values default to 0 Hz.  An empty Doppler grid, a non-finite value or
-    one beyond +-fs/2 is a GridError.  FFT-accelerated over the delay axis.
+    one beyond +-fs/2 is a ToolkitError.  FFT-accelerated over the delay axis.
     """
     fs = u.sample_rate
     n = len(u)
@@ -257,11 +257,11 @@ def ambiguity(u: Waveform, doppler_grid=None) -> AmbiguityMap:
         doppler_grid = np.array([0.0])
     doppler_grid = np.asarray(doppler_grid, float)
     if not doppler_grid.size:
-        raise errors.GridError("doppler grid is empty")
+        raise errors.ToolkitError("doppler grid is empty")
     if not np.isfinite(doppler_grid).all():
-        raise errors.GridError("doppler grid has a non-finite value")
+        raise errors.ToolkitError("doppler grid has a non-finite value")
     if np.max(np.abs(doppler_grid)) > fs / 2:
-        raise errors.GridError("doppler grid beyond +-fs/2")
+        raise errors.ToolkitError("doppler grid beyond +-fs/2")
 
     nfft = 2 * n
     t = np.arange(n) * dt
@@ -287,7 +287,7 @@ def r_squared(y, y_hat) -> float:
         raise ValueError("need equal-length vectors of length >= 2")
     denom = np.sum((y - y.mean()) ** 2)
     if denom == 0:
-        raise errors.DegenerateData("constant data has no variance to account for")
+        raise errors.ToolkitError("constant data has no variance to account for")
     score = 1.0 - np.sum((y - y_hat) ** 2) / denom
     return float(max(score, 0.0))
 
@@ -298,7 +298,7 @@ def fpe(y, y_hat, model_dim: int) -> float:
     y_hat = np.asarray(y_hat, float)
     n = y.size
     if not 0 <= model_dim < n:
-        raise errors.DimensionError(f"model_dim {model_dim} outside [0, {n})")
+        raise errors.ToolkitError(f"model_dim {model_dim} outside [0, {n})")
     ratio = (1.0 + model_dim / n) / (1.0 - model_dim / n)
     return float(ratio * np.mean((y - y_hat) ** 2))
 

@@ -202,10 +202,10 @@ def apply_channel(u: Waveform, scene: TargetScene,
     window = u.duration if max_delay is None else max_delay
     for tgt in scene.targets:
         if abs(tgt.doppler) > fs / 2:
-            raise errors.AliasError(
+            raise errors.ToolkitError(
                 f"doppler {tgt.doppler} Hz exceeds fs/2 = {fs / 2} Hz")
         if tgt.delay > window:
-            raise errors.DelayError(
+            raise errors.ToolkitError(
                 f"delay {tgt.delay} s exceeds window {window} s")
     spread = max((t.delay for t in scene.targets), default=0.0)
     n_out = len(u) + int(np.ceil(spread * fs))

@@ -135,13 +135,13 @@ class NetworkTopology:
         object.__setattr__(self, "apertures", aps)
         object.__setattr__(self, "anchors", anc)
         if not set(anc) <= set(aps):
-            raise errors.TopologyError("anchors must be a subset of apertures")
+            raise errors.ToolkitError("anchors must be a subset of apertures")
         mask = tuple(self.measurement_mask)
         for (j, jp) in mask:
             if j == jp or j not in aps or jp not in aps:
-                raise errors.TopologyError(f"bad measured pair {(j, jp)}")
+                raise errors.ToolkitError(f"bad measured pair {(j, jp)}")
         if len(set(mask)) != len(mask):
-            raise errors.TopologyError("duplicate pairs in measurement mask")
+            raise errors.ToolkitError("duplicate pairs in measurement mask")
         object.__setattr__(self, "measurement_mask", mask)
 
     @property
@@ -291,7 +291,7 @@ def simulate_measurements(topology: NetworkTopology, true_states: dict,
     """
     missing = set(topology.apertures) - set(true_states)
     if missing:
-        raise errors.TopologyError(f"missing true states for {missing}")
+        raise errors.ToolkitError(f"missing true states for {missing}")
     rng = np.random.default_rng(seed)
     full = StateSpace(tuple(_COMPONENT_DIMS))
     which = _held(noise, "_std")
@@ -349,18 +349,18 @@ def build_factor_graph(topology: NetworkTopology, priors: dict,
     and, when there are anchors, each agent a chain of measured pairs to
     one; an anchor-free graph is kept for `measurement_jacobian_rank`."""
     if set(priors) != set(topology.apertures):
-        raise errors.TopologyError(f"priors for apertures {sorted(priors)}, "
-                                   f"not {list(topology.apertures)}")
+        raise errors.ToolkitError(f"priors for apertures {sorted(priors)}, "
+                                  f"not {list(topology.apertures)}")
     for j in topology.anchors:
         if not isinstance(priors[j], PointPrior):
-            raise errors.TopologyError(f"anchor {j} needs a point-mass prior")
+            raise errors.ToolkitError(f"anchor {j} needs a point-mass prior")
     if topology.anchors and topology.unanchored:
-        raise errors.TopologyError(f"agents {list(topology.unanchored)} are "
-                                   f"in no measured pair chained to an anchor")
+        raise errors.ToolkitError(f"agents {list(topology.unanchored)} are "
+                                  f"in no measured pair chained to an anchor")
     measurements = list(measurements)
     pairs = sorted(m.pair for m in measurements)
     if pairs != sorted(topology.measurement_mask):
-        raise errors.TopologyError(
+        raise errors.ToolkitError(
             f"measurements for pairs {pairs}, not the masked pairs "
             f"{sorted(topology.measurement_mask)}")
     return FactorGraph(topology, space, dict(priors),
@@ -485,7 +485,7 @@ class Belief:
             raise ValueError("a belief needs one weight per particle")
         s = self.weights.sum()
         if not (np.isfinite(s) and s > 0):
-            raise errors.DegeneracyError(f"belief weights sum to {s}")
+            raise errors.ToolkitError(f"belief weights sum to {s}")
         if abs(s - 1.0) > 1e-9:
             self.weights = self.weights / s
 
@@ -604,7 +604,7 @@ def run_loopy_bp(graph: FactorGraph, config: BPConfig) -> BPResult:
             lw_is = lw - logq[m]
             finite = np.isfinite(lw_is)
             if not finite.any():
-                raise errors.DegeneracyError(
+                raise errors.ToolkitError(
                     f"all particle weights underflowed for agent {m}")
             # the largest finite term is exp(0) = 1, so the sum is >= 1;
             # Belief normalises it
@@ -654,7 +654,7 @@ def sync_error_report(estimates: dict, truth: dict) -> dict:
     position error (m) as ``[id, error]`` pairs, their RMS `position_rms_m`
     and the time-offset errors' RMS `to_rms_s` (s); no angle error."""
     if set(estimates) != set(truth):
-        raise errors.IdMismatch(
+        raise errors.ToolkitError(
             f"estimate ids {sorted(estimates)} != truth ids {sorted(truth)}")
     ids = sorted(estimates)
     pos = [float(np.linalg.norm(estimates[j].position - truth[j].position))

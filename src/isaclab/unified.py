@@ -41,19 +41,19 @@ class NormalizationPolicy:
 
     def __post_init__(self):
         if self.sensing_ref == 0 or self.comm_ref == 0:
-            raise errors.NormalizationError("normalization reference is zero")
+            raise errors.ToolkitError("normalization reference is zero")
 
 
 def max_attainable_normalization(u: Waveform, prior: SensingPrior,
                                  noise: NoiseModel,
                                  channel: np.ndarray) -> NormalizationPolicy:
     """Scenario maxima: flat full-power spectrum for sensing, channel
-    capacity for communication; NormalizationError when the waveform,
+    capacity for communication; ToolkitError when the waveform,
     prior and noise bands share no interval."""
     freqs, sg2, pnn = _common_band(u, prior, noise, 512)
     if not freqs.size:
-        raise errors.NormalizationError(f"bands {u.band}, {prior.band} and "
-                                        f"{noise.band} share no interval")
+        raise errors.ToolkitError(f"bands {u.band}, {prior.band} and "
+                                  f"{noise.band} share no interval")
     flat_esd = np.full(512, u.energy / np.ptp(freqs))      # same energy budget
     i_s_max = conditional_mi_spectra(flat_esd, sg2, pnn, freqs, u.duration)
     c, _ = channel_capacity(channel)
@@ -115,7 +115,7 @@ def signal_metric(u: Waveform, prior: SensingPrior, noise: NoiseModel,
         i_c = mutual_information(JointPMF(joint))
     if norm is None:
         if cond is None:
-            raise errors.NormalizationError(
+            raise errors.ToolkitError(
                 "default normalization needs a conditional PMF channel")
         norm = max_attainable_normalization(u, prior, noise, cond)
     value = lam * (i_s / norm.sensing_ref) + (1 - lam) * (i_c / norm.comm_ref)
@@ -129,7 +129,7 @@ def estimator_metric(truth, estimate, comm: CommReport, lam: float,
     phi = np.asarray(truth, float)
     phi_hat = np.asarray(estimate, float)
     if phi.shape != phi_hat.shape or phi.size < 1:
-        raise errors.LayoutMismatch(
+        raise errors.ToolkitError(
             f"phi shape {phi.shape} != phi_hat shape {phi_hat.shape}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")

@@ -39,15 +39,15 @@ class ModulationLayout:
         if self.kind == "ofdm":
             active_idx = self.active_subcarriers
             if len(active_idx) == 0:
-                raise errors.LayoutError("OFDM layout needs active subcarriers")
+                raise errors.ToolkitError("OFDM layout needs active subcarriers")
             if len(set(active_idx)) != len(active_idx) or not all(
                     0 <= k < self.n_subcarriers for k in active_idx):
-                raise errors.LayoutError(
+                raise errors.ToolkitError(
                     f"active subcarriers {active_idx} are not distinct "
                     f"indices in [0, {self.n_subcarriers})")
             n_data = len(active_idx) * self.n_symbols
             if n_data * self.bits_per_symbol != self.data_bits.size:
-                raise errors.LayoutError(
+                raise errors.ToolkitError(
                     f"{n_data} data cells x {self.bits_per_symbol} bits != "
                     f"{self.data_bits.size} data bits")
 
@@ -103,9 +103,9 @@ def map_psk(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits_per_symbol not in (1, 2):
-        raise errors.LengthError(f"bits_per_symbol must be 1 or 2, got {bits_per_symbol}")
+        raise errors.ToolkitError(f"bits_per_symbol must be 1 or 2, got {bits_per_symbol}")
     if bits.size % bits_per_symbol:
-        raise errors.LengthError(
+        raise errors.ToolkitError(
             f"{bits.size} bits not divisible by {bits_per_symbol}")
     if bits_per_symbol == 1:
         return (1.0 - 2.0 * bits).astype(np.complex128)
@@ -150,10 +150,10 @@ def generate_ofdm(layout: ModulationLayout, sample_rate: float,
     of layout.data_bits.
     """
     if layout.kind != "ofdm":
-        raise errors.LayoutError("layout kind must be 'ofdm'")
+        raise errors.ToolkitError("layout kind must be 'ofdm'")
     n_sc, n_sym = layout.n_subcarriers, layout.n_symbols
     if cp_length >= n_sc:
-        raise errors.LayoutError(f"cp_length {cp_length} >= symbol length {n_sc}")
+        raise errors.ToolkitError(f"cp_length {cp_length} >= symbol length {n_sc}")
     active = np.zeros(n_sc, bool)
     active[list(layout.active_subcarriers)] = True
 
@@ -204,7 +204,7 @@ def papr(u: Waveform) -> float:
     """Peak-to-average power ratio max|u|^2 / mean|u|^2 (linear)."""
     p = np.abs(u.samples) ** 2
     if not p.any():
-        raise errors.ZeroSignalError("PAPR of an all-zero signal")
+        raise errors.ToolkitError("PAPR of an all-zero signal")
     return float(p.max() / p.mean())
 
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isaclab import (cli, errors, estimators, harness, scene, syncnet,
-                     waveform)
+from isaclab import (cli, errors, estimators, harness, metrics, scene,
+                     syncnet, waveform)
 
 
 def test_splitmix64_known_vector():
@@ -406,6 +406,64 @@ def test_run_sweep_lambda(tmp_path):
     rows = harness.run_sweep(cfg)
     tags = {r.scenario for r in rows}
     assert tags == {"lambda=0.2", "lambda=0.8"}
+
+
+def _no_trial(*args):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("parameter, values, experiment, message", [
+    # a lambda point's record would not hold the lambda its rows were
+    # scored at, so `isaclab metrics` could not reproduce the sweep's rows
+    ("ebn0-db", "0, 20", "store-reports = true\n",
+     "store-reports = true: a sweep stores no records"),
+    ("ebn0-db", "10, 10.0000001", "",
+     "values 10.0 and 10.0000001 share the scenario tag 'ebn0=10dB'"),
+    ("ebn0-db", "0, 0", "",
+     "values 0.0 and 0.0 share the scenario tag 'ebn0=0dB'"),
+    ("lambda", "0.5, 0.2, 0.5000001", "",
+     "values 0.5 and 0.5000001 share the scenario tag 'lambda=0.5'"),
+], ids=["store-reports", "ebn0-close", "ebn0-repeated", "lambda-close"])
+def test_cli_sweep_rejects_before_any_trial(tmp_path, capsys, monkeypatch,
+                                            parameter, values, experiment,
+                                            message):
+    _write_scene(tmp_path / "scene.txt")
+    sweep = f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
+    (tmp_path / "exp.ini").write_text(_config_text(
+        trials=1, extra=sweep, experiment=experiment)
+        .replace("kind = white\nlevel = 1e-10\n", ""))
+    monkeypatch.setattr(harness, "run_trial", _no_trial)
+    assert cli.main(["sweep", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("probe", [
+    _PSK_OMP.replace("kind = omp", "kind = matched-filter"), _PSK_OMP,
+    _CHIRP_MUSIC], ids=["matched-filter", "omp", "music"])
+def test_residual_energy_is_taken_over_the_whole_observation(tmp_path,
+                                                             probe):
+    # an echo at 30 us lies past the first probes' 8-bin grid, so the
+    # matched filter's and OMP's dictionary window holds only part of it
+    truth = scene.TargetScene((scene.Target(1.0, 30e-6, 0.0),))
+    scene.save_scene(truth, tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(
+        trials=1, probe=probe, metrics="residual_energy, r_squared")
+        .replace("kind = white\nlevel = 1e-10", "kind = none"))
+    cfg = harness.load_config(tmp_path / "exp.ini")
+    _, record = harness.run_trial(cfg, 0, truth)
+    u = harness._build_waveform(cfg, np.random.default_rng(record["seed"]))
+    rx = scene.apply_channel(u, truth).samples
+    est = scene.TargetScene(tuple(scene.Target(complex(re, im), tau, nu)
+                                  for re, im, tau, nu
+                                  in record["estimated_targets"]))
+    pred = estimators._pad_to(scene.apply_channel(u, est).samples, len(rx))
+    assert record["residual_energy"] == pytest.approx(
+        np.linalg.norm(rx - pred) ** 2, rel=1e-9)
+    assert record["r_squared"] == pytest.approx(metrics.r_squared(
+        np.concatenate([rx.real, rx.imag]),
+        np.concatenate([pred.real, pred.imag])), abs=1e-9)
 
 
 def test_ambiguity_rows(tmp_path):

@@ -77,3 +77,13 @@ def test_every_private_module_name_is_read(path):
             for name, line in sorted(_module_privates(_TREES[path]).items())
             if name not in read]
     assert dead == []
+
+
+def test_errors_defines_three_exception_types():
+    """Bad input is a ParseError or ValidationError (exit 2); every other
+    detected failure is a plain ToolkitError (exit 3)."""
+    from isaclab import errors
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == errors.__name__}
+    assert defined == {"ToolkitError", "ParseError", "ValidationError"}

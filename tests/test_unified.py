@@ -18,9 +18,11 @@ def _setup():
 
 
 def test_normalization_policy_rejects_zero_reference():
-    with pytest.raises(errors.NormalizationError):
+    with pytest.raises(errors.ToolkitError,
+                       match="normalization reference is zero"):
         unified.NormalizationPolicy(0.0, 1.0)
-    with pytest.raises(errors.NormalizationError):
+    with pytest.raises(errors.ToolkitError,
+                       match="normalization reference is zero"):
         unified.NormalizationPolicy(1.0, 0.0)
 
 
@@ -44,9 +46,9 @@ def test_disjoint_bands_have_no_default_normalization():
     _, _, noise, chan = _setup()
     prior = scene.SensingPrior(np.full(64, 1.0), (2e5, 3e5))
     assert metrics.conditional_mi(u, prior, noise) == 0.0
-    with pytest.raises(errors.NormalizationError, match="share no interval"):
+    with pytest.raises(errors.ToolkitError, match="share no interval"):
         unified.max_attainable_normalization(u, prior, noise, chan)
-    with pytest.raises(errors.NormalizationError, match="share no interval"):
+    with pytest.raises(errors.ToolkitError, match="share no interval"):
         unified.signal_metric(u, prior, noise, chan, 0.5)
     fixed = unified.NormalizationPolicy(1.0, 1.0)
     score = unified.signal_metric(u, prior, noise, chan, 0.5, fixed)
@@ -83,7 +85,8 @@ def test_signal_metric_accepts_joint_pmf_with_explicit_norm():
     assert score.comm_term == pytest.approx(
         metrics.mutual_information(joint), rel=1e-12)
     # joint PMF without an explicit normalization cannot use the default
-    with pytest.raises(errors.NormalizationError):
+    with pytest.raises(errors.ToolkitError,
+                       match="needs a conditional PMF channel"):
         unified.signal_metric(u, prior, noise, joint, 0.5)
 
 
@@ -105,7 +108,8 @@ def test_estimator_metric_formula():
 def test_estimator_metric_shape_mismatch():
     comm = metrics.CommReport(10, 0)
     led = CostLedger().finalize()
-    with pytest.raises(errors.LayoutMismatch):
+    with pytest.raises(errors.ToolkitError,
+                       match=r"phi shape \(1,\) != phi_hat shape \(2,\)"):
         unified.estimator_metric([1.0], [1.0, 2.0], comm, 0.5, led,
                                  {"flops": 1.0}, 100.0)
 

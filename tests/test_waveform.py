@@ -28,9 +28,10 @@ def test_psk_roundtrip():
 
 
 def test_map_psk_length_errors():
-    with pytest.raises(errors.LengthError):
+    with pytest.raises(errors.ToolkitError, match="3 bits not divisible by 2"):
         waveform.map_psk(np.array([0, 1, 0]), 2)
-    with pytest.raises(errors.LengthError):
+    with pytest.raises(errors.ToolkitError,
+                       match="bits_per_symbol must be 1 or 2, got 3"):
         waveform.map_psk(np.array([0, 1]), 3)
 
 
@@ -81,11 +82,12 @@ def test_ofdm_data_layout():
 
 
 def test_ofdm_layout_validation():
-    with pytest.raises(errors.LayoutError):
+    with pytest.raises(errors.ToolkitError, match="needs active subcarriers"):
         waveform.ModulationLayout(kind="ofdm", n_subcarriers=4, n_symbols=1,
                                   active_subcarriers=(),
                                   data_bits=np.zeros(4, np.uint8))
-    with pytest.raises(errors.LayoutError):
+    with pytest.raises(errors.ToolkitError,
+                       match="2 data cells x 1 bits != 3 data bits"):
         # wrong bit count for the data cells
         waveform.ModulationLayout(kind="ofdm", n_subcarriers=4, n_symbols=1,
                                   active_subcarriers=(0, 1),
@@ -95,7 +97,7 @@ def test_ofdm_layout_validation():
 @pytest.mark.parametrize("active", [(1, 2, 99), (0, 1, -1), (1, 1, 2)],
                          ids=["out-of-range", "negative", "repeated"])
 def test_ofdm_layout_rejects_bad_active_subcarriers(active):
-    with pytest.raises(errors.LayoutError, match="active subcarriers"):
+    with pytest.raises(errors.ToolkitError, match="active subcarriers"):
         waveform.ModulationLayout(kind="ofdm", n_subcarriers=16, n_symbols=1,
                                   active_subcarriers=active,
                                   data_bits=np.zeros(3, np.uint8))
@@ -116,7 +118,8 @@ def test_papr():
     assert waveform.papr(u) == pytest.approx(1.0)
     x = waveform.Waveform(np.array([1.0, 0.0, 0.0, 0.0]), 1e6, (-5e5, 5e5))
     assert waveform.papr(x) == pytest.approx(4.0)
-    with pytest.raises(errors.ZeroSignalError):
+    with pytest.raises(errors.ToolkitError,
+                       match="PAPR of an all-zero signal"):
         waveform.papr(waveform.Waveform(np.zeros(8), 1e6, (-5e5, 5e5)))
 
 
