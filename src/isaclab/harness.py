@@ -558,24 +558,29 @@ def run_trial(cfg: ExperimentConfig, trial: int,
 def run_sync_trial(cfg: ExperimentConfig, trial: int,
                    scenario: syncnet.SyncScenario,
                    ) -> tuple[list[ResultRow], dict, str]:
-    """One sync trial on the parsed `[sync]` file: measurements -> particle
-    BP -> Gauss-Newton -> record (each agent's position error, the network
-    RMS) -> rows. The third element is the trial's stderr line: empty, or
-    for a fit that fails its check (`syncnet.GNFit.converged`) a report of
-    it, with BP's cap if BP stopped at it before its anneal reached scale
-    1; the rows are the same either way."""
+    """One sync trial on the parsed `[sync]` file: measurements -> the
+    closed-form start, or particle BP where it cannot place every agent ->
+    Gauss-Newton -> record (each agent's position error, the network RMS,
+    and `start`, "closed-form" or "bp") -> rows. The third element is the
+    trial's stderr line: empty, or for a fit that fails its check
+    (`syncnet.GNFit.converged`) a report of it, with BP's cap if BP ran and
+    stopped at it before its anneal reached scale 1; the rows are the same
+    either way."""
     seed = derive_seed(cfg.master_seed, trial, "sync")
     fit, bp, report = syncnet.run_sync_scenario(scenario, seed=seed)
     line = ""
     if not fit.converged:
-        capped = scenario.config.scale(bp.iterations - 1) > 1
         line = (f"trial {trial}: the Gauss-Newton fit failed its check: "
                 f"step {fit.step:.2g} (limit {syncnet.GN_STEP_TOL:g}), "
                 f"cost/dof {fit.cost_per_dof:.3g} "
-                f"(limit {fit.cost_limit:.3g})"
-                + capped * (f"; BP stopped at bp-iterations {bp.iterations} "
-                            f"before its anneal reached scale 1") + "\n")
+                f"(limit {fit.cost_limit:.3g})")
+        if bp is not None and scenario.config.scale(bp.iterations - 1) > 1:
+            line += (f"; BP stopped at bp-iterations {bp.iterations} "
+                     f"before its anneal reached scale 1")
+        line += "\n"
+    # the estimator column names the sync pipeline, whichever start it took
     record = {"trial": trial, "seed": seed, "estimator": "bp",
+              "start": "closed-form" if bp is None else "bp",
               "scenario": Path(cfg.sync_file).stem, **report}
     return metric_rows(record, cfg), record, line
 
@@ -774,10 +779,13 @@ def _check_metrics(cfg: ExperimentConfig, held: dict) -> None:
 
 def run_experiment(cfg: ExperimentConfig, store_dir: Path | None = None,
                    ) -> list[ResultRow]:
-    """Monte Carlo simulate trials; the scene file is parsed once."""
+    """Monte Carlo simulate trials; the scene file is parsed once, before
+    any trial, and a delay past the probe's frame is a ParseError there."""
     _check_metrics(cfg, _SENSING_METRICS)
-    base = None if cfg.scene_file is None else \
-        scene.load_scene(cfg.base_dir / cfg.scene_file)
+    samples = _probe_samples(cfg)
+    base = None if cfg.scene_file is None else scene.load_scene(
+        cfg.base_dir / cfg.scene_file,
+        frame=samples / cfg.sample_rate if samples else None)
     # run_trial is looked up at call time, so a rebound one is used
     return _run_trials(cfg, lambda t: (*run_trial(cfg, t, base), ""),
                        store_dir)
@@ -886,7 +894,8 @@ def ambiguity_rows(cfg: ExperimentConfig, doppler_span: float | None = None,
 # ---------------------------------------------------------------------------
 
 def emit_report(rows, fmt: str, out_dir) -> list[Path]:
-    """Write rows.csv and/or summary.txt (UTF-8, trailing newline)."""
+    """Write rows.csv and/or summary.txt (UTF-8, trailing newline): one
+    summary line per (scenario, estimator, metric)."""
     if not rows:
         raise ValueError("no rows to emit")
     out_dir = Path(out_dir)
@@ -900,13 +909,16 @@ def emit_report(rows, fmt: str, out_dir) -> list[Path]:
         paths.append(p)
     if fmt in ("summary", "both"):
         p = out_dir / "summary.txt"
-        by_metric: dict[str, list[float]] = {}
+        # one line per (scenario, estimator, metric), as rows.csv names them
+        groups: dict[tuple[str, str, str], list[float]] = {}
         for r in rows:
-            by_metric.setdefault(r.metric, []).append(r.value)
+            groups.setdefault((r.scenario, r.estimator, r.metric),
+                              []).append(r.value)
         lines = []
-        for name in sorted(by_metric):
-            vals = np.asarray(by_metric[name], float)
-            lines.append(f"{name}: n={vals.size} mean={float(vals.mean())!r} "
+        for key in sorted(groups):
+            vals = np.asarray(groups[key], float)
+            lines.append(f"{','.join(key)}: n={vals.size} "
+                         f"mean={float(vals.mean())!r} "
                          f"std={float(vals.std())!r} min={float(vals.min())!r} "
                          f"max={float(vals.max())!r}")
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")

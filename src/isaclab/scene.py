@@ -263,7 +263,13 @@ def save_scene(scene: TargetScene, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_scene(path) -> TargetScene:
+def _check_frame(what: str, delay: float, frame: float | None) -> None:
+    if frame is not None and delay > frame:
+        raise ValueError(f"{what} {delay!r} s exceeds the probe's frame of "
+                         f"{frame!r} s")
+
+
+def load_scene(path, frame: float | None = None) -> TargetScene:
     """Parse a scene file (the line grammar of `errors.key_value_lines`).
 
     Keys:
@@ -273,7 +279,9 @@ def load_scene(path) -> TargetScene:
         target: re im tau_s nu_hz       (one per target)
         clutter: density scale tau_lo tau_hi nu_lo nu_hi   (optional)
 
-    Only `target` may repeat.
+    Only `target` may repeat. With `frame`, the probe's duration in s, a
+    target delay or a clutter delay span's upper end past it, which
+    `apply_channel` cannot delay, is a ParseError at its line.
     """
     targets: list[Target] = []
     clutter = None
@@ -291,12 +299,14 @@ def load_scene(path) -> TargetScene:
                     raise ValueError("target needs 4 fields (re im tau nu)")
                 re_, im, tau, nu = (float(p) for p in parts)
                 targets.append(Target(complex(re_, im), tau, nu))
+                _check_frame("target delay", tau, frame)
             else:                                       # clutter
                 parts = rest.split()
                 if len(parts) != 6:
                     raise ValueError("clutter needs 6 fields")
                 d, s, t0, t1, n0, n1 = (float(p) for p in parts)
                 clutter = ClutterModel(d, s, (t0, t1), (n0, n1))
+                _check_frame("clutter delay span's upper end", t1, frame)
         except (ValueError, TypeError) as exc:
             raise errors.ParseError(f"{path}:{lineno}: {exc}") from None
     try:

@@ -1,9 +1,11 @@
 """Distributed-aperture spatiotemporal synchronization.
 
-Simulates pairwise bidirectional measurements between networked apertures,
-builds the factor graph of the joint posterior (pair likelihoods times
-per-node priors), finds its basin by particle loopy belief propagation, and
-fits all agent states jointly there by damped Gauss-Newton.
+Simulates pairwise bidirectional measurements between networked apertures
+and builds the factor graph of the joint posterior (pair likelihoods times
+per-node priors). Its basin is found in closed form from two-way delays
+(two-way time transfer and lateration) or, for a network that closed form
+cannot place, by particle loopy belief propagation; damped Gauss-Newton
+then fits all agent states jointly there.
 """
 
 from __future__ import annotations
@@ -665,6 +667,13 @@ def sync_error_report(estimates: dict, truth: dict) -> dict:
             "to_rms_s": float(np.sqrt(np.mean([e ** 2 for e in to])))}
 
 
+def _numeric_rank(sv: np.ndarray, shape) -> int:
+    """How many of a matrix's singular values `sv` (descending) exceed
+    max(max(shape) eps, 1e-9) times the largest."""
+    top = sv[0] if sv.size else 0.0
+    return int(np.sum(sv > max(max(shape) * np.finfo(float).eps, 1e-9) * top))
+
+
 def measurement_jacobian_rank(graph: FactorGraph, truth: dict) -> dict:
     """Numeric rank of `measurement_jacobian` at the truth, counted on
     unit-norm columns so units do not matter: a deficiency is an
@@ -673,10 +682,65 @@ def measurement_jacobian_rank(graph: FactorGraph, truth: dict) -> dict:
     jac = measurement_jacobian(graph, truth)
     col = np.linalg.norm(jac, axis=0)
     scaled = np.linalg.svd(jac / np.where(col > 0, col, 1.0), compute_uv=False)
-    top = scaled[0] if scaled.size else 0.0
-    tol = max(max(jac.shape) * np.finfo(float).eps * top, 1e-9 * top)
-    return {"rank": int(np.sum(scaled > tol)), "dim": jac.shape[1],
+    return {"rank": _numeric_rank(scaled, jac.shape), "dim": jac.shape[1],
             "singular_values": np.linalg.svd(jac, compute_uv=False)}
+
+
+def _closed_form_start(graph: FactorGraph, anchors: dict) -> dict | None:
+    """Every agent's state from two-way time transfer (Kirchner, Proc.
+    IEEE 1991) and lateration (Patwari et al., IEEE SPM 2005), given the
+    anchors' states `anchors` (aperture id -> ApertureState); None if some
+    agent cannot be placed. No random number is drawn.
+
+    Anchors are placed first. Then, pass after pass, each agent is placed
+    once three or more placed neighbours j carry a delay in both directions:
+    their range is r_j = c (z_{j->m} + z_{m->j}) / 2, and the agent's
+    position the least-squares solve of the differenced squared ranges,
+    A = 2 (p_k - p_0), b = r_0^2 - r_k^2 + |p_k|^2 - |p_0|^2; its time
+    offset the mean of TO_j + (z_{j->m} - z_{m->j}) / 2; its orientation the
+    circular mean of bearing(p_j - p_m) - aoa_{j->m}. None too when an
+    agent's A has numeric rank below 2 (`_numeric_rank`), as with collinear
+    neighbours, or when the space holds `cpo`, whose carrier cycle no delay
+    fixes."""
+    space = graph.space
+    if "cpo" in space.slices:
+        return None
+    delay = {f.pair: f.measurement.delay for f in graph.pair_factors}
+    aoa = {f.pair: f.measurement.aoa for f in graph.pair_factors}
+    placed = dict(anchors)
+    todo = list(graph.topology.agents)
+    while todo:
+        for m in todo:
+            nbrs = [j for j in placed if delay.get((j, m)) is not None
+                    and delay.get((m, j)) is not None]
+            if len(nbrs) < 3:
+                continue
+            there = np.array([delay[(j, m)] for j in nbrs])
+            back = np.array([delay[(m, j)] for j in nbrs])
+            r = SPEED_OF_LIGHT * (there + back) / 2
+            p = np.array([placed[j].position for j in nbrs])
+            sq = np.sum(p * p, axis=1)
+            a = 2 * (p[1:] - p[0])
+            pos, _, _, sv = np.linalg.lstsq(
+                a, r[0] ** 2 - r[1:] ** 2 + sq[1:] - sq[0], rcond=None)
+            if _numeric_rank(sv, a.shape) < 2:
+                return None
+            state = {"position": pos}
+            if "time_offset" in space.slices:
+                state["time_offset"] = float(np.mean(
+                    [placed[j].time_offset for j in nbrs] + (there - back) / 2))
+            if "orientation" in space.slices:
+                diff = p - pos
+                turn = np.arctan2(diff[:, 1], diff[:, 0]) - np.array(
+                    [aoa[(j, m)] for j in nbrs])
+                state["orientation"] = float(np.arctan2(np.sum(np.sin(turn)),
+                                                        np.sum(np.cos(turn))))
+            placed[m] = ApertureState(m, **state)
+            todo.remove(m)
+            break
+        else:
+            return None
+    return {m: placed[m] for m in graph.topology.agents}
 
 
 # Gauss-Newton stops after GN_MAX_STEPS steps, or at a step that no damping
@@ -921,12 +985,15 @@ def load_sync_scenario(path) -> SyncScenario:
 
 
 def run_sync_scenario(scenario: SyncScenario, seed: int):
-    """Simulate measurements, run BP to the first iteration at anneal scale
-    1 (or its cap; its convergence test cannot fire before it), fit from
-    BP's MMSE estimates by `gauss_newton`, and report the agents' errors,
-    `to_rms_s` None if no clock is estimated. One `seed` child draws the
-    noise and the other BP's particles. Returns the `GNFit` (its states
-    are the estimates), BP's own `BPResult` and the `sync_error_report`."""
+    """Simulate measurements, start every agent at `_closed_form_start` or,
+    when it cannot place one, at BP's MMSE estimates, fit from there by
+    `gauss_newton`, and report the agents' errors, `to_rms_s` None if no
+    clock is estimated. BP runs to the first iteration at anneal scale 1
+    (or its cap; its convergence test cannot fire before it). One `seed`
+    child draws the noise and the other BP's particles, if BP runs.
+    Returns the `GNFit` (its states are the estimates), BP's own
+    `BPResult`, or None when the closed form gave the start, and the
+    `sync_error_report`."""
     noise_seed, bp_seed = np.random.SeedSequence(seed).spawn(2)
     measurements = simulate_measurements(scenario.topology,
                                          scenario.true_states, scenario.noise,
@@ -934,17 +1001,19 @@ def run_sync_scenario(scenario: SyncScenario, seed: int):
     graph = build_factor_graph(scenario.topology, scenario.priors,
                                measurements, scenario.space,
                                scenario.carrier_freq)
-    # no floor: on files without anneal keys, handing off after BP's first
-    # iteration gave the same fits as after its second to twelfth
-    cfg = scenario.config
-    handoff = next((it + 1 for it in range(cfg.max_iterations)
-                    if cfg.scale(it) == 1), cfg.max_iterations)
-    bp = run_loopy_bp(graph, replace(cfg, seed=bp_seed,
-                                     max_iterations=handoff))
     truth, agents = scenario.true_states, scenario.topology.agents
-    fit = gauss_newton(graph, {
-        **{j: truth[j] for j in scenario.topology.anchors},
-        **{j: estimate_mmse(bp[j], scenario.space, j) for j in agents}})
+    anchors = {j: truth[j] for j in scenario.topology.anchors}
+    bp, start = None, _closed_form_start(graph, anchors)
+    if start is None:
+        # no floor: on files without anneal keys, handing off after BP's
+        # first iteration gave the same fits as after its second to twelfth
+        cfg = scenario.config
+        handoff = next((it + 1 for it in range(cfg.max_iterations)
+                        if cfg.scale(it) == 1), cfg.max_iterations)
+        bp = run_loopy_bp(graph, replace(cfg, seed=bp_seed,
+                                         max_iterations=handoff))
+        start = {j: estimate_mmse(bp[j], scenario.space, j) for j in agents}
+    fit = gauss_newton(graph, {**anchors, **start})
     report = sync_error_report({j: fit.states[j] for j in agents},
                                {j: truth[j] for j in agents})
     if "time_offset" not in scenario.space.slices:

@@ -172,10 +172,23 @@ def test_emit_report_summary(tmp_path):
             for t in range(3)]
     path = harness.emit_report(rows, "summary", tmp_path)[0]
     text = path.read_text()
-    assert "ber: n=3 mean=1.0" in text
+    assert text.startswith("s,e,ber: n=3 mean=1.0 ")
     assert "min=0.0" in text and "max=2.0" in text
     with pytest.raises(ValueError):
         harness.emit_report([], "csv", tmp_path)
+
+
+def test_emit_report_summary_keeps_scenarios_apart(tmp_path):
+    # two sweep points' rows of one metric are two lines, not one pooled
+    rows = [harness.ResultRow(t, scenario, "music", "r_squared", value,
+                              "ratio", 1)
+            for t in range(2)
+            for scenario, value in (("ebn0=10dB", 0.5), ("ebn0=30dB", 0.9))]
+    path = harness.emit_report(rows, "summary", tmp_path)[0]
+    lines = path.read_text().splitlines()
+    assert [line.split(" ")[:3] for line in lines] == [
+        ["ebn0=10dB,music,r_squared:", "n=2", "mean=0.5"],
+        ["ebn0=30dB,music,r_squared:", "n=2", "mean=0.9"]]
 
 
 def test_store_and_recompute_metrics(tmp_path):
@@ -505,14 +518,48 @@ def test_cli_simulate_and_exit_codes(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
 
 
-def test_cli_runtime_error_exit_3(tmp_path):
-    # target delay beyond the waveform frame fails at run time, not load time
-    scene.save_scene(scene.TargetScene(
-        (scene.Target(1.0, 0.5, 0.0),)), tmp_path / "scene.txt")
+def test_cli_runtime_error_exit_3(tmp_path, capsys, monkeypatch):
+    # a failure a trial detects, not one of its input, exits 3
+    def failing(cfg, t, base):
+        raise errors.ToolkitError(f"trial {t} failed")
+
+    _write_scene(tmp_path / "scene.txt")
     (tmp_path / "exp.ini").write_text(_config_text(trials=1))
+    monkeypatch.setattr(harness, "run_trial", failing)
     code = cli.main(["simulate", "--config", str(tmp_path / "exp.ini"),
                      "--out", str(tmp_path / "out")])
     assert code == 3
+    assert capsys.readouterr().err == "runtime error: trial 0 failed\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("target: 1.0 0.0 6e-4 0.0",
+     "target delay 0.0006 s exceeds the probe's frame of 0.000512 s"),
+    ("clutter: 1e5 0.1 0 9e-4 -100 100", "clutter delay span's upper end "
+     "0.0009 s exceeds the probe's frame of 0.000512 s"),
+], ids=["target", "clutter"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_delay_past_the_frame_exits_2_before_any_trial(
+        tmp_path, capsys, monkeypatch, command, line, message):
+    # demos/chirp.ini's 512-sample chirp at 1 MHz is a 512 us frame, which
+    # apply_channel cannot delay an echo past
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the frame check")
+
+    (tmp_path / "chirp.scene").write_text(
+        f"scene-version: 1\nlabel: chirp\ntarget: 1.0 0.0 8.4e-05 0.0\n"
+        f"{line}\n")
+    ini = (Path(__file__).parents[1] / "demos" / "chirp.ini").read_text()
+    if command == "sweep":
+        ini += "\n[sweep]\nparameter = ebn0-db\nvalues = 30\n"
+        ini = ini.replace("store-reports = true", "")
+    (tmp_path / "chirp.ini").write_text(ini)
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    assert cli.main([command, "--config", str(tmp_path / "chirp.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {tmp_path / 'chirp.scene'}:4: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("scene_text, probe, message", [
@@ -558,7 +605,8 @@ def test_run_experiment_parses_scene_once(tmp_path, monkeypatch):
     calls = []
     load = scene.load_scene
     monkeypatch.setattr(scene, "load_scene",
-                        lambda path: calls.append(path) or load(path))
+                        lambda path, **kw: calls.append(path) or load(path,
+                                                                      **kw))
     assert len(harness.run_experiment(cfg)) == 3 * 5
     assert len(calls) == 1
 
@@ -974,8 +1022,16 @@ anneal-start: 1e4
 """
 
 
-def _sync_config(tmp_path, trials=1, experiment="", metrics=None):
-    (tmp_path / "net.txt").write_text(_SYNC_NET)
+# _SYNC_NET measured one way only, so the closed-form start cannot place
+# its agents and BP gives the start
+_SYNC_NET_ONE_WAY = _SYNC_NET.replace("measure: all\n", "".join(
+    f"measure: {j} {m}\n" for j, m in ((0, 3), (1, 3), (2, 3), (0, 4),
+                                       (1, 4), (2, 4), (3, 4))))
+
+
+def _sync_config(tmp_path, trials=1, experiment="", metrics=None,
+                 net=_SYNC_NET):
+    (tmp_path / "net.txt").write_text(net)
     listed = "" if metrics is None else f"\n[metrics]\nlist = {metrics}\n"
     (tmp_path / "exp.ini").write_text(f"""[experiment]
 schema-version = 1
@@ -1332,10 +1388,15 @@ def test_sync_reports_bp_stopped_at_its_cap_on_stderr(tmp_path, capsys,
     note = "; BP stopped at bp-iterations 15 before its anneal reached scale 1"
     # _SYNC_NET reaches anneal scale 1 at its 15th and last iteration, and a
     # faster anneal before it; a slower one is still at scale 440 there, so
-    # BP stops at its cap and the line says so
-    for extra, capped in (("", False), ("anneal-decay: 0.3\n", False),
-                          ("anneal-decay: 0.8\n", True)):
-        (tmp_path / "net.txt").write_text(_SYNC_NET + extra)
+    # BP stops at its cap and the line says so. Measured both ways, the
+    # network takes the closed-form start, and BP's cap is not reported
+    for net, extra, capped in ((_SYNC_NET_ONE_WAY, "", False),
+                               (_SYNC_NET_ONE_WAY, "anneal-decay: 0.3\n",
+                                False),
+                               (_SYNC_NET_ONE_WAY, "anneal-decay: 0.8\n",
+                                True),
+                               (_SYNC_NET, "anneal-decay: 0.8\n", False)):
+        (tmp_path / "net.txt").write_text(net + extra)
         assert cli.main(["sync", "--config", ini,
                          "--out", str(tmp_path / "out")]) == 0
         err = capsys.readouterr().err.splitlines()
@@ -1345,6 +1406,83 @@ def test_sync_reports_bp_stopped_at_its_cap_on_stderr(tmp_path, capsys,
                    for t, line in enumerate(err))
         assert len((tmp_path / "out" / "rows.csv").read_text()
                    .splitlines()) == 1 + 2 * 3
+
+
+def _sync_net(measures, agents="aperture: 3 agent 20 30 0 0 0\n"
+                                "aperture: 4 agent 35 15 0 0 0\n",
+              anchors=((0, 0), (50, 0), (0, 50)), components="position",
+              extra=""):
+    """A _SYNC_NET-like file with BP settings that keep a fallback short."""
+    return (f"sync-version: 1\ncomponents: {components}\n"
+            "scene-box: 0 50 0 50\n"
+            + "".join(f"aperture: {j} anchor {x} {y} 0 0 0\n"
+                      for j, (x, y) in enumerate(anchors))
+            + agents + "".join(f"measure: {j} {m}\n" for j, m in measures)
+            + "noise: delay 1e-9\nbp-particles: 100\nbp-iterations: 3\n"
+            + extra)
+
+
+_TWO_WAY = [(j, m) for j in range(5) for m in range(5) if j != m]
+
+
+@pytest.mark.parametrize("net, start", [
+    (_SYNC_NET, "closed-form"),
+    # agent 4 hears anchor 2 and agent 3 one way only: two two-way
+    # neighbours are too few to place it
+    (_sync_net([p for p in _TWO_WAY if p not in ((4, 2), (4, 3))]), "bp"),
+    (_SYNC_NET_ONE_WAY, "bp"),
+    # collinear anchors make the differenced ranges' matrix rank 1
+    (_sync_net(_TWO_WAY, anchors=((0, 0), (25, 0), (50, 0))), "bp"),
+    # no delay fixes a carrier cycle, so a cpo component takes BP's start
+    (_sync_net(_TWO_WAY, agents="aperture: 3 agent 20 30 0 0 1.0\n"
+                                "aperture: 4 agent 35 15 0 0 -2.0\n",
+               components="position cpo", extra="noise: phase 0.05\n"),
+     "bp"),
+], ids=["two-way", "two-neighbours", "one-way", "collinear", "cpo"])
+def test_a_sync_trial_records_which_start_it_took(tmp_path, monkeypatch,
+                                                  net, start):
+    calls = []
+
+    def spy(graph, config, _run=syncnet.run_loopy_bp):
+        calls.append(config)
+        return _run(graph, config)
+
+    monkeypatch.setattr(syncnet, "run_loopy_bp", spy)
+    cfg = harness.load_config(_sync_config(tmp_path, net=net))
+    scn = syncnet.load_sync_scenario(tmp_path / "net.txt")
+    rows, record, _ = harness.run_sync_trial(cfg, 0, scn)
+    assert record["start"] == start
+    assert len(calls) == (start == "bp")
+    assert {row.estimator for row in rows} == {"bp"}
+
+
+def test_sync_output_is_the_same_at_any_worker_count_with_a_failed_fit(
+        tmp_path, capfd, monkeypatch):
+    # a cost limit between the highest two costs of 4 closed-form fits, so
+    # exactly one trial fails its check
+    _cpus(monkeypatch, 2)
+    ini = _sync_config(tmp_path, trials=4, experiment="store-reports = true")
+    cfg = harness.load_config(ini)
+    scn = syncnet.load_sync_scenario(tmp_path / "net.txt")
+    costs = [syncnet.run_sync_scenario(scn, harness.derive_seed(
+        cfg.master_seed, t, "sync"))[0].cost_per_dof for t in range(4)]
+    worst = int(np.argmax(costs))
+    limit = float(np.mean(sorted(costs)[-2:]))
+    monkeypatch.setattr(syncnet, "gn_cost_limit", lambda dof: limit)
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert cli.main(["sync", "--config", ini, "--workers", workers,
+                         "--out", str(out)]) == 0
+        _no_child_left()
+        records = [json.loads(p.read_text())
+                   for p in sorted((out / "reports").glob("report_*.json"))]
+        assert [r["start"] for r in records] == 4 * ["closed-form"]
+        outs.append((capfd.readouterr().err, (out / "rows.csv").read_bytes()))
+    assert outs[0] == outs[1]
+    [line] = outs[0][0].splitlines()
+    assert line.startswith(f"trial {worst}: the Gauss-Newton fit failed")
+    assert line.endswith(f"(limit {limit:.3g})")
 
 
 def test_sync_metric_list_selects_rows(tmp_path):

@@ -732,6 +732,24 @@ anneal-decay: 0.4
 """
 
 
+# the same network measured one way only, so no agent has the two-way
+# delays the closed-form start needs, and BP finds the basin
+_MIRROR_ONE_WAY = _MIRROR.replace("measure: all\n", "".join(
+    f"measure: {j} {m}\n" for j, m in ((0, 4), (1, 4), (2, 4), (0, 5),
+                                       (1, 5), (2, 5), (4, 5))))
+
+
+def test_the_mirror_geometry_fits_in_the_right_mode(tmp_path):
+    # the closed form's linear solve has one solution, the true side of the
+    # anchors' line, so no seed starts the fit in the mirror mode
+    (tmp_path / "m.sync").write_text(_MIRROR)
+    scn = sn.load_sync_scenario(tmp_path / "m.sync")
+    for seed in range(40):
+        fit, bp, report = sn.run_sync_scenario(scn, seed)
+        assert bp is None and fit.converged
+        assert max(err for _, err in report["agent_position_error"]) < 0.01
+
+
 @pytest.mark.parametrize("seed, cap, wrong", [(0, 8, False), (7, 8, True),
                                               (7, 20, False)])
 def test_a_fit_in_the_wrong_mode_fails_the_cost_check(tmp_path, seed, cap,
@@ -739,7 +757,8 @@ def test_a_fit_in_the_wrong_mode_fails_the_cost_check(tmp_path, seed, cap,
     # a cap of 8 hands off at anneal scale 1.6e3, where BP's mean can lie
     # in the mirror basin: GN converges there, and only its cost tells. The
     # default handoff, at the first iteration at scale 1 (17), does not
-    (tmp_path / "m.sync").write_text(_MIRROR + f"bp-iterations: {cap}\n")
+    (tmp_path / "m.sync").write_text(_MIRROR_ONE_WAY
+                                     + f"bp-iterations: {cap}\n")
     scn = sn.load_sync_scenario(tmp_path / "m.sync")
     fit, bp, report = sn.run_sync_scenario(scn, seed)
     assert bp.iterations == min(cap, 17)
@@ -751,6 +770,37 @@ def test_a_fit_in_the_wrong_mode_fails_the_cost_check(tmp_path, seed, cap,
     else:
         assert worst < 0.01 and fit.cost_per_dof < 3.0
     assert fit.converged is not wrong
+
+
+def test_closed_form_start_is_exact_on_noiseless_two_way_delays():
+    # agent 4 has two two-way neighbours until agent 5 is placed, so it is
+    # placed on the second pass; anchor clocks and orientations are not 0
+    space = sn.StateSpace(("position", "orientation", "time_offset"))
+    truth = {0: sn.ApertureState(0, [0.0, 0.0], 0.3, 3e-8),
+             1: sn.ApertureState(1, [100.0, 0.0], -0.2, -5e-8),
+             2: sn.ApertureState(2, [0.0, 100.0]),
+             3: sn.ApertureState(3, [100.0, 100.0], 1.0, 1e-7),
+             4: sn.ApertureState(4, [37.0, 61.0], 0.4, 1.5e-7),
+             5: sn.ApertureState(5, [70.0, 30.0], -1.1, -2e-7)}
+    links = [(0, 4), (2, 4), (4, 5), (0, 5), (1, 5), (3, 5)]
+    top = sn.NetworkTopology(tuple(truth), (0, 1, 2, 3), tuple(
+        p for j, m in links for p in ((j, m), (m, j))))
+    # stds so small that the draws vanish below the observables' last bit
+    noise = sn.MeasurementNoise(delay_std=1e-300, aoa_std=1e-300)
+    meas = sn.simulate_measurements(top, truth, noise, seed=0)
+    priors = {j: sn.PointPrior(space.pack(truth[j])) for j in range(4)}
+    priors.update({m: sn.UniformPrior([0, 0, -np.pi, -1e-6],
+                                      [100, 100, np.pi, 1e-6])
+                   for m in (4, 5)})
+    graph = sn.build_factor_graph(top, priors, meas, space)
+    start = sn._closed_form_start(graph, {j: truth[j] for j in range(4)})
+    assert sorted(start) == [4, 5]
+    for m in (4, 5):
+        np.testing.assert_allclose(start[m].position, truth[m].position,
+                                   rtol=1e-9)
+        for c in ("orientation", "time_offset"):
+            assert getattr(start[m], c) == pytest.approx(
+                getattr(truth[m], c), rel=1e-9)
 
 
 def test_a_fit_no_damping_improves_keeps_its_start(monkeypatch):
@@ -841,7 +891,7 @@ def test_run_sync_scenario_returns_bps_result_untouched(tmp_path,
         return result
 
     monkeypatch.setattr(sn, "run_loopy_bp", spy)
-    (tmp_path / "m.sync").write_text(_MIRROR + "bp-iterations: 8\n")
+    (tmp_path / "m.sync").write_text(_MIRROR_ONE_WAY + "bp-iterations: 8\n")
     fit, bp, _ = sn.run_sync_scenario(
         sn.load_sync_scenario(tmp_path / "m.sync"), 0)
     [(result, attributes, beliefs)] = returned
