@@ -198,13 +198,19 @@ def _pad_to(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _window_max(surface: np.ndarray) -> np.ndarray:
+    """Each cell's 3x3 window maximum (the cell and its 8 neighbours),
+    -inf beyond the edges, NaN where the window holds a NaN."""
+    p = np.full((surface.shape[0] + 2, surface.shape[1] + 2), -np.inf)
+    p[1:-1, 1:-1] = surface
+    rows = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+    return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+
+
 def _local_maxima(surface: np.ndarray) -> np.ndarray:
     """Boolean mask of cells >= all existing neighbors (8-connectivity):
     each cell against its 3x3 window maximum, False where that is NaN."""
-    p = np.pad(surface, 1, constant_values=-np.inf)
-    rows = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
-    return surface >= np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]),
-                                 rows[:, 2:])
+    return surface >= _window_max(surface)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +360,11 @@ def _snapshot_covariance(G: np.ndarray, mw: int, lw: int):
     return apply
 
 
-# block Lanczos for MUSIC's signal subspace: a block holds `order` vectors,
-# at most SUBSPACE_MAX_ITER blocks make the basis, and the top `order` Ritz
-# pairs must meet ||Rv - lambda v|| <= SUBSPACE_TOL * lambda_max; a
-# covariance of at most order + SUBSPACE_EXTRA rows goes to a full `eigh`
+# block Lanczos for MUSIC's signal subspace: a block holds `order` vectors
+# and at most SUBSPACE_MAX_ITER blocks make the basis; SUBSPACE_TOL is the
+# relative size below which a block's direction counts as lost and a sum of
+# Ritz values as trace(R); a covariance of at most order + SUBSPACE_EXTRA
+# rows goes to a full `eigh`
 SUBSPACE_EXTRA = 10
 SUBSPACE_TOL = 1e-13
 SUBSPACE_MAX_ITER = 36
@@ -366,31 +373,46 @@ SUBSPACE_MAX_ITER = 36
 def _signal_subspace(apply_R, dim: int, trace: float, order: int):
     """Top `order` eigenpairs of the Hermitian positive semi-definite R, of
     size dim x dim, by block Lanczos (Golub & Underwood, "The block Lanczos
-    method for computing eigenvalues", 1977), as ``(steps, found)``:
-    `found` is ``(eigenvalues ascending, eigenvectors)`` or None.
+    method for computing eigenvalues", 1977).  After each block it yields
+    ``(steps, eigenvalues ascending, eigenvectors, residual, gap)``: the top
+    `order` Ritz pairs (lam, X), the Frobenius norm of R X - X diag(lam),
+    and a gap between lam and the rest of R's spectrum.  By the sin theta
+    theorem (Davis & Kahan, "The rotation of eigenvectors by a
+    perturbation. III", 1970) the sine of the largest angle between span X
+    and R's top-`order` eigenspace is then at most residual / gap.
 
     R is seen only through `apply_R` (X -> R X) and its trace.  The first
     block is a fixed pseudo-random one, so the result depends on R alone;
     a block of `order` vectors, not one, is what finds every direction of
     a repeated eigenvalue.  Each next block is R times the newest one,
     orthogonalised twice against the whole basis, and every step runs
-    Rayleigh-Ritz on the whole basis and the residual test on its top
-    `order` Ritz pairs.  A block that loses rank (singular values at most
-    SUBSPACE_TOL times the largest Ritz value are dropped) makes the basis
-    invariant; its Ritz pairs are then exact only if the basis holds all
-    of R, so they are taken only if the Ritz values sum to trace(R)
-    within SUBSPACE_TOL.
+    Rayleigh-Ritz on the whole basis.
 
-    `steps` counts the blocks, 0 when R is too small to gain from them.
-    `found` is None when R is too small, when a basis that lost rank misses
-    part of trace(R), or when SUBSPACE_MAX_ITER blocks (or R's dimension)
-    pass without meeting the residual test; the caller then runs a full
-    `eigh`.  The cap bounds a call that never meets the test: on a
-    256-row covariance, 36 blocks of 2 cost about as much as the R and
-    full `eigh` that follow them.
+    The gap is half the Ritz gap, lam[0] minus the (order + 1)-th Ritz
+    value.  That Ritz value is at most R's (order + 1)-th eigenvalue
+    (Cauchy interlacing) and rises toward it as the basis grows, so the
+    Ritz gap overstates the true one; halving it keeps the bound while the
+    Ritz value is within half the Ritz gap of its eigenvalue.  The first
+    block has no (order + 1)-th Ritz value, so its gap is 0: no bound.
+
+    A block that loses rank (singular values at most SUBSPACE_TOL times the
+    largest Ritz value are dropped) ends the iteration after its step.  Its
+    Ritz pairs are exact only if the basis holds all of R, which the Ritz
+    values summing to trace(R) within SUBSPACE_TOL shows; the step's gap
+    is then inf (residual / gap = 0), else 0.
+
+    Nothing is yielded when R is too small to gain from blocks (dim at most
+    order + SUBSPACE_EXTRA), and the iteration stops after
+    SUBSPACE_MAX_ITER blocks or before the basis would pass R's dimension;
+    a caller that has taken no step's pairs by then runs a full `eigh`.
+    The cap bounds a call whose pairs are never taken: on a 256-row
+    covariance, 36 blocks of 2 cost about as much as the R and full `eigh`
+    that follow them (19-23 ms against 20 ms on one thread of a 2-vCPU
+    host), and twice that when `music_estimate` looks at every block's
+    peak choice.
     """
     if dim <= order + SUBSPACE_EXTRA:
-        return 0, None
+        return
     rng = np.random.default_rng(0)
     new, _ = np.linalg.qr(rng.standard_normal((dim, order))
                           + 1j * rng.standard_normal((dim, order)))
@@ -402,28 +424,77 @@ def _signal_subspace(apply_R, dim: int, trace: float, order: int):
     k = 0
     for step in range(1, SUBSPACE_MAX_ITER + 1):
         r = new.shape[1]
-        Q[:, k:k + r] = new
-        Qh[k:k + r] = new.conj().T
-        Z[:, k:k + r] = apply_R(new)
-        T[k:k + r, :k + r] = Qh[k:k + r] @ Z[:, :k + r]
-        k += r
+        if r:
+            Q[:, k:k + r] = new
+            Qh[k:k + r] = new.conj().T
+            Z[:, k:k + r] = apply_R(new)
+            T[k:k + r, :k + r] = Qh[k:k + r] @ Z[:, :k + r]
+            k += r
         ritz, V = np.linalg.eigh(T[:k, :k])
         X = Q[:, :k] @ V[:, -order:]
         lam = ritz[-order:]
-        resid = np.linalg.norm(Z[:, :k] @ V[:, -order:] - X * lam, axis=0)
-        if (resid <= SUBSPACE_TOL * ritz[-1]).all():
-            return step, (lam, X)
+        residual = np.linalg.norm(Z[:, :k] @ V[:, -order:] - X * lam)
         if r < order:
             held = abs(ritz.sum() - trace) <= SUBSPACE_TOL * trace
-            return step, (lam, X) if held else None
+            yield step, lam, X, residual, np.inf if held else 0.0
+            return
+        yield step, lam, X, residual, \
+            (lam[0] - ritz[-order - 1]) / 2 if k > order else 0.0
         W = Z[:, k - order:k]
         for _ in range(2):
             W = W - Q[:, :k] @ (Qh[:k] @ W)
         U, sv, _ = np.linalg.svd(W, full_matrices=False)
         new = U[:, sv > SUBSPACE_TOL * ritz[-1]]
         if k + new.shape[1] > cap:
-            return step, None
-    return SUBSPACE_MAX_ITER, None
+            return
+
+
+def _choose_peaks(pseudo: np.ndarray, order: int) -> list[tuple[int, int]]:
+    """MUSIC's peak choice: the `order` largest local maxima of the
+    pseudospectrum, taken greedily, each skipping the cells next to one
+    already taken."""
+    peaks_mask = _local_maxima(pseudo)
+    cand = np.argwhere(peaks_mask)
+    cand = cand[np.argsort(pseudo[peaks_mask])[::-1]]
+    chosen: list[tuple[int, int]] = []
+    for i, j in cand:
+        if any(abs(i - ci) <= 1 and abs(j - cj) <= 1 for ci, cj in chosen):
+            continue
+        chosen.append((int(i), int(j)))
+        if len(chosen) == order:
+            break
+    return chosen
+
+
+def _choice_margin(root: np.ndarray, chosen, order: int) -> float:
+    """The smallest gap in `root`, the square root of each cell's
+    pseudospectrum denominator, among the comparisons that decide
+    `_choose_peaks`' choice `chosen`.  If no cell's root moves by more than
+    half of it, the choice stays `chosen`, in its order:
+
+    - each chosen peak stays below the next one, and below every neighbour
+      (so it stays a local maximum of the pseudospectrum);
+    - every cell not next to a chosen peak stays above the last one chosen
+      or above its lowest neighbour (so it stays behind the choice or no
+      local maximum); with fewer than `order` chosen, only the latter.
+    """
+    near = np.zeros(root.shape, bool)
+    gaps = []
+    for k, (i, j) in enumerate(chosen):
+        window = np.s_[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
+        around = root[window].copy()
+        around[i - window[0].start, j - window[1].start] = np.inf
+        gaps.append(around.min() - root[i, j])
+        if k:
+            gaps.append(root[i, j] - root[chosen[k - 1]])
+        near[window] = True
+    last = root[chosen[-1]] if len(chosen) == order else np.inf
+    # the window holds the cell itself, so the second gap is at least 0; a
+    # cell below all its neighbours is a local maximum the choice passed
+    # over, so its gap above the last one chosen decides
+    rest, lowest = root[~near], -_window_max(-root)[~near]
+    return float(np.min(np.concatenate(
+        [gaps, np.maximum(rest - last, rest - lowest)]), initial=np.inf))
 
 
 def music_estimate(obs, order: int, delay_grid, doppler_grid,
@@ -442,11 +513,19 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     trace(R), the windowed energy of |G|^2.  The pseudospectrum
     denominator is ||a - E_s E_s^H a||^2, the norm of the projection
     residual; the difference ||a||^2 - ||E_s^H a||^2 would lose digits to
-    cancellation at the peaks.  When the iteration gives up (R too small,
-    a lost rank that leaves part of trace(R) out, or the SUBSPACE_MAX_ITER
-    cap), the snapshots and R are built, and a full `eigh` and the
-    noise-subspace form ||E_n^H a||^2 run instead (diagnostic
-    `eigh_fallback`; `subspace_steps` counts the Lanczos blocks, 0 when R
+    cancellation at the peaks.  Each Lanczos step's pairs give it to within
+    their bound b = residual / gap: the square root of every cell's
+    denominator is within b of the one R's exact eigenvectors give (Davis
+    & Kahan's sin theta, since ||a|| = 1).  The iteration stops at the
+    first step whose 2 b is at most `_choice_margin`, the smallest gap in
+    those square roots among the comparisons that decide the peak choice,
+    so its peaks are the exact eigenvectors' peaks; the diagnostics
+    `subspace_residual` and `subspace_gap` give its residual and gap.  When
+    no step settles the choice (R too small, a lost rank that leaves part
+    of trace(R) out, or the SUBSPACE_MAX_ITER cap), the snapshots and R
+    are built, and a full `eigh` and the noise-subspace form
+    ||E_n^H a||^2 run instead (diagnostic `eigh_fallback`, with no
+    residual or gap; `subspace_steps` counts the Lanczos blocks, 0 when R
     was too small to try).  The unit-norm steering matrix comes from the
     read-only cache of `_steering_matrix`.  The steering vectors are
     periodic in delay with period 1/freq_step (and in Doppler with
@@ -485,13 +564,26 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     # the snapshots' mean energy
     trace = float(np.lib.stride_tricks.sliding_window_view(
         np.abs(G) ** 2, (mw, lw)).sum()) / n_snap
-    steps, found = _signal_subspace(_snapshot_covariance(G, mw, lw), dim,
-                                    trace, order)
-    if found is not None:
-        evals, signal_sub = found
-        resid = signal_sub @ (signal_sub.conj().T @ S)
-        np.subtract(S, resid, out=resid)
-        denom = np.sum(np.abs(resid) ** 2, axis=0)
+    # the first Lanczos step whose bound cannot move any cell's root
+    # across a comparison that decides the peak choice is taken; every
+    # root lies in [0, 1], so a bound above 1/2 is not worth a look
+    steps, settled = 0, None
+    resid = np.empty_like(S)        # every look's projection residual
+    for steps, evals, signal_sub, sub_residual, sub_gap in _signal_subspace(
+            _snapshot_covariance(G, mw, lw), dim, trace, order):
+        bound = sub_residual / sub_gap if sub_gap > 0 else np.inf
+        if 2 * bound > 1:
+            continue
+        np.matmul(signal_sub, signal_sub.conj().T @ S, out=resid)
+        parts = np.subtract(S, resid, out=resid).view(np.float64)
+        denom = np.maximum(np.einsum("ij,ij->j", parts, parts)
+                           .reshape(-1, 2).sum(axis=1), 1e-300)
+        pseudo = 1.0 / denom.reshape(n_tau, n_nu)
+        chosen = _choose_peaks(pseudo, order)
+        if 2 * bound <= _choice_margin(np.sqrt(denom).reshape(n_tau, n_nu),
+                                       chosen, order):
+            settled = float(sub_residual), float(sub_gap)
+            break
     else:
         snaps = np.ascontiguousarray(
             np.lib.stride_tricks.sliding_window_view(G, (mw, lw))
@@ -501,19 +593,8 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
         evals = evals[dim - order:]
         denom = np.sum(np.abs(evecs[:, :dim - order].conj().T @ S) ** 2,
                        axis=0)
-    pseudo = 1.0 / np.maximum(denom, 1e-300).reshape(n_tau, n_nu)
-
-    # P largest well-separated peaks (greedy, excluding adjacent cells)
-    peaks_mask = _local_maxima(pseudo)
-    cand = np.argwhere(peaks_mask)
-    cand = cand[np.argsort(pseudo[peaks_mask])[::-1]]
-    chosen: list[tuple[int, int]] = []
-    for i, j in cand:
-        if any(abs(i - ci) <= 1 and abs(j - cj) <= 1 for ci, cj in chosen):
-            continue
-        chosen.append((int(i), int(j)))
-        if len(chosen) == order:
-            break
+        pseudo = 1.0 / np.maximum(denom, 1e-300).reshape(n_tau, n_nu)
+        chosen = _choose_peaks(pseudo, order)
 
     # amplitudes: LS fit of full-size steering vectors to the observation
     B = np.empty((M * L, len(chosen)), np.complex128)
@@ -532,14 +613,17 @@ def music_estimate(obs, order: int, delay_grid, doppler_grid,
     ledger.flop_count = (dim ** 2 * n_snap + dim ** 3
                          + n_tau * n_nu * dim * (dim - order))
     ledger.finalize()
+    sub_residual, sub_gap = settled or (None, None)
     return EstimateReport(targets, g_hat.reshape(M, L), residual, ledger,
                           diagnostics={"pseudospectrum": pseudo,
                                        "eigenvalues": evals,
                                        "noise_floor": float(
                                            (trace - evals.sum())
                                            / (dim - order)),
-                                       "eigh_fallback": found is None,
-                                       "subspace_steps": steps})
+                                       "eigh_fallback": settled is None,
+                                       "subspace_steps": steps,
+                                       "subspace_residual": sub_residual,
+                                       "subspace_gap": sub_gap})
 
 
 # ---------------------------------------------------------------------------

@@ -432,10 +432,22 @@ def _doppler_cells(span: float, bins: int) -> np.ndarray:
     return np.linspace(-span, span, bins) if bins > 1 else np.zeros(1)
 
 
-def _grids(cfg: ExperimentConfig, u) -> tuple[np.ndarray, np.ndarray]:
+def _grids(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """The estimator's delay grid (whole samples) and Doppler grid."""
-    return (np.arange(cfg.delay_bins) / u.sample_rate,
+    return (np.arange(cfg.delay_bins) / cfg.sample_rate,
             _doppler_cells(cfg.doppler_max, cfg.doppler_bins))
+
+
+def _grid_spans(cfg: ExperimentConfig):
+    """The ``(low, high)`` delay and Doppler spans the estimator's grids
+    (`_grids`) cover: from the first cell to the last and half a cell past
+    each end, so -1/2 to delay-bins - 1/2 samples and +-doppler-max *
+    bins / (bins - 1) Hz. A single Doppler cell stands for all of
+    [-doppler-max, doppler-max], so only 0 Hz at doppler-max 0."""
+    bins = cfg.doppler_bins
+    edge = cfg.doppler_max * bins / max(bins - 1, 1)
+    return ((-0.5 / cfg.sample_rate, (cfg.delay_bins - 0.5) / cfg.sample_rate),
+            (-edge + 0.0, edge))        # + 0.0: 0.0, not -0.0
 
 
 def _match_targets(truth, estimated):
@@ -490,7 +502,7 @@ def run_trial(cfg: ExperimentConfig, trial: int,
 
     report = None
     if cfg.est_kind in ("matched-filter", "omp"):
-        dictionary = estimators.Dictionary(u, *_grids(cfg, u))
+        dictionary = estimators.Dictionary(u, *_grids(cfg))
     if cfg.est_kind == "matched-filter":
         report = estimators.matched_filter_estimate(
             rx, u, dictionary, cfg.threshold_db)
@@ -508,7 +520,7 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         guard = 1e-3 * np.max(np.abs(uf))
         obs = np.conj(np.fft.fft(y) / np.where(np.abs(uf) > guard, uf, np.inf))
         report = estimators.music_estimate(
-            obs, cfg.order, *_grids(cfg, u),
+            obs, cfg.order, *_grids(cfg),
             freq_step=u.sample_rate / n)
         report.estimated_targets[:] = [
             scene.Target(np.conj(t.amplitude), t.delay, t.doppler)
@@ -656,15 +668,15 @@ def metric_rows(rec: dict, cfg: ExperimentConfig, source="trial record",
 # experiment drivers
 # ---------------------------------------------------------------------------
 
-def _processes(cfg: ExperimentConfig) -> int:
-    """How many processes run the trials: `cfg.workers`, but at most one
-    per trial and one per CPU this process may run on, and one where the
-    platform cannot fork."""
+def _processes(cfg: ExperimentConfig, trials: int) -> int:
+    """How many processes run `trials` trials: `cfg.workers`, but at most
+    one per trial and one per CPU this process may run on, and one where
+    the platform cannot fork."""
     if not hasattr(os, "fork"):
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return min(cfg.workers, cfg.trials, cpus)
+    return min(cfg.workers, trials, cpus)
 
 
 def _fork_share(trial, share: range) -> tuple[int, int] | None:
@@ -711,23 +723,28 @@ def _fork_share(trial, share: range) -> tuple[int, int] | None:
 def _run_forked(trial, trials: int, processes: int) -> list:
     """Every trial's result, in order, from `processes` contiguous shares.
     This process runs share 0 and a forked child each other share; with
-    one process nothing is forked. Once every child is reaped, a trial
-    that no child brought back (it raised there, the child died, or no
-    child could be started) runs here, in order, so the first that raises
-    does so as in a serial loop."""
+    one process nothing is forked. With more, this process runs trial 0
+    before it forks, so each child inherits what that trial loaded
+    (numpy's random and FFT modules, which load on first use, and the
+    `_steering_matrix` cache) instead of loading it again. Once every child
+    is reaped, a trial that no child brought back (it raised there, the
+    child died, or no child could be started) runs here, in order, so the
+    first that raises does so as in a serial loop."""
     shares = [range(trials * i // processes, trials * (i + 1) // processes)
               for i in range(processes)]
     got = [[] for _ in shares]
-    # a child must not write out again what this process has buffered
-    sys.stdout.flush()
-    sys.stderr.flush()
     children, sent, status = [], [], []
     try:
+        if processes > 1:
+            got[0].append(trial(0))
+        # a child must not write out again what this process has buffered
+        sys.stdout.flush()
+        sys.stderr.flush()
         for i in range(1, processes):
             child = _fork_share(trial, shares[i])
             if child is not None:
                 children.append((i, *child))
-        got[0] = [trial(t) for t in shares[0]]
+        got[0] += [trial(t) for t in shares[0][len(got[0]):]]
         for _, _, r in children:
             with open(r, "rb", closefd=False) as pipe:
                 sent.append(pipe.read())
@@ -746,18 +763,19 @@ def _run_forked(trial, trials: int, processes: int) -> list:
             for result in done + [trial(t) for t in share[len(done):]]]
 
 
-def _run_trials(cfg: ExperimentConfig, trial, store_dir: Path | None,
-                ) -> list[ResultRow]:
+def _run_trials(cfg: ExperimentConfig, trial, trials: int,
+                store_dir: Path | None) -> list[ResultRow]:
     """The one trial driver and the one writer of a run's per-trial text:
     `trial(t)` returns trial t's rows, record and stderr line (empty for
-    none). `_run_forked` splits the trials into contiguous shares, one per
-    process (`_processes`); with one process they all run in order on the
-    calling thread. A trial's result depends only on (config, seed, t),
-    and only this process writes, once every trial has run: each record
-    as ``report_<trial>.json`` under `store_dir`, then every line in trial
-    order. So the records, the lines and the rows, which come back sorted,
-    are the same at any `cfg.workers`, and a run that raises writes none."""
-    results = _run_forked(trial, cfg.trials, _processes(cfg))
+    none), for t in range(trials). `_run_forked` splits the trials into
+    contiguous shares, one per process (`_processes`); with one process
+    they all run in order on the calling thread. A trial's result depends
+    only on (config, seed, t), and only this process writes, once every
+    trial has run: each record as ``report_<trial>.json`` under
+    `store_dir`, then every line in trial order. So the records, the lines
+    and the rows, which come back sorted, are the same at any
+    `cfg.workers`, and a run that raises writes none."""
+    results = _run_forked(trial, trials, _processes(cfg, trials))
     if store_dir is not None:
         store_dir.mkdir(parents=True, exist_ok=True)
         for _, doc, _ in results:
@@ -777,18 +795,39 @@ def _check_metrics(cfg: ExperimentConfig, held: dict) -> None:
         raise errors.ValidationError(problems or ["[metrics] list is empty"])
 
 
-def run_experiment(cfg: ExperimentConfig, store_dir: Path | None = None,
-                   ) -> list[ResultRow]:
-    """Monte Carlo simulate trials; the scene file is parsed once, before
-    any trial, and a delay past the probe's frame is a ParseError there."""
+def _simulate(cfg: ExperimentConfig, points: list,
+              store_dir: Path | None = None) -> list[ResultRow]:
+    """Simulate trials at every point of `points`, (scenario tag, config)
+    pairs whose tag None keeps the trial's own scenario, all in one
+    `_run_trials` call: flat trial k is trial k // len(points) of point
+    k % len(points), so every process's share mixes the points evenly and
+    each trial keeps its own seed. The scene file is parsed once, before
+    any trial: a delay past the probe's frame or a Doppler past half its
+    sample rate is a ParseError at its line, and a target outside the
+    estimator's grid a ValidationError naming its line."""
     _check_metrics(cfg, _SENSING_METRICS)
     samples = _probe_samples(cfg)
     base = None if cfg.scene_file is None else scene.load_scene(
         cfg.base_dir / cfg.scene_file,
-        frame=samples / cfg.sample_rate if samples else None)
-    # run_trial is looked up at call time, so a rebound one is used
-    return _run_trials(cfg, lambda t: (*run_trial(cfg, t, base), ""),
-                       store_dir)
+        frame=samples / cfg.sample_rate if samples else None,
+        sample_rate=cfg.sample_rate if samples else None,
+        grid=_grid_spans(cfg) if cfg.est_kind != "none" else None)
+
+    def trial(k):
+        # run_trial is looked up at call time, so a rebound one is used
+        tag, point = points[k % len(points)]
+        rows, record = run_trial(point, k // len(points), base)
+        if tag is not None:
+            rows = [replace(row, scenario=tag) for row in rows]
+        return rows, record, ""
+
+    return _run_trials(cfg, trial, cfg.trials * len(points), store_dir)
+
+
+def run_experiment(cfg: ExperimentConfig, store_dir: Path | None = None,
+                   ) -> list[ResultRow]:
+    """Monte Carlo simulate trials: `_simulate` at the config's one point."""
+    return _simulate(cfg, [(None, cfg)], store_dir)
 
 
 def recompute_metrics(report_dir: Path, cfg: ExperimentConfig) -> list[ResultRow]:
@@ -833,11 +872,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
         tags.setdefault(tag, val)
     if problems:
         raise errors.ValidationError(problems)
-    rows = []
-    for tag, val in tags.items():
-        sub = replace(cfg, lam=val) if lam else replace(cfg, ebn0_db=val)
-        rows += [replace(row, scenario=tag) for row in run_experiment(sub)]
-    return _sort_rows(rows)
+    return _simulate(cfg, [(tag, replace(cfg, lam=val) if lam
+                            else replace(cfg, ebn0_db=val))
+                           for tag, val in tags.items()])
 
 
 def run_sync(cfg: ExperimentConfig, store_dir: Path | None = None,
@@ -848,7 +885,7 @@ def run_sync(cfg: ExperimentConfig, store_dir: Path | None = None,
     _check_metrics(cfg, _SYNC_METRICS)
     scenario = syncnet.load_sync_scenario(cfg.base_dir / cfg.sync_file)
     return _run_trials(cfg, lambda t: run_sync_trial(cfg, t, scenario),
-                       store_dir)
+                       cfg.trials, store_dir)
 
 
 def ambiguity_rows(cfg: ExperimentConfig, doppler_span: float | None = None,

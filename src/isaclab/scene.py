@@ -269,7 +269,24 @@ def _check_frame(what: str, delay: float, frame: float | None) -> None:
                          f"{frame!r} s")
 
 
-def load_scene(path, frame: float | None = None) -> TargetScene:
+def _check_nyquist(what: str, doppler: float,
+                   sample_rate: float | None) -> None:
+    if sample_rate is not None and abs(doppler) > sample_rate / 2:
+        raise ValueError(f"{what} {doppler!r} Hz exceeds half the sample "
+                         f"rate, {sample_rate / 2!r} Hz")
+
+
+def _outside(what: str, value: float, unit: str, span) -> list[str]:
+    lo, hi = span
+    if lo <= value <= hi:
+        return []
+    return [f"target {what} {value!r} {unit} is outside {lo!r} to {hi!r} "
+            f"{unit}, the estimator's {what} grid and half a cell past each "
+            f"end"]
+
+
+def load_scene(path, frame: float | None = None,
+               sample_rate: float | None = None, grid=None) -> TargetScene:
     """Parse a scene file (the line grammar of `errors.key_value_lines`).
 
     Keys:
@@ -281,11 +298,16 @@ def load_scene(path, frame: float | None = None) -> TargetScene:
 
     Only `target` may repeat. With `frame`, the probe's duration in s, a
     target delay or a clutter delay span's upper end past it, which
-    `apply_channel` cannot delay, is a ParseError at its line.
+    `apply_channel` cannot delay, is a ParseError at its line; with
+    `sample_rate`, so is a target Doppler or a clutter Doppler span's end
+    past half of it, which `apply_channel` cannot shift. With `grid`, the
+    ``(low, high)`` delay and Doppler spans an estimator's grid covers,
+    every target outside them is a ValidationError naming its line.
     """
     targets: list[Target] = []
     clutter = None
     label = ""
+    outside = []
     for lineno, key, rest in errors.key_value_lines(
             path, "scene-version: 1", ("label", "target", "clutter"),
             repeatable=("target",)):
@@ -300,6 +322,11 @@ def load_scene(path, frame: float | None = None) -> TargetScene:
                 re_, im, tau, nu = (float(p) for p in parts)
                 targets.append(Target(complex(re_, im), tau, nu))
                 _check_frame("target delay", tau, frame)
+                _check_nyquist("target Doppler", nu, sample_rate)
+                if grid is not None:
+                    outside += [f"{path}:{lineno}: {problem}" for problem in
+                                _outside("delay", tau, "s", grid[0])
+                                + _outside("Doppler", nu, "Hz", grid[1])]
             else:                                       # clutter
                 parts = rest.split()
                 if len(parts) != 6:
@@ -307,9 +334,14 @@ def load_scene(path, frame: float | None = None) -> TargetScene:
                 d, s, t0, t1, n0, n1 = (float(p) for p in parts)
                 clutter = ClutterModel(d, s, (t0, t1), (n0, n1))
                 _check_frame("clutter delay span's upper end", t1, frame)
+                _check_nyquist("clutter Doppler span's end",
+                               max(n0, n1, key=abs), sample_rate)
         except (ValueError, TypeError) as exc:
             raise errors.ParseError(f"{path}:{lineno}: {exc}") from None
     try:
-        return TargetScene(tuple(targets), clutter, label)
+        scn = TargetScene(tuple(targets), clutter, label)
     except ValueError as exc:
         raise errors.ParseError(f"{path}: {exc}") from None
+    if outside:
+        raise errors.ValidationError(outside)
+    return scn

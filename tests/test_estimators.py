@@ -174,7 +174,7 @@ def _psk_trials(n):
                    scene.Target(0.5, 47 / FS, 0.0))
         rx = scene.apply_channel(u, scene.TargetScene(targets),
                                  harness._noise_model(cfg, u, trial))
-        yield u, harness._grids(cfg, u), rx
+        yield u, harness._grids(cfg), rx
 
 
 def _reference_omp(y, d, sparsity):
@@ -427,7 +427,7 @@ def test_music_pseudospectrum_matches_per_cell_projection():
     M, L = G.shape
     snaps = np.stack([G[i:i + 10, j:j + 8].reshape(-1)
                       for i in range(M - 9) for j in range(L - 7)], axis=1)
-    _, evecs = np.linalg.eigh(snaps @ snaps.conj().T / snaps.shape[1])
+    evals, evecs = np.linalg.eigh(snaps @ snaps.conj().T / snaps.shape[1])
     noise_sub = evecs[:, :80 - 2]
     ref = np.empty((delays.size, dopplers.size))
     for i, tau in enumerate(delays):
@@ -436,8 +436,7 @@ def test_music_pseudospectrum_matches_per_cell_projection():
                          np.exp(2j * np.pi * 1e-3 * nu * np.arange(8)))
             a = a.reshape(-1) / np.linalg.norm(a)
             ref[i, j] = 1.0 / np.linalg.norm(noise_sub.conj().T @ a) ** 2
-    np.testing.assert_allclose(rep.diagnostics["pseudospectrum"], ref,
-                               rtol=1e-10)
+    _assert_settled(rep, ref, evals, delays, dopplers)
     assert rep.cost.flop_count == (80 ** 2 * snaps.shape[1] + 80 ** 3
                                    + ref.size * 80 * (80 - 2))
 
@@ -486,6 +485,25 @@ def _music_full_eigh(G, order, delays, dopplers, freq_step, time_step=1.0):
     denom = np.sum(np.abs(evecs[:, :dim - order].conj().T @ S) ** 2, axis=0)
     pseudo = 1.0 / np.maximum(denom, 1e-300).reshape(delays.size, -1)
     return pseudo, evals, R
+
+
+def _assert_settled(rep, ref, evals, delays, dopplers):
+    """What MUSIC's stopping rule guarantees against the full `eigh`'s
+    pseudospectrum `ref` and ascending eigenvalues `evals`: with the
+    reported bound b = subspace_residual / subspace_gap, every cell's
+    square-root denominator within b (Davis & Kahan), each Ritz value
+    within the residual of its eigenvalue, and the full `eigh`'s peaks."""
+    diag = rep.diagnostics
+    order = diag["eigenvalues"].size
+    assert not diag["eigh_fallback"]
+    residual = diag["subspace_residual"]
+    bound = residual / diag["subspace_gap"]
+    assert np.all(np.abs(np.sqrt(1 / diag["pseudospectrum"])
+                         - np.sqrt(1 / ref)) <= bound)
+    assert np.all(np.abs(diag["eigenvalues"] - evals[-order:]) <= residual)
+    assert [(t.delay, t.doppler) for t in rep.estimated_targets] == [
+        (delays[i], dopplers[j])
+        for i, j in estimators._choose_peaks(ref, order)]
 
 
 _CHIRP_SWEEP = """[experiment]
@@ -539,8 +557,7 @@ def _chirp_music_trial(tmp_path, monkeypatch, ebn0,
         m.setattr(estimators, "music_estimate", spy)
         harness.run_trial(cfg, 0, scene.load_scene(tmp_path / "scene.txt"))
     (call,) = calls
-    u = harness._build_waveform(cfg, None)
-    for got, want in zip(call[2:4], harness._grids(cfg, u)):
+    for got, want in zip(call[2:4], harness._grids(cfg)):
         np.testing.assert_array_equal(got, want)
     return call
 
@@ -552,12 +569,10 @@ def test_music_signal_subspace_matches_full_eigh_on_chirp_trials(
         tmp_path, monkeypatch, ebn0)
     ref, evals, R = _music_full_eigh(obs, order, delays, dopplers,
                                      kw["freq_step"])
-    np.testing.assert_allclose(rep.diagnostics["pseudospectrum"], ref,
-                               rtol=1e-10)
-    np.testing.assert_allclose(rep.diagnostics["eigenvalues"],
-                               evals[-order:], rtol=1e-10)
-    assert rep.diagnostics["noise_floor"] == pytest.approx(
-        evals[:-order].mean(), rel=1e-10)
+    _assert_settled(rep, ref, evals, delays, dopplers)
+    # the noise floor is trace(R) less the eigenvalues, over dim - order
+    assert abs(rep.diagnostics["noise_floor"] - evals[:-order].mean()) \
+        <= order * rep.diagnostics["subspace_residual"] / (256 - order)
     assert rep.cost.flop_count == (256 ** 2 * 257 + 256 ** 3
                                    + 256 * 256 * (256 - order))
 
@@ -573,11 +588,7 @@ def test_music_signal_subspace_matches_full_eigh_on_2d_windows(snr_db, seed):
     rep = estimators.music_estimate(G, 2, delays, dopplers, freq_step=25e3,
                                     time_step=1e-3)
     ref, evals, _ = _music_full_eigh(G, 2, delays, dopplers, 25e3, 1e-3)
-    assert not rep.diagnostics["eigh_fallback"]
-    np.testing.assert_allclose(rep.diagnostics["pseudospectrum"], ref,
-                               rtol=1e-10)
-    np.testing.assert_allclose(rep.diagnostics["eigenvalues"], evals[-2:],
-                               rtol=1e-10)
+    _assert_settled(rep, ref, evals, delays, dopplers)
 
 
 @pytest.mark.parametrize("case", ["chirp", "2d-window"])
@@ -737,9 +748,11 @@ def test_signal_subspace_rejects_a_basis_short_of_the_trace():
         M[k, k + 1] = M[k + 1, k] = 0.5
     R = U @ M @ U.conj().T
     assert np.allclose(U[:, :order] @ (U[:, :order].conj().T @ start), start)
-    steps, found = estimators._signal_subspace(
-        lambda X: R @ X, dim, float(np.trace(M)), order)
-    assert (steps, found) == (2, None)
+    # the first step has no gap and the second misses part of the trace,
+    # so neither bounds its pairs, and the iteration ends there
+    steps = estimators._signal_subspace(lambda X: R @ X, dim,
+                                        float(np.trace(M)), order)
+    assert [(step, gap) for step, *_, gap in steps] == [(1, 0.0), (2, 0.0)]
 
 
 def test_music_reports_its_subspace_steps(tmp_path, monkeypatch):

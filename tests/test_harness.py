@@ -532,6 +532,29 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "runtime error: trial 0 failed\n"
 
 
+def _chirp_demo_with(tmp_path, monkeypatch, command, line, estimator=""):
+    """Run demos/chirp.ini with `command` on its scene plus `line` (line
+    4), its `[estimator]` section replaced by `estimator` if given; any
+    trial fails the test."""
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the scene check")
+
+    (tmp_path / "chirp.scene").write_text(
+        f"scene-version: 1\nlabel: chirp\ntarget: 1.0 0.0 8.4e-05 0.0\n"
+        f"{line}\n")
+    ini = (Path(__file__).parents[1] / "demos" / "chirp.ini").read_text()
+    music = "[estimator]\nkind = music\norder = 2\ndelay-bins = 256\n"
+    assert music in ini
+    ini = ini.replace(music, estimator or music)
+    if command == "sweep":
+        ini += "\n[sweep]\nparameter = ebn0-db\nvalues = 30\n"
+        ini = ini.replace("store-reports = true", "")
+    (tmp_path / "chirp.ini").write_text(ini)
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    return cli.main([command, "--config", str(tmp_path / "chirp.ini"),
+                     "--out", str(tmp_path / "out")])
+
+
 @pytest.mark.parametrize("line, message", [
     ("target: 1.0 0.0 6e-4 0.0",
      "target delay 0.0006 s exceeds the probe's frame of 0.000512 s"),
@@ -543,23 +566,70 @@ def test_a_delay_past_the_frame_exits_2_before_any_trial(
         tmp_path, capsys, monkeypatch, command, line, message):
     # demos/chirp.ini's 512-sample chirp at 1 MHz is a 512 us frame, which
     # apply_channel cannot delay an echo past
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran before the frame check")
-
-    (tmp_path / "chirp.scene").write_text(
-        f"scene-version: 1\nlabel: chirp\ntarget: 1.0 0.0 8.4e-05 0.0\n"
-        f"{line}\n")
-    ini = (Path(__file__).parents[1] / "demos" / "chirp.ini").read_text()
-    if command == "sweep":
-        ini += "\n[sweep]\nparameter = ebn0-db\nvalues = 30\n"
-        ini = ini.replace("store-reports = true", "")
-    (tmp_path / "chirp.ini").write_text(ini)
-    monkeypatch.setattr(harness, "run_trial", no_trial)
-    assert cli.main([command, "--config", str(tmp_path / "chirp.ini"),
-                     "--out", str(tmp_path / "out")]) == 2
+    assert _chirp_demo_with(tmp_path, monkeypatch, command, line) == 2
     assert capsys.readouterr().err == (
         f"input error: {tmp_path / 'chirp.scene'}:4: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("target: 1.0 0.0 8.4e-05 6e5",
+     "target Doppler 600000.0 Hz exceeds half the sample rate, 500000.0 Hz"),
+    ("clutter: 1e5 0.1 0 1e-4 -6e5 100", "clutter Doppler span's end "
+     "-600000.0 Hz exceeds half the sample rate, 500000.0 Hz"),
+], ids=["target", "clutter"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_doppler_past_half_the_sample_rate_exits_2_before_any_trial(
+        tmp_path, capsys, monkeypatch, command, line, message):
+    # apply_channel cannot shift an echo past fs/2, 500 kHz for the demo
+    assert _chirp_demo_with(tmp_path, monkeypatch, command, line) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {tmp_path / 'chirp.scene'}:4: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+_MUSIC_DOPPLER_MAX = ("[estimator]\nkind = music\norder = 2\n"
+                      "delay-bins = 256\ndoppler-max = 500\n")
+_MF_3_DOPPLER_CELLS = ("[estimator]\nkind = matched-filter\n"
+                       "delay-bins = 256\ndoppler-bins = 3\n"
+                       "doppler-max = 1000\n")
+
+
+@pytest.mark.parametrize("line, estimator, message", [
+    # the demo's 256 delay cells are 0 to 255 us
+    ("target: 1.0 0.0 3e-4 0.0", "",
+     "target delay 0.0003 s is outside -5e-07 to 0.0002555 s, the "
+     "estimator's delay grid and half a cell past each end"),
+    # MUSIC's one Doppler cell stands for [-doppler-max, doppler-max]
+    ("target: 1.0 0.0 9e-05 100.0", "",
+     "target Doppler 100.0 Hz is outside 0.0 to 0.0 Hz, the estimator's "
+     "Doppler grid and half a cell past each end"),
+    ("target: 1.0 0.0 9e-05 600.0", _MUSIC_DOPPLER_MAX,
+     "target Doppler 600.0 Hz is outside -500.0 to 500.0 Hz"),
+    # cells at -1000, 0 and 1000 Hz, so the grid's edges are +-1500 Hz
+    ("target: 1.0 0.0 9e-05 -1600.0", _MF_3_DOPPLER_CELLS,
+     "target Doppler -1600.0 Hz is outside -1500.0 to 1500.0 Hz"),
+], ids=["delay", "music-doppler", "music-doppler-max", "doppler-cells"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_target_off_the_estimator_grid_exits_2_before_any_trial(
+        tmp_path, capsys, monkeypatch, command, line, estimator, message):
+    assert _chirp_demo_with(tmp_path, monkeypatch, command, line,
+                            estimator) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation errors:\n")
+    assert f"  - {tmp_path / 'chirp.scene'}:4: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, estimator", [
+    ("target: 1.0 0.0 2.554e-4 0.0", ""),
+    ("target: 1.0 0.0 9e-05 -500.0", _MUSIC_DOPPLER_MAX),
+    ("target: 1.0 0.0 9e-05 1499.0", _MF_3_DOPPLER_CELLS),
+], ids=["delay", "music-doppler-max", "doppler-cells"])
+def test_a_target_within_half_a_cell_of_the_grid_runs(
+        tmp_path, monkeypatch, line, estimator):
+    with pytest.raises(AssertionError, match="a trial ran"):
+        _chirp_demo_with(tmp_path, monkeypatch, "simulate", line, estimator)
 
 
 @pytest.mark.parametrize("scene_text, probe, message", [
@@ -1125,7 +1195,9 @@ def test_forked_shares_run_each_trial_once(tmp_path, monkeypatch):
     by_pid = {}
     for pid, t in ran:
         by_pid.setdefault(int(pid), []).append(int(t))
-    # this process runs share 0, one child the other share
+    # this process runs share 0, one child the other share; trial 0 runs
+    # before the fork, so the child inherits what it loaded
+    assert ran[0] == [str(os.getpid()), "0"]
     assert by_pid.pop(os.getpid()) == [0, 1, 2]
     assert list(by_pid.values()) == [[3, 4, 5]]
 
@@ -1198,9 +1270,11 @@ def test_an_error_here_ends_and_reaps_the_children(tmp_path, monkeypatch,
     cfg.workers = 2
     parent = os.getpid()
 
-    def slow_child(cfg, t, base):
+    def slow_child(cfg, t, base, _run=harness.run_trial):
         if os.getpid() != parent:
             time.sleep(60)
+        if t == 0:          # this process runs trial 0 before it forks
+            return _run(cfg, t, base)
         raise kind("stop")
 
     monkeypatch.setattr(harness, "run_trial", slow_child)
@@ -1295,14 +1369,86 @@ def test_processes_never_exceed_the_cpus(tmp_path, monkeypatch):
         _cpus(monkeypatch, cpus)
         cfg.trials = trials
         forks.clear()
-        assert harness._processes(cfg) == processes
+        assert harness._processes(cfg, trials) == processes
         assert harness.run_experiment(cfg) == rows[:len(rows) * trials // 8]
         assert len(forks) == processes - 1
         _no_child_left()
     # without os.fork, one process runs every trial
     monkeypatch.delattr(os, "fork")
-    assert harness._processes(cfg) == 1
+    assert harness._processes(cfg, cfg.trials) == 1
     assert harness.run_experiment(cfg) == rows
+
+
+_SWEEP_4 = "\n[sweep]\nparameter = ebn0-db\nvalues = 0, 10, 20, 30\n"
+
+
+def _sweep_config(tmp_path, trials):
+    _write_scene(tmp_path / "scene.txt")
+    (tmp_path / "exp.ini").write_text(_config_text(
+        trials=trials, extra=_SWEEP_4).replace(
+        "kind = white\nlevel = 1e-10\n", ""))
+    return harness.load_config(tmp_path / "exp.ini")
+
+
+def test_a_sweep_forks_once(tmp_path, monkeypatch):
+    cfg = _sweep_config(tmp_path, trials=3)
+    serial = harness.run_sweep(cfg)
+    forks, loads = [], []
+
+    def counted(_fork=os.fork):
+        pid = _fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    load = scene.load_scene
+    monkeypatch.setattr(scene, "load_scene",
+                        lambda path, **kw: loads.append(path) or load(path,
+                                                                      **kw))
+    monkeypatch.setattr(os, "fork", counted)
+    _cpus(monkeypatch, 2)
+    _log_trials(monkeypatch, tmp_path / "log")
+    cfg.workers = 2
+    assert harness.run_sweep(cfg) == serial
+    _no_child_left()
+    # 4 points x 3 trials run as 12 flat trials, k = trial * 4 + point,
+    # in two shares of one run that parses the scene once
+    assert len(forks) == 1 and len(loads) == 1
+    ran = [tuple(map(int, line.split())) for line in
+           (tmp_path / "log").read_text().splitlines()]
+    assert [t for pid, t in ran if pid == os.getpid()] == [0] * 4 + [1] * 2
+    assert [t for pid, t in ran if pid != os.getpid()] == [1] * 2 + [2] * 4
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_sweep_rows_are_the_same_bytes_at_1_2_and_3_processes(
+        tmp_path, monkeypatch, trials):
+    _sweep_config(tmp_path, trials)
+    _cpus(monkeypatch, 3)
+    rows = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / workers
+        assert cli.main(["sweep", "--config", str(tmp_path / "exp.ini"),
+                         "--workers", workers, "--out", str(out)]) == 0
+        rows.append((out / "rows.csv").read_bytes())
+    _no_child_left()
+    assert rows[0].count(b"\n") == 1 + 4 * trials * 5
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
+def test_a_sweep_whose_fork_fails_gives_the_same_rows(tmp_path,
+                                                      monkeypatch):
+    cfg = _sweep_config(tmp_path, trials=2)
+    serial = harness.run_sweep(cfg)
+
+    def no_fork():
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cpus(monkeypatch, 3)
+    cfg.workers = 3
+    assert harness.run_sweep(cfg) == serial
+    _no_child_left()
 
 
 @pytest.mark.parametrize("stem", ["a,b", 'say "hi"'], ids=["comma", "quote"])
