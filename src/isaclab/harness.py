@@ -442,12 +442,12 @@ def _grid_spans(cfg: ExperimentConfig):
     """The ``(low, high)`` delay and Doppler spans the estimator's grids
     (`_grids`) cover: from the first cell to the last and half a cell past
     each end, so -1/2 to delay-bins - 1/2 samples and +-doppler-max *
-    bins / (bins - 1) Hz. A single Doppler cell stands for all of
-    [-doppler-max, doppler-max], so only 0 Hz at doppler-max 0."""
+    bins / (bins - 1) Hz. A single Doppler cell makes a delay-only
+    estimator, so its Doppler span is None: no Doppler is outside it."""
     bins = cfg.doppler_bins
-    edge = cfg.doppler_max * bins / max(bins - 1, 1)
+    edge = cfg.doppler_max * bins / (bins - 1) if bins > 1 else None
     return ((-0.5 / cfg.sample_rate, (cfg.delay_bins - 0.5) / cfg.sample_rate),
-            (-edge + 0.0, edge))        # + 0.0: 0.0, not -0.0
+            None if edge is None else (-edge, edge))
 
 
 def _match_targets(truth, estimated):

@@ -277,9 +277,9 @@ def _check_nyquist(what: str, doppler: float,
 
 
 def _outside(what: str, value: float, unit: str, span) -> list[str]:
-    lo, hi = span
-    if lo <= value <= hi:
+    if span is None or span[0] <= value <= span[1]:
         return []
+    lo, hi = span
     return [f"target {what} {value!r} {unit} is outside {lo!r} to {hi!r} "
             f"{unit}, the estimator's {what} grid and half a cell past each "
             f"end"]
@@ -301,8 +301,9 @@ def load_scene(path, frame: float | None = None,
     `apply_channel` cannot delay, is a ParseError at its line; with
     `sample_rate`, so is a target Doppler or a clutter Doppler span's end
     past half of it, which `apply_channel` cannot shift. With `grid`, the
-    ``(low, high)`` delay and Doppler spans an estimator's grid covers,
-    every target outside them is a ValidationError naming its line.
+    ``(low, high)`` delay and Doppler spans an estimator's grid covers
+    (a Doppler span of None takes any Doppler), every target outside them
+    is a ValidationError naming its line.
     """
     targets: list[Target] = []
     clutter = None

@@ -488,14 +488,17 @@ def _music_full_eigh(G, order, delays, dopplers, freq_step, time_step=1.0):
 
 
 def _assert_settled(rep, ref, evals, delays, dopplers):
-    """What MUSIC's stopping rule guarantees against the full `eigh`'s
-    pseudospectrum `ref` and ascending eigenvalues `evals`: with the
-    reported bound b = subspace_residual / subspace_gap, every cell's
-    square-root denominator within b (Davis & Kahan), each Ritz value
-    within the residual of its eigenvalue, and the full `eigh`'s peaks."""
+    """What MUSIC's stopping rule claims against the full `eigh`'s
+    pseudospectrum `ref` and ascending eigenvalues `evals`: the reported
+    gap within the true one, from the lowest Ritz value to R's
+    (order + 1)-th eigenvalue (the empirical margin the rule rests on);
+    with the bound b = subspace_residual / subspace_gap, every cell's
+    square-root denominator within b (Davis & Kahan); each Ritz value
+    within the residual of its eigenvalue; and the full `eigh`'s peaks."""
     diag = rep.diagnostics
     order = diag["eigenvalues"].size
     assert not diag["eigh_fallback"]
+    assert diag["subspace_gap"] <= diag["eigenvalues"][0] - evals[-order - 1]
     residual = diag["subspace_residual"]
     bound = residual / diag["subspace_gap"]
     assert np.all(np.abs(np.sqrt(1 / diag["pseudospectrum"])
@@ -577,10 +580,21 @@ def test_music_signal_subspace_matches_full_eigh_on_chirp_trials(
                                    + 256 * 256 * (256 - order))
 
 
-@pytest.mark.parametrize("snr_db, seed", [(0, 1), (10, 2), (30, 3)])
-def test_music_signal_subspace_matches_full_eigh_on_2d_windows(snr_db, seed):
+@pytest.mark.parametrize("ebn0", [-10, -5])
+def test_music_signal_subspace_matches_full_eigh_below_0_db_on_a_weak_target(
+        tmp_path, monkeypatch, ebn0):
+    # the weak target's eigenvalue lies near the noise's top one, where the
+    # Ritz gap overstates the true gap the most
+    obs, order, delays, dopplers, kw, rep = _chirp_music_trial(
+        tmp_path, monkeypatch, ebn0, targets=((1.0, 84e-6), (0.2j, 89e-6)))
+    ref, evals, _ = _music_full_eigh(obs, order, delays, dopplers,
+                                     kw["freq_step"])
+    _assert_settled(rep, ref, evals, delays, dopplers)
+
+
+def _assert_settled_on_2d_window(snr_db, seed, second):
     targets = [scene.Target(0.8 + 0.3j, 3.2e-6, 150.0),
-               scene.Target(0.5 - 0.2j, 7.2e-6, -75.0)]
+               scene.Target(second, 7.2e-6, -75.0)]
     # 24 x 18 bins, so MUSIC's smoothing window is 12 x 9
     G = _dd_observation(targets, M=24, L=18, snr_db=snr_db, seed=seed)
     delays = np.arange(0, 10e-6, 0.4e-6)
@@ -589,6 +603,18 @@ def test_music_signal_subspace_matches_full_eigh_on_2d_windows(snr_db, seed):
                                     time_step=1e-3)
     ref, evals, _ = _music_full_eigh(G, 2, delays, dopplers, 25e3, 1e-3)
     _assert_settled(rep, ref, evals, delays, dopplers)
+
+
+@pytest.mark.parametrize("snr_db, seed", [(0, 1), (10, 2), (30, 3)])
+def test_music_signal_subspace_matches_full_eigh_on_2d_windows(snr_db, seed):
+    _assert_settled_on_2d_window(snr_db, seed, 0.5 - 0.2j)
+
+
+@pytest.mark.parametrize("snr_db, seed", [(-10, 5), (-5, 6)])
+def test_music_signal_subspace_matches_full_eigh_below_0_db_on_2d_windows(
+        snr_db, seed):
+    # a second target 18 dB below the first
+    _assert_settled_on_2d_window(snr_db, seed, 0.1 - 0.04j)
 
 
 @pytest.mark.parametrize("case", ["chirp", "2d-window"])

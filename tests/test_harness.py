@@ -588,8 +588,6 @@ def test_a_doppler_past_half_the_sample_rate_exits_2_before_any_trial(
     assert not (tmp_path / "out").exists()
 
 
-_MUSIC_DOPPLER_MAX = ("[estimator]\nkind = music\norder = 2\n"
-                      "delay-bins = 256\ndoppler-max = 500\n")
 _MF_3_DOPPLER_CELLS = ("[estimator]\nkind = matched-filter\n"
                        "delay-bins = 256\ndoppler-bins = 3\n"
                        "doppler-max = 1000\n")
@@ -600,16 +598,10 @@ _MF_3_DOPPLER_CELLS = ("[estimator]\nkind = matched-filter\n"
     ("target: 1.0 0.0 3e-4 0.0", "",
      "target delay 0.0003 s is outside -5e-07 to 0.0002555 s, the "
      "estimator's delay grid and half a cell past each end"),
-    # MUSIC's one Doppler cell stands for [-doppler-max, doppler-max]
-    ("target: 1.0 0.0 9e-05 100.0", "",
-     "target Doppler 100.0 Hz is outside 0.0 to 0.0 Hz, the estimator's "
-     "Doppler grid and half a cell past each end"),
-    ("target: 1.0 0.0 9e-05 600.0", _MUSIC_DOPPLER_MAX,
-     "target Doppler 600.0 Hz is outside -500.0 to 500.0 Hz"),
     # cells at -1000, 0 and 1000 Hz, so the grid's edges are +-1500 Hz
     ("target: 1.0 0.0 9e-05 -1600.0", _MF_3_DOPPLER_CELLS,
      "target Doppler -1600.0 Hz is outside -1500.0 to 1500.0 Hz"),
-], ids=["delay", "music-doppler", "music-doppler-max", "doppler-cells"])
+], ids=["delay", "doppler-cells"])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_a_target_off_the_estimator_grid_exits_2_before_any_trial(
         tmp_path, capsys, monkeypatch, command, line, estimator, message):
@@ -623,9 +615,10 @@ def test_a_target_off_the_estimator_grid_exits_2_before_any_trial(
 
 @pytest.mark.parametrize("line, estimator", [
     ("target: 1.0 0.0 2.554e-4 0.0", ""),
-    ("target: 1.0 0.0 9e-05 -500.0", _MUSIC_DOPPLER_MAX),
+    # MUSIC's one Doppler cell makes it a delay-only estimator
+    ("target: 1.0 0.0 9e-05 4e4", ""),
     ("target: 1.0 0.0 9e-05 1499.0", _MF_3_DOPPLER_CELLS),
-], ids=["delay", "music-doppler-max", "doppler-cells"])
+], ids=["delay", "music-moving-target", "doppler-cells"])
 def test_a_target_within_half_a_cell_of_the_grid_runs(
         tmp_path, monkeypatch, line, estimator):
     with pytest.raises(AssertionError, match="a trial ran"):
